@@ -1,105 +1,68 @@
-"""Grid-evaluation kernels for transfer matrices and discriminants.
+"""The one-period factor product behind every transfer matrix.
 
-Evaluating the one-period 2x2 product over large grids of z is the hot
-inner loop of the CLI sampling commands and the benchmark.  Two
-implementations are provided: a numba @njit scalar loop and a pure-numpy
-vectorized fallback.  Selection: numba is used when importable unless
-the environment variable GMPMAT_DISABLE_NUMBA is set to a non-empty
-value other than "0".
+A transfer matrix is an ordered product of 2x2 elementary factors, one
+per coefficient pair.  ``_factor_product`` multiplies them out entry by
+entry, so the same code serves a scalar z (plain Python arithmetic, no
+array allocation) and an ndarray of z (elementwise numpy arithmetic over
+the whole grid, looping only over the factors).
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    _HAVE_NUMBA = False
-
-_DISABLED = os.environ.get("GMPMAT_DISABLE_NUMBA", "0") not in ("", "0")
-USE_NUMBA = _HAVE_NUMBA and not _DISABLED
+from .errors import DomainError
 
 
-def _transfer_grid_numpy(p, q, c, zs):
-    """Vectorized over zs; loops only over the g+1 factors."""
-    zs = np.asarray(zs, dtype=complex)
-    g = len(c)
-    m11 = np.ones_like(zs)
-    m12 = np.zeros_like(zs)
-    m21 = np.zeros_like(zs)
-    m22 = np.ones_like(zs)
-    for k in range(g):
-        u = 1.0 / (c[k] - zs)
-        pq, pp, qq = p[k] * q[k], p[k] * p[k], q[k] * q[k]
-        # factor = I - u * [[pq, -pp], [qq, -pq]]
-        f11, f12 = 1.0 - u * pq, u * pp
-        f21, f22 = -u * qq, 1.0 + u * pq
-        n11 = m11 * f11 + m12 * f21
-        n12 = m11 * f12 + m12 * f22
-        n21 = m21 * f11 + m22 * f21
-        n22 = m21 * f12 + m22 * f22
-        m11, m12, m21, m22 = n11, n12, n21, n22
-    pg, qg = p[g], q[g]
-    f11, f12 = 0.0, -pg
-    f21 = 1.0 / pg
-    f22 = (zs - pg * qg) / pg
-    n11 = m11 * f11 + m12 * f21
-    n12 = m11 * f12 + m12 * f22
-    n21 = m21 * f11 + m22 * f21
-    n22 = m21 * f12 + m22 * f22
-    return n11, n12, n21, n22
+def _factor_product(z, poles, p, q, mirror=False, rank_one=None):
+    """Entries (m11, m12, m21, m22) of an ordered product of elementary factors.
 
+    Pair j of (p, q) gives the pole factor I - (1/(c_j - z)) [p_j; q_j][p_j q_j] j
+    for j < len(poles), with j = [[0, -1], [1, 0]], and the infinity factor
+    [[0, -p_j], [1/p_j, (z - p_j q_j)/p_j]] for the remaining pairs.
 
-def _transfer_grid_scalar(p, q, c, zs):
-    g = len(c)
-    n = zs.shape[0]
-    out11 = np.empty(n, dtype=np.complex128)
-    out12 = np.empty(n, dtype=np.complex128)
-    out21 = np.empty(n, dtype=np.complex128)
-    out22 = np.empty(n, dtype=np.complex128)
-    pg, qg = p[g], q[g]
-    for i in range(n):
-        z = zs[i]
-        m11 = 1.0 + 0.0j
-        m12 = 0.0 + 0.0j
-        m21 = 0.0 + 0.0j
-        m22 = 1.0 + 0.0j
-        for k in range(g):
-            u = 1.0 / (c[k] - z)
-            pq = p[k] * q[k]
-            f11 = 1.0 - u * pq
-            f12 = u * p[k] * p[k]
-            f21 = -u * q[k] * q[k]
-            f22 = 1.0 + u * pq
-            n11 = m11 * f11 + m12 * f21
-            n12 = m11 * f12 + m12 * f22
-            n21 = m21 * f11 + m22 * f21
-            n22 = m21 * f12 + m22 * f22
-            m11, m12, m21, m22 = n11, n12, n21, n22
-        fz = (z - pg * qg) / pg
-        out11[i] = m12 / pg
-        out12[i] = -m11 * pg + m12 * fz
-        out21[i] = m22 / pg
-        out22[i] = -m21 * pg + m22 * fz
-    return out11, out12, out21, out22
-
-
-if _HAVE_NUMBA:
-    _transfer_grid_jit = njit(cache=True)(_transfer_grid_scalar)
+    ``mirror`` multiplies the factors in reverse order, each replaced by
+    its mirror S F^T S with S = diag(1, -1); for a pole factor that swaps
+    the roles of p and q.  ``rank_one = k`` replaces factor k by the
+    rank-one matrix [p_k; q_k][p_k q_k] j.  A scalar z stays a scalar;
+    an ndarray z gives entries of its shape.  Raises DomainError when z
+    hits a pole of a pole factor.
+    """
+    g = len(poles)
+    array = isinstance(z, np.ndarray)
+    zero = 0.0 * z
+    m11, m12, m21, m22 = 1.0 + zero, zero, zero, 1.0 + zero
+    for j, (pj, qj) in enumerate(zip(p, q)):
+        pq = pj * qj
+        if j == rank_one:
+            f11, f12, f21, f22 = pq, -pj * pj, qj * qj, -pq
+        elif j < g:
+            c = poles[j]
+            if (z == c).any() if array else z == c:
+                raise DomainError(f"transfer matrix evaluated at pole c = {c}")
+            u = 1.0 / (c - z)
+            f11, f12, f21, f22 = 1.0 - u * pq, u * (pj * pj), -u * (qj * qj), 1.0 + u * pq
+        else:
+            f11, f12, f21, f22 = 0.0, -pj, 1.0 / pj, (z - pq) / pj
+        if mirror:
+            m11, m12, m21, m22 = (
+                f11 * m11 - f21 * m21,
+                f11 * m12 - f21 * m22,
+                f22 * m21 - f12 * m11,
+                f22 * m22 - f12 * m12,
+            )
+        else:
+            m11, m12, m21, m22 = (
+                m11 * f11 + m12 * f21,
+                m11 * f12 + m12 * f22,
+                m21 * f11 + m22 * f21,
+                m21 * f12 + m22 * f22,
+            )
+    return m11, m12, m21, m22
 
 
 def transfer_grid(coeffs, zs):
     """Entries (m11, m12, m21, m22) of the transfer matrix over a z grid."""
-    p = np.asarray(coeffs.p, dtype=float)
-    q = np.asarray(coeffs.q, dtype=float)
-    c = np.asarray(coeffs.poles, dtype=float)
-    zs = np.ascontiguousarray(zs, dtype=np.complex128)
-    if USE_NUMBA:
-        return _transfer_grid_jit(p, q, c, zs)
-    return _transfer_grid_numpy(p, q, c, zs)
+    zs = np.asarray(zs, dtype=complex)
+    return _factor_product(zs, coeffs.poles, coeffs.p, coeffs.q)
 
 
 def discriminant_grid(coeffs, zs):

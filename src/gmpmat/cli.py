@@ -2,7 +2,8 @@
 
 Thin adapters over the library modules with deterministic, file-based
 I/O: JSON for structured data, CSV for matrices, traces and grids.
-Exit codes: 0 success, 1 domain/input error, 2 convergence failure.
+Exit codes: 0 success, 1 domain/input/usage error, 2 convergence failure.
+A grid that hits a pole is a domain error: no partial output is written.
 """
 
 import argparse
@@ -65,8 +66,8 @@ def _cmd_delta_eval(args):
     delta = _load_delta(args.delta)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
-        rows = [(x, complex(eval_discriminant(delta, float(x))).real) for x in xs]
-        serialize.write_text(args.out, serialize.rows_csv(rows))
+        vals = eval_discriminant(delta, xs)
+        serialize.write_text(args.out, serialize.rows_csv(np.column_stack([xs, vals])))
     else:
         val = complex(eval_discriminant(delta, _parse_complex(args.z)))
         serialize.write_text(args.out, serialize.dumps({"re": val.real, "im": val.imag}))
@@ -110,9 +111,8 @@ def _cmd_transfer_eval(args):
     coeffs = _load_coeffs(args.coeffs)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
-        vals = _kernels.discriminant_grid(coeffs, xs.astype(complex))
-        rows = list(zip(xs, vals.real))
-        serialize.write_text(args.out, serialize.rows_csv(rows))
+        vals = _kernels.discriminant_grid(coeffs, xs)
+        serialize.write_text(args.out, serialize.rows_csv(np.column_stack([xs, vals.real])))
     else:
         M = eval_transfer(coeffs, _parse_complex(args.z))
         out = {
@@ -139,19 +139,9 @@ def _cmd_resolvent_eval(args):
     coeffs = _load_coeffs(args.coeffs)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
-        rows = []
-        for x in xs:
-            rv = resolvent.resolvent_pair(coeffs, complex(float(x), args.imag))
-            rows.append(
-                (
-                    x,
-                    rv.r_plus.real,
-                    rv.r_plus.imag,
-                    rv.r_minus_inv.real,
-                    rv.r_minus_inv.imag,
-                )
-            )
-        serialize.write_text(args.out, serialize.rows_csv(rows))
+        rv = resolvent.resolvent_pair(coeffs, xs + 1j * args.imag)
+        cols = [xs, rv.r_plus.real, rv.r_plus.imag, rv.r_minus_inv.real, rv.r_minus_inv.imag]
+        serialize.write_text(args.out, serialize.rows_csv(np.column_stack(cols)))
     else:
         rv = resolvent.resolvent_pair(coeffs, _parse_complex(args.z))
         serialize.write_text(
@@ -186,11 +176,14 @@ def _cmd_iso_trace(args):
     delta = _load_delta(args.delta)
     start = _load_coeffs(args.coeffs)
     points = isospectral.trace_torus(start, delta, args.steps, args.step_len)
-    rows = []
-    for step, pt in enumerate(points):
-        defect = np.max(np.abs(isospectral.manifold_residual(pt, delta))) if delta.g else 0.0
-        rows.append((step, *pt.p[:-1], *pt.q[:-1], pt.p[-1], pt.q[-1], defect))
-    serialize.write_text(args.out, serialize.rows_csv(rows))
+    P = np.array([pt.p for pt in points])
+    Q = np.array([pt.q for pt in points])
+    defects = [
+        np.max(np.abs(isospectral.manifold_residual(pt, delta))) if delta.g else 0.0
+        for pt in points
+    ]
+    cols = [np.arange(len(points)), P[:, :-1], Q[:, :-1], P[:, -1], Q[:, -1], defects]
+    serialize.write_text(args.out, serialize.rows_csv(np.column_stack(cols)))
 
 
 def _cmd_iso_verify(args):
@@ -225,7 +218,7 @@ def _cmd_magic_verify(args):
 
 def _cmd_spectrum_eig(args):
     eigs = isospectral.spectrum_truncation(_load_coeffs(args.coeffs), args.periods)
-    serialize.write_text(args.out, serialize.rows_csv([(v,) for v in eigs]))
+    serialize.write_text(args.out, serialize.rows_csv(eigs[:, None]))
 
 
 def _cmd_ortho_build(args):
@@ -246,11 +239,8 @@ def _cmd_jacobi_transfer(args):
     b = [float(v) for v in args.b.split(",")]
     if args.grid is not None:
         xs = _parse_grid(args.grid)
-        rows = [
-            (x, complex(isospectral.jacobi_transfer(a, b, float(x))[0]).real)
-            for x in xs
-        ]
-        serialize.write_text(args.out, serialize.rows_csv(rows))
+        t, _ = isospectral.jacobi_transfer(a, b, xs)
+        serialize.write_text(args.out, serialize.rows_csv(np.column_stack([xs, t])))
     elif args.bands:
         edges = isospectral.jacobi_band_edges(a, b, tol=args.tol)
         serialize.write_text(args.out, serialize.dumps(edges))
@@ -260,13 +250,37 @@ def _cmd_jacobi_transfer(args):
         serialize.write_text(args.out, serialize.dumps({"re": t.real, "im": t.imag}))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as exceptions: exit 1 with a JSON payload, not 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+# Options whose value may start with "-": argparse reads "--grid -3:3:5"
+# as two options unless the value is joined with "=".
+_SIGNED_VALUE_OPTIONS = (
+    "--grid", "--z", "--x", "--init", "--poles", "--a", "--b", "--imag", "--step-len"
+)
+
+
+def _join_signed_values(argv):
+    out = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _add_common(sp, tol=1e-10):
     sp.add_argument("--tol", type=float, default=tol)
     sp.add_argument("--out", default=None)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="gmpmat")
+    parser = _Parser(prog="gmpmat")
     sub = parser.add_subparsers(dest="group", required=True)
 
     delta = sub.add_parser("delta").add_subparsers(dest="action", required=True)
@@ -395,9 +409,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = build_parser().parse_args(_join_signed_values(argv))
         args.func(args)
     except ConvergenceError as exc:
         payload = {"error": str(exc)}
@@ -406,7 +420,7 @@ def main(argv=None):
         print(serialize.dumps(payload), end="", file=sys.stderr)
         return 2
     except (ValueError, OSError, KeyError) as exc:
-        # DomainError and JSON decode errors both derive from ValueError
+        # DomainError, JSON decode and usage errors all derive from ValueError
         print(serialize.dumps({"error": str(exc)}), end="", file=sys.stderr)
         return 1
     return 0

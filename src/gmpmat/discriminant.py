@@ -120,9 +120,10 @@ class RationalDiscriminant:
 
 
 def eval_discriminant(delta, z):
-    """Evaluate Delta at a real or complex point z (not a pole)."""
+    """Evaluate Delta at a real or complex z (not a pole); z may be an ndarray."""
+    array = isinstance(z, np.ndarray)
     for _, c in delta.terms:
-        if z == c:
+        if (z == c).any() if array else z == c:
             raise DomainError(f"evaluation at pole c = {c}")
     val = delta.lambda0 * z + delta.c0
     for lam, c in delta.terms:

@@ -9,9 +9,10 @@ on truncations, and extracts the induced Jacobi coefficients.
 
 import numpy as np
 
+from ._kernels import _factor_product
 from .errors import ConvergenceError, DomainError
 from .gmp import assemble, GmpCoefficients
-from .transfer import factor_infinity, lambda_k
+from .transfer import lambda_k
 
 
 def forced_tail(delta, head):
@@ -201,7 +202,8 @@ def jacobi_transfer(a, b, z):
 
     The factors are the infinity-type factors with (p, q) = (a_j,
     b_{j-1}/a_j); the spectrum of the period-p operator is the preimage
-    of [-2, 2] under the trace.
+    of [-2, 2] under the trace.  For an ndarray z the trace has the shape
+    of z and the matrix has shape (2, 2) + z.shape.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -209,10 +211,8 @@ def jacobi_transfer(a, b, z):
         raise DomainError("a and b must have equal length")
     if np.any(a <= 0):
         raise DomainError("all a_j must be positive")
-    M = np.eye(2, dtype=complex if np.iscomplexobj(z) else float)
-    for j in range(len(a)):
-        M = M @ factor_infinity(z, a[j], b[j] / a[j])
-    return M[0, 0] + M[1, 1], M
+    m11, m12, m21, m22 = _factor_product(z, (), a.tolist(), (b / a).tolist())
+    return m11 + m22, np.array([[m11, m12], [m21, m22]])
 
 
 def jacobi_band_edges(a, b, tol=1e-12, grid=4001):
@@ -225,24 +225,24 @@ def jacobi_band_edges(a, b, tol=1e-12, grid=4001):
     b = np.asarray(b, dtype=float)
     bound = float(np.max(np.abs(b)) + 2.0 * np.max(a) + 1.0)
     xs = np.linspace(-bound, bound, grid)
-    ts = np.array([jacobi_transfer(a, b, float(x))[0].real for x in xs])
+    ts = jacobi_transfer(a, b, xs)[0]
     edges = []
     for target in (-2.0, 2.0):
         f = ts - target
-        for i in range(len(xs) - 1):
+        for i in np.flatnonzero((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0)):
             if f[i] == 0.0:
                 edges.append(xs[i])
-            elif f[i] * f[i + 1] < 0:
-                lo, hi = xs[i], xs[i + 1]
-                flo = f[i]
-                while hi - lo > tol:
-                    mid = 0.5 * (lo + hi)
-                    fm = jacobi_transfer(a, b, mid)[0].real - target
-                    if fm == 0.0:
-                        lo = hi = mid
-                    elif (fm < 0) == (flo < 0):
-                        lo, flo = mid, fm
-                    else:
-                        hi = mid
-                edges.append(0.5 * (lo + hi))
+                continue
+            lo, hi = xs[i], xs[i + 1]
+            flo = f[i]
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                fm = jacobi_transfer(a, b, mid)[0].real - target
+                if fm == 0.0:
+                    lo = hi = mid
+                elif (fm < 0) == (flo < 0):
+                    lo, flo = mid, fm
+                else:
+                    hi = mid
+            edges.append(0.5 * (lo + hi))
     return sorted(edges)

@@ -20,7 +20,7 @@ from .transfer import transfer
 
 @dataclass(frozen=True)
 class ResolventValue:
-    """Roots of the transfer quadratic at a point z.
+    """Roots of the transfer quadratic at a point z, or over an array of z.
 
     r_plus holds a0^2 * r_+(z), r_minus_inv holds 1/r_-(z); a0 = ||p||.
     """
@@ -30,12 +30,11 @@ class ResolventValue:
     a0: float
 
 
-def _roots_at(M):
-    V = M[0, 0] - M[1, 1]
+def _quadratic(coeffs, z):
+    """V = m11 - m22, the root of tr^2 - 4 and m21 at z (scalar or ndarray)."""
+    M = transfer(coeffs, z)
     tr = M[0, 0] + M[1, 1]
-    a21 = M[1, 0]
-    s = np.sqrt(tr * tr - 4.0 + 0.0j)
-    return V, a21, s
+    return M[0, 0] - M[1, 1], np.sqrt(tr * tr - 4.0 + 0.0j), M[1, 0]
 
 
 def resolvent_pair(coeffs, z):
@@ -44,25 +43,26 @@ def resolvent_pair(coeffs, z):
     Both square-root candidates are computed and the one with positive
     imaginary part is assigned to a0^2 r_+ (negative imaginary part to
     1/r_-).  For real z off the spectrum the branch is fixed by the limit
-    from the upper half plane.
+    from the upper half plane.  z is a scalar or an ndarray; for an
+    ndarray the roots are arrays of its shape.
     """
-    z = complex(z)
-    M = transfer(coeffs, z)
-    V, a21, s = _roots_at(M)
-    if abs(a21) < 1e-14 * (1.0 + abs(V)):
+    scalar = not isinstance(z, np.ndarray)
+    z = complex(z) if scalar else z.astype(complex, copy=False)
+    V, s, a21 = _quadratic(coeffs, z)
+    if (np.abs(a21) < 1e-14 * (1.0 + np.abs(V))).any():
         raise DomainError("transfer entry m21 vanishes; retry at a perturbed z")
-    cand = ((V + s) / (2.0 * a21), (V - s) / (2.0 * a21))
-    if cand[0].imag == cand[1].imag:
+    c0, c1 = (V + s) / (2.0 * a21), (V - s) / (2.0 * a21)
+    plus_first = c0.imag > c1.imag
+    gap = c0.imag == c1.imag
+    if gap.any():
         # real z in a gap: both roots real; decide by the limit from above
-        delta = 1e-9 * (1.0 + abs(z))
-        Mu = transfer(coeffs, z + 1j * delta)
-        Vu, a21u, su = _roots_at(Mu)
-        plus_first = ((Vu + su) / (2.0 * a21u)).imag > 0
-    else:
-        plus_first = cand[0].imag > cand[1].imag
-    if z.imag < 0:
-        plus_first = not plus_first
-    r_plus, r_minus_inv = (cand[0], cand[1]) if plus_first else (cand[1], cand[0])
+        Vu, su, a21u = _quadratic(coeffs, z + 1j * (1e-9 * (1.0 + np.abs(z))))
+        plus_first = np.where(gap, ((Vu + su) / (2.0 * a21u)).imag > 0, plus_first)
+    plus_first = plus_first != (z.imag < 0)
+    r_plus = np.where(plus_first, c0, c1)
+    r_minus_inv = np.where(plus_first, c1, c0)
+    if scalar:
+        r_plus, r_minus_inv = complex(r_plus), complex(r_minus_inv)
     a0 = float(np.linalg.norm(coeffs.p))
     return ResolventValue(r_plus, r_minus_inv, a0)
 

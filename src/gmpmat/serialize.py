@@ -50,16 +50,30 @@ def write_text(path, text):
             fh.write(text)
 
 
+# Rows per %-format call: bounds the Python floats alive at once to a
+# block, so the encoder's transient memory stays near the size of its text.
+_BLOCK_ROWS = 1 << 16
+
+
+def _encode(fmt_row, a):
+    """One %-format call per block of rows of a 2-D array."""
+    blocks = np.split(a, range(_BLOCK_ROWS, a.shape[0], _BLOCK_ROWS))
+    text = "".join((fmt_row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
+    return text or "\n"
+
+
 def lower_triangle_csv(M, tol=0.0):
     """CSV triples (i, j, value) over the lower triangle of a matrix."""
     M = np.asarray(M)
-    lines = []
-    for i in range(M.shape[0]):
-        for j in range(i + 1):
-            if tol == 0.0 or abs(M[i, j]) > tol:
-                lines.append(f"{i},{j},{fmt(M[i, j])}")
-    return "\n".join(lines) + "\n"
+    i, j = np.tril_indices(M.shape[0])
+    vals = M[i, j]
+    if tol != 0.0:
+        keep = np.abs(vals) > tol
+        i, j, vals = i[keep], j[keep], vals[keep]
+    return _encode("%d,%d,%.17g\n", np.column_stack([i, j, vals]))
 
 
 def rows_csv(rows):
-    return "\n".join(",".join(fmt(v) for v in row) for row in rows) + "\n"
+    """CSV lines, one per row of a 2-D array, 17 significant digits per value."""
+    a = np.asarray(rows, dtype=float)
+    return _encode(",".join(["%.17g"] * a.shape[1]) + "\n", a)

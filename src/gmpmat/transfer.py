@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _factor_product
 from .errors import DomainError
 from .gmp import build_blocks
 
@@ -48,21 +49,18 @@ def factor_pole(z, c, p, q):
 
 
 def transfer(coeffs, z):
-    """Ordered one-period product; unimodular (det = 1) by construction."""
-    for c in coeffs.poles:
-        if z == c:
-            raise DomainError(f"transfer matrix evaluated at pole c = {c}")
-    pairs = coeffs.pairs
-    M = np.eye(2, dtype=complex if np.iscomplexobj(z) else float)
-    for m in range(coeffs.g):
-        M = M @ factor_pole(z, coeffs.poles[m], *pairs[m])
-    return M @ factor_infinity(z, *pairs[coeffs.g])
+    """Ordered one-period product; unimodular (det = 1) by construction.
+
+    For an ndarray z the result has shape (2, 2) + z.shape.
+    """
+    m11, m12, m21, m22 = _factor_product(z, coeffs.poles, coeffs.p, coeffs.q)
+    return np.array([[m11, m12], [m21, m22]])
 
 
 def discriminant_of(coeffs, z):
-    """Trace of the one-period transfer matrix."""
-    M = transfer(coeffs, z)
-    return M[0, 0] + M[1, 1]
+    """Trace of the one-period transfer matrix; z is a scalar or an ndarray."""
+    m11, _, _, m22 = _factor_product(z, coeffs.poles, coeffs.p, coeffs.q)
+    return m11 + m22
 
 
 def lambda_k(coeffs, k):
@@ -74,16 +72,10 @@ def lambda_k(coeffs, k):
     g = coeffs.g
     if not 1 <= k <= g:
         raise DomainError(f"k must be in 1..{g}")
-    ck = coeffs.poles[k - 1]
-    pairs = coeffs.pairs
-    M = np.eye(2)
-    for m in range(k - 1):
-        M = M @ factor_pole(ck, coeffs.poles[m], *pairs[m])
-    M = M @ _rank_one_j(*pairs[k - 1])
-    for m in range(k, g):
-        M = M @ factor_pole(ck, coeffs.poles[m], *pairs[m])
-    M = M @ factor_infinity(ck, *pairs[g])
-    return -(M[0, 0] + M[1, 1])
+    m11, _, _, m22 = _factor_product(
+        coeffs.poles[k - 1], coeffs.poles, coeffs.p, coeffs.q, rank_one=k - 1
+    )
+    return -(m11 + m22)
 
 
 def lambda_k_residue(coeffs, k, h_rel=1e-6):
@@ -150,19 +142,6 @@ def transfer_from_resolvent(coeffs, z):
     )
 
 
-def _mirror_factor_infinity(z, p, q):
-    if p == 0:
-        raise DomainError("mirror factor requires p != 0")
-    dtype = complex if np.iscomplexobj(z) else float
-    return np.array([[0.0, -1.0 / p], [p, (z - p * q) / p]], dtype=dtype)
-
-
-def _mirror_factor_pole(z, c, p, q):
-    if z == c:
-        raise DomainError(f"factor evaluated at its pole c = {c}")
-    return np.eye(2) - _rank_one_j(q, p) / (c - z)
-
-
 def mirror_transfer(coeffs, z):
     """Transfer matrix of the left half-line resolvent.
 
@@ -170,12 +149,7 @@ def mirror_transfer(coeffs, z):
     the pole factors; entrywise it relates to the direct transfer matrix
     by m11 = m11^-, m22 = m22^-, m12 = -m21^-, m21 = -m12^-.
     """
-    for c in coeffs.poles:
-        if z == c:
-            raise DomainError(f"transfer matrix evaluated at pole c = {c}")
-    pairs = coeffs.pairs
-    g = coeffs.g
-    M = _mirror_factor_infinity(z, *pairs[g])
-    for m in range(g - 1, -1, -1):
-        M = M @ _mirror_factor_pole(z, coeffs.poles[m], *pairs[m])
-    return M
+    m11, m12, m21, m22 = _factor_product(
+        z, coeffs.poles, coeffs.p, coeffs.q, mirror=True
+    )
+    return np.array([[m11, m12], [m21, m22]])

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -180,3 +181,98 @@ def test_convergence_failure_exits_2(workdir, capsys):
     assert code == 2
     payload = json.loads(capsys.readouterr().err)
     assert "residual" in payload
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["transfer", "eval", "--coeffs", "good.json", "--grid=1:3:3"],
+        ["delta", "eval", "--delta", "delta.json", "--grid=0:2:3"],
+        ["resolvent", "eval", "--coeffs", "good.json", "--grid=1:3:3", "--imag", "0"],
+    ],
+    ids=["transfer", "delta", "resolvent"],
+)
+def test_grid_through_pole_exits_1(workdir, capsys, args):
+    args = [str(workdir / a) if a.endswith(".json") else a for a in args]
+    out = workdir / "grid.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(args + ["--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    payload = json.loads(capsys.readouterr().err)
+    assert "pole" in payload["error"] and ("2.0" in payload["error"] or "1.0" in payload["error"])
+
+
+def test_signed_option_values_accept_a_space(workdir):
+    D, C = str(workdir / "delta.json"), str(workdir / "good.json")
+    M = str(workdir / "measure.csv")
+    (workdir / "measure.csv").write_text(
+        "\n".join("%s,1.0" % x for x in np.linspace(-2.0, 2.0, 30))
+    )
+    pairs = [
+        (["delta", "eval", "--delta", D, "--grid", "-3:-2:5"], "--grid=-3:-2:5"),
+        (["transfer", "eval", "--coeffs", C, "--z", "-0.5,-1e-3"], "--z=-0.5,-1e-3"),
+        (["resolvent", "reflectionless", "--coeffs", C, "--x", "-1e-1"], "--x=-1e-1"),
+        (["iso", "project", "--delta", D, "--init", "-1.2,0.1"], "--init=-1.2,0.1"),
+        (["jacobi", "transfer", "--a", "1,2", "--b", "-0.3,0.2", "--z", "0.1"], "--b=-0.3,0.2"),
+        (["ortho", "build", "--measure", M, "--family", "gmp", "--poles", "-3e-1",
+          "--n", "4", "--report"], "--poles=-3e-1"),
+    ]
+    for spaced, joined in pairs:
+        opt, value = joined.split("=", 1)
+        i = spaced.index(opt)
+        a = _run(spaced, workdir / "a.txt")
+        b = _run(spaced[:i] + [joined] + spaced[i + 2 :], workdir / "b.txt")
+        assert a == b and a.strip()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["delta", "eval"],
+        ["nope"],
+        ["gmp", "build", "--coeffs", "x.json", "--periods", "many"],
+        ["delta", "bands", "--delta", "x.json", "--bogus"],
+    ],
+    ids=["missing", "command", "type", "unknown"],
+)
+def test_usage_error_exits_1_with_json(capsys, args):
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
+
+
+def _csv(text):
+    return np.array([[float(v) for v in line.split(",")] for line in text.splitlines()])
+
+
+@pytest.mark.parametrize("imag", [1.0, 0.0, -1.0])
+def test_resolvent_grid_matches_pointwise(workdir, imag):
+    C = str(workdir / "good.json")
+    grid = _csv(
+        _run(["resolvent", "eval", "--coeffs", C, "--grid=-2.9:2.9:13", "--imag", repr(imag)],
+             workdir / "r.csv")
+    )
+    for row in grid:
+        got = _run(["resolvent", "eval", "--coeffs", C, f"--z={float(row[0])!r},{imag!r}"],
+                   workdir / "r.json")
+        want = got["r_plus"] + got["r_minus_inv"]
+        np.testing.assert_allclose(row[1:], want, rtol=1e-12, atol=0.0)
+
+
+def test_value_grids_match_pointwise(workdir):
+    D, C = str(workdir / "delta.json"), str(workdir / "good.json")
+    cases = [
+        (["delta", "eval", "--delta", D], lambda got: got["re"]),
+        (["transfer", "eval", "--coeffs", C], lambda got: got["m11"][0] + got["m22"][0]),
+        (["jacobi", "transfer", "--a", "1,2", "--b", "0.3,-0.2"], lambda got: got["re"]),
+    ]
+    for cmd, value in cases:
+        grid = _csv(_run(cmd + ["--grid=-2.9:2.9:13"], workdir / "g.csv"))
+        assert grid.shape == (13, 2)
+        assert np.array_equal(grid[:, 0], np.linspace(-2.9, 2.9, 13))
+        for x, v in grid:
+            want = value(_run(cmd + [f"--z={float(x)!r}"], workdir / "p.json"))
+            np.testing.assert_allclose(v, want, rtol=1e-12, atol=0.0)

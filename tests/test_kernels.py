@@ -1,9 +1,7 @@
-import subprocess
-import sys
-
 import numpy as np
+import pytest
 
-from gmpmat import GmpCoefficients, _kernels, transfer
+from gmpmat import DomainError, _kernels, factor_infinity, factor_pole, transfer
 from conftest import random_coeffs
 
 
@@ -11,18 +9,51 @@ def _grid(rng, n=64):
     return rng.uniform(-3.0, 3.0, n) + 1j * rng.uniform(0.1, 2.0, n)
 
 
-def test_numpy_path_matches_scalar_reference():
+def _factor_matrices(c, z):
+    mats = [factor_pole(z, ck, pk, qk) for ck, pk, qk in zip(c.poles, c.p, c.q)]
+    return mats + [factor_infinity(z, c.p[-1], c.q[-1])]
+
+
+def test_core_matches_factor_matrix_product():
     rng = np.random.default_rng(1)
+    S = np.diag([1.0, -1.0])
     for _ in range(5):
         c = random_coeffs(rng)
-        zs = _grid(rng)
-        p = np.asarray(c.p)
-        q = np.asarray(c.q)
-        cs = np.asarray(c.poles)
-        a = _kernels._transfer_grid_numpy(p, q, cs, zs)
-        b = _kernels._transfer_grid_scalar(p, q, cs, zs.astype(np.complex128))
-        for x, y in zip(a, b):
-            assert np.max(np.abs(x - y)) < 1e-12
+        zs = _grid(rng, 16)
+        grid = _kernels._factor_product(zs, c.poles, c.p, c.q)
+        mirror = _kernels._factor_product(zs, c.poles, c.p, c.q, mirror=True)
+        for i, z in enumerate(zs):
+            mats = _factor_matrices(c, complex(z))
+            want = np.linalg.multi_dot([np.eye(2)] + mats)
+            want_mirror = np.linalg.multi_dot(
+                [np.eye(2)] + [S @ F.T @ S for F in reversed(mats)]
+            )
+            scalar = _kernels._factor_product(complex(z), c.poles, c.p, c.q)
+            assert all(isinstance(v, complex) for v in scalar)
+            scale = 1.0 + np.max(np.abs(want))
+            for got in (scalar, [m[i] for m in grid]):
+                assert np.max(np.abs(np.reshape(got, (2, 2)) - want)) < 1e-12 * scale
+            got_mirror = np.reshape([m[i] for m in mirror], (2, 2))
+            assert np.max(np.abs(got_mirror - want_mirror)) < 1e-12 * scale
+
+
+def test_core_infinity_factors_only():
+    # period-3 Jacobi chain: no pole factors, three infinity factors
+    p, q = (1.0, 0.5, 2.0), (0.3, -0.4, 0.1)
+    zs = np.linspace(-2.0, 2.0, 9)
+    m = _kernels._factor_product(zs, (), p, q)
+    for i, z in enumerate(zs):
+        want = np.linalg.multi_dot(
+            [factor_infinity(z, pj, qj) for pj, qj in zip(p, q)]
+        )
+        assert np.max(np.abs(np.reshape([e[i] for e in m], (2, 2)) - want)) < 1e-13
+
+
+def test_core_rejects_grid_through_pole():
+    c = random_coeffs(np.random.default_rng(4), g=2)
+    zs = np.array([c.poles[0] - 1.0, c.poles[1], c.poles[1] + 1.0])
+    with pytest.raises(DomainError, match="pole"):
+        _kernels.transfer_grid(c, zs)
 
 
 def test_grid_matches_pointwise_transfer():
@@ -47,25 +78,3 @@ def test_discriminant_grid_unit_determinant():
     assert np.max(np.abs(det - 1.0)) < 1e-10
     tr = _kernels.discriminant_grid(c, zs)
     assert np.max(np.abs(tr - (m11 + m22))) == 0.0
-
-
-def test_env_flag_selects_numpy_fallback():
-    code = (
-        "import os; os.environ['GMPMAT_DISABLE_NUMBA'] = '1'\n"
-        "import numpy as np\n"
-        "from gmpmat import _kernels, GmpCoefficients\n"
-        "assert not _kernels.USE_NUMBA\n"
-        "c = GmpCoefficients((1.0,), (1.0, 1.0), (0.3, -0.2))\n"
-        "zs = np.linspace(-2, 2, 11) + 0.5j\n"
-        "m11, m12, m21, m22 = _kernels.transfer_grid(c, zs)\n"
-        "print(repr(complex(m11[3])), repr(complex(m22[7])))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    got = [complex(tok) for tok in out.stdout.split()]
-    c = GmpCoefficients((1.0,), (1.0, 1.0), (0.3, -0.2))
-    zs = np.linspace(-2, 2, 11) + 0.5j
-    m11, _, _, m22 = _kernels.transfer_grid(c, zs)
-    assert abs(got[0] - m11[3]) < 1e-13
-    assert abs(got[1] - m22[7]) < 1e-13
