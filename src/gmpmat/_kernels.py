@@ -59,10 +59,26 @@ def _factor_product(z, poles, p, q, mirror=False, rank_one=None):
     return m11, m12, m21, m22
 
 
+# Grid points per _factor_product call: bounds its ~16 complex temporaries
+# to a block; the same block size as serialize._BLOCK_ROWS.
+_BLOCK_POINTS = 1 << 16
+
+
 def transfer_grid(coeffs, zs):
-    """Entries (m11, m12, m21, m22) of the transfer matrix over a z grid."""
+    """Entries (m11, m12, m21, m22) of the transfer matrix over a z grid.
+
+    Returns a complex array of shape (4,) + zs.shape, filled block by block.
+    """
     zs = np.asarray(zs, dtype=complex)
-    return _factor_product(zs, coeffs.poles, coeffs.p, coeffs.q)
+    for c in coeffs.poles:  # whole grid first: the error names the first pole hit
+        if (zs == c).any():
+            raise DomainError(f"transfer matrix evaluated at pole c = {c}")
+    out = np.empty((4,) + zs.shape, dtype=complex)
+    flat, flat_out = zs.reshape(-1), out.reshape(4, -1)
+    for lo in range(0, flat.size, _BLOCK_POINTS):
+        block = slice(lo, lo + _BLOCK_POINTS)
+        flat_out[:, block] = _factor_product(flat[block], coeffs.poles, coeffs.p, coeffs.q)
+    return out
 
 
 def discriminant_grid(coeffs, zs):

@@ -12,7 +12,6 @@ one-block-periodic case is generated by a single coefficient pair
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError
 
@@ -85,13 +84,14 @@ class BandedOperator:
         return self.lower[d, min(i, j)]
 
     def to_dense(self):
-        hb = self.half_bandwidth
-        M = np.zeros((self.n, self.n))
-        for d in range(hb + 1):
-            diag = self.lower[d, : self.n - d]
-            M += np.diag(diag, -d)
-            if d:
-                M += np.diag(diag, d)
+        n = self.n
+        M = np.zeros((n, n))
+        flat = M.reshape(-1)
+        for d in range(min(self.half_bandwidth, n - 1) + 1):
+            # + 0.0 stores a -0.0 band entry as +0.0, like summing into zeros
+            diag = self.lower[d, : n - d] + 0.0
+            flat[d * n :: n + 1] = diag  # entries (i + d, i)
+            flat[d :: n + 1][: n - d] = diag  # entries (i, i + d)
         return M
 
     def full_band(self, dtype=float):
@@ -105,6 +105,8 @@ class BandedOperator:
         return ab
 
     def eigenvalues(self):
+        import scipy.linalg  # deferred: ~250 ms start-up no other command needs
+
         return scipy.linalg.eig_banded(
             self.lower, lower=True, eigvals_only=True
         )

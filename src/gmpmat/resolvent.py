@@ -11,7 +11,6 @@ positive imaginary part on the upper half plane and x = 1/r_- the other.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError
 from .gmp import assemble
@@ -110,6 +109,8 @@ def truncation_resolvent_oracle(coeffs, z, n_periods=400):
     at block 0 with cyclic vector p/||p|| on the first block; the left
     half-line operator ends at the last index with cyclic vector e_{-1}.
     """
+    import scipy.linalg  # deferred: ~250 ms start-up no other command needs
+
     z = complex(z)
     if z.imag == 0:
         raise DomainError("oracle needs z off the real axis")

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,3 +280,74 @@ def test_value_grids_match_pointwise(workdir):
         for x, v in grid:
             want = value(_run(cmd + [f"--z={float(x)!r}"], workdir / "p.json"))
             np.testing.assert_allclose(v, want, rtol=1e-12, atol=0.0)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh(code, *args):
+    """stdout (JSON) of code run in a new interpreter that imports gmpmat from src."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+seen = {}
+import gmpmat, gmpmat.cli
+seen["import"] = "scipy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        gmpmat.cli.main(["--help"])
+    except SystemExit:
+        pass
+seen["--help"] = "scipy" in sys.modules
+delta, coeffs, out = sys.argv[1:]
+assert gmpmat.cli.main(["delta", "eval", "--delta", delta, "--z=0.5,0.5", "--out", out]) == 0
+seen["delta eval"] = "scipy" in sys.modules
+assert gmpmat.cli.main(["transfer", "eval", "--coeffs", coeffs, "--grid=-3:3:101", "--out", out]) == 0
+seen["transfer eval --grid"] = "scipy" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_leaves_scipy_unloaded(workdir):
+    seen = _fresh(STARTUP_PROBE, workdir / "delta.json", workdir / "good.json", workdir / "o.csv")
+    assert seen == {
+        "import": False, "--help": False, "delta eval": False, "transfer eval --grid": False
+    }
+
+
+BANDED_PROBE = """
+import json, sys
+import numpy as np
+from gmpmat import (
+    GmpCoefficients, assemble, resolvent_pair, spectrum_truncation,
+    truncation_resolvent_oracle,
+)
+before = "scipy" in sys.modules
+c = GmpCoefficients.from_dict(json.loads(sys.argv[1]))
+eigs = spectrum_truncation(c, 20)
+eig_err = np.max(np.abs(eigs - np.linalg.eigvalsh(assemble(c, 20).to_dense())))
+z = 0.3 + 1.5j
+rp, rm = truncation_resolvent_oracle(c, z)
+rv = resolvent_pair(c, z)
+print(json.dumps({
+    "before": before,
+    "after": "scipy.linalg" in sys.modules,
+    "eig_err": float(eig_err),
+    "rp_err": abs(rv.r_plus / rv.a0**2 - rp),
+    "rm_err": abs(1.0 / rv.r_minus_inv - rm),
+}))
+"""
+
+
+def test_banded_lapack_calls_load_scipy_on_demand():
+    got = _fresh(BANDED_PROBE, json.dumps(GOOD))
+    assert not got["before"] and got["after"]
+    assert got["eig_err"] < 1e-12
+    assert got["rp_err"] < 1e-6 and got["rm_err"] < 1e-6

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmpmat import (
+    BandedOperator,
     DomainError,
     GmpCoefficients,
     assemble,
@@ -10,6 +11,7 @@ from gmpmat import (
     check_shifted_inverse_structure,
     lambda_positivity_test,
 )
+from gmpmat.serialize import lower_triangle_csv
 from conftest import random_coeffs
 
 
@@ -128,3 +130,29 @@ def test_g0_reduces_to_jacobi():
     M = assemble(c, 4).to_dense()
     want = np.diag([-0.75] * 4) + np.diag([1.5] * 3, 1) + np.diag([1.5] * 3, -1)
     assert np.max(np.abs(M - want)) < 1e-15
+
+
+def _dense_by_diag_sums(op):
+    """Dense matrix as a sum of np.diag matrices, one per band diagonal."""
+    M = np.zeros((op.n, op.n))
+    for d in range(op.half_bandwidth + 1):
+        diag = op.lower[d, : op.n - d]
+        M += np.diag(diag, -d)
+        if d:
+            M += np.diag(diag, d)
+    return M
+
+
+def test_to_dense_matches_diag_sums_bytes_with_negative_zero():
+    rng = np.random.default_rng(7)
+    lower = rng.standard_normal((4, 9))
+    lower[1, 2] = lower[0, 5] = lower[3, 0] = -0.0
+    ops = [BandedOperator(n=9, half_bandwidth=3, lower=lower)]
+    # p_0 = -0.0 survives sign normalization and lands in the band
+    ops.append(assemble(GmpCoefficients((1.0,), (-0.0, 1.0), (0.5, 0.2)), 3))
+    assert np.signbit(ops[1].lower).any()
+    for op in ops:
+        new, old = op.to_dense(), _dense_by_diag_sums(op)
+        assert new.tobytes() == old.tobytes()
+        assert lower_triangle_csv(new) == lower_triangle_csv(old)
+        assert "-0\n" not in lower_triangle_csv(new)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,25 @@ def test_discriminant_grid_unit_determinant():
     assert np.max(np.abs(det - 1.0)) < 1e-10
     tr = _kernels.discriminant_grid(c, zs)
     assert np.max(np.abs(tr - (m11 + m22))) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, _kernels._BLOCK_POINTS, 2 * _kernels._BLOCK_POINTS + 3])
+def test_blocked_grid_equals_one_core_call(n):
+    rng = np.random.default_rng(5)
+    c = random_coeffs(rng, g=3)
+    zs = _grid(rng, n)
+    got = _kernels.transfer_grid(c, zs)
+    want = _kernels._factor_product(zs, c.poles, c.p, c.q)
+    assert got.shape == (4, n)
+    assert np.array_equal(got, want)
+
+
+def test_blocked_grid_names_pole_hit_in_second_block():
+    c = random_coeffs(np.random.default_rng(6), g=2)
+    zs = np.full(2 * _kernels._BLOCK_POINTS + 3, 0.5j)
+    # c_1 is checked before c_2, so its hit in block 2 is reported even
+    # though block 1 already hits c_2, as for one core call over the grid
+    zs[3] = c.poles[1]
+    zs[_kernels._BLOCK_POINTS + 7] = c.poles[0]
+    with pytest.raises(DomainError, match=re.escape(f"pole c = {c.poles[0]}")):
+        _kernels.transfer_grid(c, zs)
