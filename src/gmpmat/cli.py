@@ -85,7 +85,7 @@ def _cmd_ahlfors_eval(args):
 
 def _cmd_gmp_build(args):
     op = assemble(_load_coeffs(args.coeffs), args.periods)
-    serialize.write_text(args.out, serialize.lower_triangle_csv(op.to_dense()))
+    serialize.write_text(args.out, serialize.lower_triangle_csv(op.to_dense(), tol=args.tol))
 
 
 def _cmd_gmp_check(args):
@@ -310,7 +310,7 @@ def build_parser():
     p = gmp.add_parser("build")
     p.add_argument("--coeffs", required=True)
     p.add_argument("--periods", type=int, default=60)
-    _add_common(p)
+    _add_common(p, tol=0.0)
     p.set_defaults(func=_cmd_gmp_build)
     p = gmp.add_parser("check")
     p.add_argument("--coeffs", required=True)

@@ -139,26 +139,31 @@ def eval_discriminant_deriv(delta, x):
     return d
 
 
-def _edge_residual(params, edges, g):
+def _edge_residual(params, xs, ts, g):
     lam0, c0 = params[0], params[1]
     lams = params[2 : 2 + g]
     cs = params[2 + g :]
-    res = np.empty(len(edges))
-    for i, (x, t) in enumerate(edges):
-        res[i] = lam0 * x + c0 + np.sum(lams / (cs - x)) - t
-    return res
+    return lam0 * xs + c0 + np.sum(lams / (cs - xs[:, None]), axis=1) - ts
 
 
-def _edge_jacobian(params, edges, g):
+def _edge_jacobian(params, xs, g):
     lams = params[2 : 2 + g]
-    cs = params[2 + g :]
-    J = np.empty((len(edges), 2 + 2 * g))
-    for i, (x, _) in enumerate(edges):
-        J[i, 0] = x
-        J[i, 1] = 1.0
-        J[i, 2 : 2 + g] = 1.0 / (cs - x)
-        J[i, 2 + g :] = -lams / (cs - x) ** 2
+    d = params[2 + g :] - xs[:, None]
+    J = np.empty((len(xs), 2 + 2 * g))
+    J[:, 0] = xs
+    J[:, 1] = 1.0
+    J[:, 2 : 2 + g] = 1.0 / d
+    J[:, 2 + g :] = -lams / d**2
     return J
+
+
+def _admissible_bounds(E):
+    """Open bounds on params: lambda0 > 0, lambda_k > 0, each pole inside its gap."""
+    g = E.g
+    gap_a, gap_b = np.array(E.gaps).reshape(-1, 2).T
+    lower = np.concatenate([[0.0, -np.inf], np.zeros(g), gap_a])
+    upper = np.concatenate([np.full(2 + g, np.inf), gap_b])
+    return lower, upper
 
 
 def solve_discriminant(E, tol=1e-12, max_iter=100):
@@ -173,17 +178,12 @@ def solve_discriminant(E, tol=1e-12, max_iter=100):
     residual does not drop below ``tol`` within ``max_iter`` iterations.
     """
     g = E.g
-    edges = E.edges
-    xs = np.array([x for x, _ in edges])
-    ts = np.array([t for _, t in edges])
+    xs, ts = np.array(E.edges).reshape(-1, 2).T
+    lower, upper = _admissible_bounds(E)
 
     cs = np.array([(a + b) / 2.0 for a, b in E.gaps])
     # Delta is linear in (lambda0, c0, lambda_k) for fixed poles.
-    design = np.empty((len(edges), 2 + g))
-    design[:, 0] = xs
-    design[:, 1] = 1.0
-    for k in range(g):
-        design[:, 2 + k] = 1.0 / (cs[k] - xs)
+    design = np.column_stack([xs, np.ones_like(xs), 1.0 / (cs - xs[:, None])])
     lin, *_ = np.linalg.lstsq(design, ts, rcond=None)
 
     params = np.concatenate([lin, cs])
@@ -191,12 +191,12 @@ def solve_discriminant(E, tol=1e-12, max_iter=100):
     if params[0] <= 0:
         params[0] = 1.0
 
-    res = _edge_residual(params, edges, g)
+    res = _edge_residual(params, xs, ts, g)
     rnorm = np.max(np.abs(res))
     for _ in range(max_iter):
         if rnorm <= tol:
             break
-        J = _edge_jacobian(params, edges, g)
+        J = _edge_jacobian(params, xs, g)
         try:
             step = np.linalg.solve(J, -res)
         except np.linalg.LinAlgError:
@@ -204,8 +204,8 @@ def solve_discriminant(E, tol=1e-12, max_iter=100):
         scale = 1.0
         for _ in range(40):
             trial = params + scale * step
-            if _params_admissible(trial, E):
-                tres = _edge_residual(trial, edges, g)
+            if np.all((lower < trial) & (trial < upper)):
+                tres = _edge_residual(trial, xs, ts, g)
                 tnorm = np.max(np.abs(tres))
                 if tnorm < rnorm or tnorm <= tol:
                     params, res, rnorm = trial, tres, tnorm
@@ -225,39 +225,14 @@ def solve_discriminant(E, tol=1e-12, max_iter=100):
     )
 
 
-def _params_admissible(params, E):
-    if params[0] <= 0:
-        return False
-    g = E.g
-    if np.any(params[2 : 2 + g] <= 0):
-        return False
-    for k, (a, b) in enumerate(E.gaps):
-        if not a < params[2 + g + k] < b:
-            return False
-    return True
-
-
-def _bisect(f, lo, hi, tol):
-    """Root of a monotone increasing f on a bracketing interval."""
-    flo = f(lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f(mid) < 0.0:
-            lo, flo = mid, f(mid)
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def bands(delta, tol=1e-12):
     """Invert Delta: return the finite gap set with Delta^{-1}([-2,2]) = E.
 
     On each maximal interval between consecutive poles (and the two
     unbounded ends) Delta increases from -inf to +inf, so each carries
-    exactly one solution of Delta = -2 and one of Delta = 2, found by
-    bisection.
+    exactly one solution of Delta = -2 and one of Delta = 2.  All -2
+    roots are found in one lane-wise bisection, then all +2 roots, each
+    bracketed by its -2 root and the end of its interval.
     """
     g = delta.g
     order = np.argsort(delta.poles)
@@ -289,17 +264,28 @@ def bands(delta, tol=1e-12):
             )
         segments.append((_shrink_to_pole(delta, cs[-1], +1), hi_end))
 
+    lo, hi = np.array(segments).T
     f = lambda x: eval_discriminant(delta, x)
-    band_list = []
-    for lo, hi in segments:
-        x_minus = _bisect(lambda x: f(x) + 2.0, lo, hi, tol)
-        x_plus = _bisect(lambda x: f(x) - 2.0, x_minus, hi, tol)
-        band_list.append((x_minus, x_plus))
+    x_minus = _bisect(lambda x: f(x) + 2.0, lo, hi, tol)
+    x_plus = _bisect(lambda x: f(x) - 2.0, x_minus, hi, tol)
+    gaps = tuple(zip(x_plus[:-1], x_minus[1:]))
+    return FiniteGapSet(x_minus[0], x_plus[-1], gaps)
 
-    gaps = tuple(
-        (band_list[i][1], band_list[i + 1][0]) for i in range(len(band_list) - 1)
-    )
-    return FiniteGapSet(band_list[0][0], band_list[-1][1], gaps)
+
+def _bisect(f, lo, hi, tol):
+    """Roots of a monotone increasing f, one per bracket [lo[i], hi[i]].
+
+    A lane stops once its bracket is no wider than tol or its midpoint
+    equals an end; stopped lanes stay frozen while the others go on.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        run = (hi - lo > tol) & (mid != lo) & (mid != hi)
+        if not run.any():
+            return mid
+        below = f(mid) < 0.0
+        lo = np.where(run & below, mid, lo)
+        hi = np.where(run & ~below, mid, hi)
 
 
 def _shrink_to_pole(delta, c, side):

@@ -74,6 +74,23 @@ def test_transfer_and_lambda_commands(workdir):
     assert lams == [4.0]
 
 
+SMALL = {"poles": [2.0], "p": [1.0, 0.4], "q": [1.0, 0.2]}
+SMALL_TRIANGLE = [
+    "0,0,3", "1,0,0.40000000000000002", "1,1,0.080000000000000016", "2,0,0", "2,1,1",
+    "2,2,3", "3,0,0", "3,1,0.40000000000000002", "3,2,0.40000000000000002",
+    "3,3,0.080000000000000016",
+]
+
+
+def test_gmp_build_default_bytes_and_tol(workdir):
+    # the default keeps every lower-triangle entry, zeros included
+    (workdir / "small.json").write_text(json.dumps(SMALL))
+    args = ["gmp", "build", "--coeffs", str(workdir / "small.json"), "--periods", "2"]
+    assert _run(args, workdir / "all.csv") == "\n".join(SMALL_TRIANGLE) + "\n"
+    kept = [line for line in SMALL_TRIANGLE if abs(float(line.split(",")[2])) > 0.5]
+    assert _run(args + ["--tol", "0.5"], workdir / "big.csv") == "\n".join(kept) + "\n"
+
+
 def test_gmp_check_command(workdir):
     got = _run(
         ["gmp", "check", "--coeffs", str(workdir / "good.json"), "--periods", "30"],

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from gmpmat import discriminant as dm
 from gmpmat import (
     ConvergenceError,
     DomainError,
@@ -135,3 +138,253 @@ def test_serialization_roundtrip():
     assert FiniteGapSet.from_dict(E.to_dict()) == E
     delta = RationalDiscriminant(2.0, 0.5, ((4.0, 0.0),))
     assert RationalDiscriminant.from_dict(delta.to_dict()) == delta
+
+
+# --- scalar oracles: the per-edge and one-point-at-a-time code that the
+# array expressions in gmpmat.discriminant replace; they must agree bit for bit
+
+
+def _residual_oracle(params, edges, g):
+    lam0, c0 = params[0], params[1]
+    lams = params[2 : 2 + g]
+    cs = params[2 + g :]
+    res = np.empty(len(edges))
+    for i, (x, t) in enumerate(edges):
+        res[i] = lam0 * x + c0 + np.sum(lams / (cs - x)) - t
+    return res
+
+
+def _jacobian_oracle(params, edges, g):
+    lams = params[2 : 2 + g]
+    cs = params[2 + g :]
+    J = np.empty((len(edges), 2 + 2 * g))
+    for i, (x, _) in enumerate(edges):
+        J[i, 0] = x
+        J[i, 1] = 1.0
+        J[i, 2 : 2 + g] = 1.0 / (cs - x)
+        J[i, 2 + g :] = -lams / (cs - x) ** 2
+    return J
+
+
+def _admissible_oracle(params, E):
+    g = E.g
+    if params[0] <= 0 or np.any(params[2 : 2 + g] <= 0):
+        return False
+    return all(a < params[2 + g + k] < b for k, (a, b) in enumerate(E.gaps))
+
+
+def _solve_oracle(E, tol=1e-12, max_iter=100):
+    g = E.g
+    edges = E.edges
+    xs = np.array([x for x, _ in edges])
+    ts = np.array([t for _, t in edges])
+    cs = np.array([(a + b) / 2.0 for a, b in E.gaps])
+    design = np.empty((len(edges), 2 + g))
+    design[:, 0] = xs
+    design[:, 1] = 1.0
+    for k in range(g):
+        design[:, 2 + k] = 1.0 / (cs[k] - xs)
+    lin, *_ = np.linalg.lstsq(design, ts, rcond=None)
+    params = np.concatenate([lin, cs])
+    params[2 : 2 + g] = np.maximum(params[2 : 2 + g], 1e-12)
+    if params[0] <= 0:
+        params[0] = 1.0
+    res = _residual_oracle(params, edges, g)
+    rnorm = np.max(np.abs(res))
+    for _ in range(max_iter):
+        if rnorm <= tol:
+            break
+        J = _jacobian_oracle(params, edges, g)
+        try:
+            step = np.linalg.solve(J, -res)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(J, -res, rcond=None)
+        scale = 1.0
+        for _ in range(40):
+            trial = params + scale * step
+            if _admissible_oracle(trial, E):
+                tres = _residual_oracle(trial, edges, g)
+                tnorm = np.max(np.abs(tres))
+                if tnorm < rnorm or tnorm <= tol:
+                    params, res, rnorm = trial, tres, tnorm
+                    break
+            scale *= 0.5
+        else:
+            raise ConvergenceError(f"Newton stalled at residual {rnorm:.3e}", residual=rnorm)
+    else:
+        raise ConvergenceError(
+            f"no convergence after {max_iter} iterations, residual {rnorm:.3e}",
+            residual=rnorm,
+        )
+    return RationalDiscriminant(
+        params[0], params[1], tuple(zip(params[2 : 2 + g], params[2 + g :]))
+    )
+
+
+def _bisect_oracle(f, lo, hi, tol):
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _bands_oracle(delta, tol=1e-12):
+    g = delta.g
+    cs = np.array(delta.poles)[np.argsort(delta.poles)]
+    segments = []
+    if g == 0:
+        lo = -1.0
+        while eval_discriminant(delta, lo) > -2.0:
+            lo = 2.0 * lo - 1.0
+        hi = 1.0
+        while eval_discriminant(delta, hi) < 2.0:
+            hi = 2.0 * hi + 1.0
+        segments.append((lo, hi))
+    else:
+        span = max(1.0, cs[-1] - cs[0])
+        lo = cs[0] - span
+        while eval_discriminant(delta, lo) > -2.0:
+            lo -= span
+            span *= 2.0
+        hi_end = cs[-1] + max(1.0, cs[-1] - cs[0])
+        span = max(1.0, cs[-1] - cs[0])
+        while eval_discriminant(delta, hi_end) < 2.0:
+            hi_end += span
+            span *= 2.0
+        segments.append((lo, dm._shrink_to_pole(delta, cs[0], -1)))
+        for k in range(g - 1):
+            segments.append(
+                (dm._shrink_to_pole(delta, cs[k], +1), dm._shrink_to_pole(delta, cs[k + 1], -1))
+            )
+        segments.append((dm._shrink_to_pole(delta, cs[-1], +1), hi_end))
+    band_list = []
+    for lo, hi in segments:
+        x_minus = _bisect_oracle(lambda x: eval_discriminant(delta, x) + 2.0, lo, hi, tol)
+        x_plus = _bisect_oracle(lambda x: eval_discriminant(delta, x) - 2.0, x_minus, hi, tol)
+        band_list.append((x_minus, x_plus))
+    gaps = tuple((band_list[i][1], band_list[i + 1][0]) for i in range(len(band_list) - 1))
+    return FiniteGapSet(band_list[0][0], band_list[-1][1], gaps)
+
+
+def _outcome(fn, arg):
+    """The result, or (error type, message, residual) of what was raised."""
+    try:
+        return fn(arg)
+    except (ConvergenceError, DomainError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "residual", None)
+
+
+def _same(a, b):
+    """Equal error tuples, or results whose floats are equal in order."""
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    return type(a) is type(b) and np.array_equal(_floats(a), _floats(b))
+
+
+def _floats(obj):
+    """Fields of a FiniteGapSet or RationalDiscriminant as one flat array."""
+    first, second, pairs = dataclasses.astuple(obj)
+    return np.concatenate([[first, second], np.ravel(pairs)])
+
+
+@st.composite
+def uniform_gap_sets(draw):
+    """g in 0..64, edges uniform in [-10, 10]; optionally one gap of width <= 1e-5."""
+    g = draw(st.integers(0, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e = np.sort(rng.uniform(-10.0, 10.0, 2 * g + 2))
+    if g and draw(st.booleans()):
+        e[2] = min(e[2], e[1] + 1e-5)
+    return FiniteGapSet(e[0], e[-1], tuple(zip(e[1:-1:2], e[2:-1:2])))
+
+
+_TINY_GAP = FiniteGapSet(-2.0, 2.0, ((-1.0, -1.0 + 1e-4), (0.5, 1.0)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(E=uniform_gap_sets(), seed=st.integers(0, 2**32 - 1))
+@example(E=_TINY_GAP, seed=0)
+def test_residual_and_jacobian_match_per_edge_oracle(E, seed):
+    g = E.g
+    rng = np.random.default_rng(seed)
+    params = np.concatenate(
+        [rng.uniform(0.1, 3.0, 1), rng.uniform(-2.0, 2.0, 1), rng.uniform(1e-3, 3.0, g),
+         [(a + b) / 2.0 for a, b in E.gaps]]
+    )
+    xs, ts = np.array(E.edges).reshape(-1, 2).T
+    assert np.array_equal(dm._edge_residual(params, xs, ts, g), _residual_oracle(params, E.edges, g))
+    assert np.array_equal(dm._edge_jacobian(params, xs, g), _jacobian_oracle(params, E.edges, g))
+
+
+@settings(deadline=None, max_examples=25)
+@given(E=uniform_gap_sets())
+@example(E=_TINY_GAP)
+def test_solve_and_bands_match_scalar_oracles(E):
+    delta = _outcome(solve_discriminant, E)
+    assert _same(delta, _outcome(_solve_oracle, E))
+    if isinstance(delta, RationalDiscriminant):
+        assert _same(_outcome(bands, delta), _outcome(_bands_oracle, delta))
+
+
+@settings(deadline=None, max_examples=40)
+@given(E=uniform_gap_sets(), seed=st.integers(0, 2**32 - 1))
+@example(E=_TINY_GAP, seed=0)
+def test_bands_match_scalar_bisection(E, seed):
+    # a valid discriminant with one pole at each gap midpoint of E
+    rng = np.random.default_rng(seed)
+    terms = [(rng.uniform(1e-3, 3.0), (a + b) / 2.0) for a, b in E.gaps]
+    delta = RationalDiscriminant(rng.uniform(0.1, 3.0), rng.uniform(-2.0, 2.0), tuple(terms))
+    assert _same(_outcome(bands, delta), _outcome(_bands_oracle, delta))
+
+
+@settings(deadline=None, max_examples=50)
+@given(E=uniform_gap_sets())
+def test_admissible_bounds_match_oracle(E):
+    # one coordinate of an admissible point moved onto or around its bound;
+    # the two differ only on non-finite params, whose residual is never accepted
+    g = E.g
+    lower, upper = dm._admissible_bounds(E)
+    base = np.array([1.0, 0.0] + [1.0] * g + [(a + b) / 2.0 for a, b in E.gaps])
+    values = [[-1.0, -0.0, 0.0, 5e-324]] * (2 + g)
+    values += [[a, np.nextafter(a, b), np.nextafter(b, a), b, b + 1.0] for a, b in E.gaps]
+    for i, vs in enumerate(values):
+        for v in vs:
+            params = base.copy()
+            params[i] = v
+            got = bool(np.all((lower < params) & (params < upper)))
+            assert got == _admissible_oracle(params, E)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    lanes=st.lists(
+        st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e3), st.floats(0.0, 1.0)),
+        min_size=1,
+        max_size=6,
+    ),
+    tol=st.sampled_from([0.0, 1e-12, 1e-3, None]),
+)
+def test_bisect_lanes_match_scalar_bisection(lanes, tol):
+    # f(x) = x - r per lane; None sets tol to the first bracket's exact width
+    lo = np.array([l for l, _, _ in lanes])
+    hi = lo + np.array([w for _, w, _ in lanes])
+    r = lo + (hi - lo) * np.array([u for _, _, u in lanes])
+    tol = hi[0] - lo[0] if tol is None else tol
+    got = dm._bisect(lambda x: x - r, lo, hi, tol)
+    want = [_bisect_oracle(lambda x, ri=ri: x - ri, a, b, tol) for a, b, ri in zip(lo, hi, r)]
+    assert np.array_equal(got, want)
+
+
+def test_g32_stall_is_pinned():
+    # the absolute tol=1e-12 sits at the rounding floor; this seeded set stalls
+    e = np.sort(np.random.default_rng(0).uniform(-10.0, 10.0, 66))
+    E = FiniteGapSet(e[0], e[-1], tuple(zip(e[1:-1:2], e[2:-1:2])))
+    with pytest.raises(ConvergenceError) as exc_info:
+        solve_discriminant(E)
+    assert str(exc_info.value) == "Newton stalled at residual 1.148e-12"
+    assert exc_info.value.residual == 1.1475265182525618e-12
