@@ -166,6 +166,50 @@ def _admissible_bounds(E):
     return lower, upper
 
 
+def _damped_newton(residual, jacobian, x, tol, max_iter=100, lower=-np.inf, upper=np.inf):
+    """Damped Newton iteration on residual(x) = 0; returns (x, residual(x)).
+
+    ``jacobian(x, res)`` gets the residual the iteration already holds at
+    x.  A square Jacobian takes the Newton step (least squares if it is
+    singular), a wide one the minimum-norm least-squares step.  The step
+    is halved up to 40 times until the trial point lies in the open box
+    (lower, upper) and lowers the max-norm residual or reaches ``tol``.
+
+    Raises ConvergenceError (carrying the last residual) if no halving is
+    accepted, or if the residual is above ``tol`` after ``max_iter`` steps.
+    """
+    res = residual(x)
+    rnorm = np.max(np.abs(res))
+    for _ in range(max_iter):
+        if rnorm <= tol:
+            break
+        J = jacobian(x, res)
+        try:
+            step = np.linalg.solve(J, -res)  # raises for a singular or wide J
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(J, -res, rcond=None)
+        scale = 1.0
+        for _ in range(40):
+            trial = x + scale * step
+            if np.all((lower < trial) & (trial < upper)):
+                tres = residual(trial)
+                tnorm = np.max(np.abs(tres))
+                if tnorm < rnorm or tnorm <= tol:
+                    x, res, rnorm = trial, tres, tnorm
+                    break
+            scale *= 0.5
+        else:
+            raise ConvergenceError(
+                f"Newton stalled at residual {rnorm:.3e}", residual=rnorm
+            )
+    if rnorm <= tol:
+        return x, res
+    raise ConvergenceError(
+        f"no convergence after {max_iter} iterations, residual {rnorm:.3e}",
+        residual=rnorm,
+    )
+
+
 def solve_discriminant(E, tol=1e-12, max_iter=100):
     """Solve for the unique rational discriminant of a finite gap set.
 
@@ -191,35 +235,11 @@ def solve_discriminant(E, tol=1e-12, max_iter=100):
     if params[0] <= 0:
         params[0] = 1.0
 
-    res = _edge_residual(params, xs, ts, g)
-    rnorm = np.max(np.abs(res))
-    for _ in range(max_iter):
-        if rnorm <= tol:
-            break
-        J = _edge_jacobian(params, xs, g)
-        try:
-            step = np.linalg.solve(J, -res)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(J, -res, rcond=None)
-        scale = 1.0
-        for _ in range(40):
-            trial = params + scale * step
-            if np.all((lower < trial) & (trial < upper)):
-                tres = _edge_residual(trial, xs, ts, g)
-                tnorm = np.max(np.abs(tres))
-                if tnorm < rnorm or tnorm <= tol:
-                    params, res, rnorm = trial, tres, tnorm
-                    break
-            scale *= 0.5
-        else:
-            raise ConvergenceError(
-                f"Newton stalled at residual {rnorm:.3e}", residual=rnorm
-            )
-    else:
-        raise ConvergenceError(
-            f"no convergence after {max_iter} iterations, residual {rnorm:.3e}",
-            residual=rnorm,
-        )
+    params, _ = _damped_newton(
+        lambda x: _edge_residual(x, xs, ts, g),
+        lambda x, _res: _edge_jacobian(x, xs, g),
+        params, tol, max_iter, lower, upper,
+    )
     return RationalDiscriminant(
         params[0], params[1], tuple(zip(params[2 : 2 + g], params[2 + g :]))
     )
@@ -237,32 +257,15 @@ def bands(delta, tol=1e-12):
     g = delta.g
     order = np.argsort(delta.poles)
     cs = np.array(delta.poles)[order]
-    segments = []
     if g == 0:
-        lo = -1.0
-        while eval_discriminant(delta, lo) > -2.0:
-            lo = 2.0 * lo - 1.0
-        hi = 1.0
-        while eval_discriminant(delta, hi) < 2.0:
-            hi = 2.0 * hi + 1.0
-        segments.append((lo, hi))
+        segments = [(_outward(delta, -1.0, -1, 2.0), _outward(delta, 1.0, +1, 2.0))]
     else:
         span = max(1.0, cs[-1] - cs[0])
-        lo = cs[0] - span
-        while eval_discriminant(delta, lo) > -2.0:
-            lo -= span
-            span *= 2.0
-        hi_end = cs[-1] + max(1.0, cs[-1] - cs[0])
-        span = max(1.0, cs[-1] - cs[0])
-        while eval_discriminant(delta, hi_end) < 2.0:
-            hi_end += span
-            span *= 2.0
-        segments.append((lo, _shrink_to_pole(delta, cs[0], -1)))
-        for k in range(g - 1):
-            segments.append(
-                (_shrink_to_pole(delta, cs[k], +1), _shrink_to_pole(delta, cs[k + 1], -1))
-            )
-        segments.append((_shrink_to_pole(delta, cs[-1], +1), hi_end))
+        ends = [_outward(delta, cs[0] - span, -1, span)]
+        for c in cs:
+            ends += [_shrink_to_pole(delta, c, -1), _shrink_to_pole(delta, c, +1)]
+        ends.append(_outward(delta, cs[-1] + span, +1, span))
+        segments = list(zip(ends[::2], ends[1::2]))
 
     lo, hi = np.array(segments).T
     f = lambda x: eval_discriminant(delta, x)
@@ -288,15 +291,30 @@ def _bisect(f, lo, hi, tol):
         hi = np.where(run & ~below, mid, hi)
 
 
+def _outward(delta, x, side, step):
+    """First of x, x + side*step, x + 3*side*step, ... with side*Delta >= 2."""
+    while side * eval_discriminant(delta, x) < 2.0:
+        x += side * step
+        step *= 2.0
+    return x
+
+
 def _shrink_to_pole(delta, c, side):
-    """Point near pole c (side=-1: left, +1: right) where |Delta| > 2."""
+    """Point near pole c (side=-1: left, +1: right) where |Delta| > 2.
+
+    The point stays strictly short of the next pole on that side, so the
+    bracket it ends is never reversed.
+    """
     target = 2.0 if side < 0 else -2.0
+    ahead = [p for p in delta.poles if side * (p - c) > 0]
+    limit = (min if side > 0 else max)(ahead, default=side * np.inf)
     eps = 1e-3 * (1.0 + abs(c))
     for _ in range(200):
         x = c + side * eps
-        val = eval_discriminant(delta, x)
-        if (side < 0 and val > target) or (side > 0 and val < target):
-            return x
+        if side * (limit - x) > 0:
+            val = eval_discriminant(delta, x)
+            if (side < 0 and val > target) or (side > 0 and val < target):
+                return x
         eps *= 0.5
     raise ConvergenceError(f"could not bracket band edge near pole {c}")
 

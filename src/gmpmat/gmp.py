@@ -173,29 +173,30 @@ def check_shifted_inverse_structure(coeffs, k, n_periods=40, tol=1e-8):
     M = assemble(coeffs, n_periods).to_dense()
     margin = 2 * w * w
     evals, evecs = np.linalg.eigh(M)
-    dist = np.abs(ck - evals)
-    hit = dist < 1e-9 * (1.0 + abs(ck))
-    if np.any(hit):
-        # open boundaries can pin spurious eigenvalues exactly on c_k;
-        # boundary-localized hits carry no interior weight and are
-        # deflated, interior hits make the shift genuinely singular
-        lo, hi = margin, M.shape[0] - margin
-        if np.max(np.abs(evecs[lo:hi, hit])) > 1e-8:
-            raise DomainError(f"c_k - A numerically singular at pole {ck}")
-    weights = np.where(hit, 0.0, 1.0 / np.where(hit, 1.0, ck - evals))
+    weights = _pole_weights(evals, evecs, ck, 1.0, slice(margin, M.shape[0] - margin))
     inv = (evecs * weights) @ evecs.T
     R = inv[k:, k:]  # index shift by k
     m = R.shape[0]
-    scale = 1.0 + np.max(np.abs(R))
-    for i in range(margin, m - margin):
-        for j in range(margin, m - margin):
-            d = j - i
-            if abs(d) > w and abs(R[i, j]) > tol * scale:
-                return False
-            if d == w:
-                if i % w == g:
-                    if R[i, j] <= tol * scale:
-                        return False
-                elif abs(R[i, j]) > tol * scale:
-                    return False
-    return True
+    t = tol * (1.0 + np.max(np.abs(R)))
+    idx = np.arange(margin, m - margin)
+    win = R[margin : m - margin, margin : m - margin]
+    d = idx[None, :] - idx[:, None]  # column minus row index
+    p_row = (idx % w == g)[:, None]  # rows carrying p_g on the outermost diagonal
+    big = np.abs(win) > t
+    outer = d == w
+    bad = (big & (np.abs(d) > w)) | (outer & ~p_row & big) | (outer & p_row & (win <= t))
+    return not bad.any()
+
+
+def _pole_weights(evals, evecs, c, num, rows):
+    """Spectral weights num / (c - evals) of num (c - A)^{-1}, pole-deflated.
+
+    Open-boundary truncations can pin spurious eigenvalues on a pole c.
+    Such modes are boundary-localized and carry no weight on the window
+    ``rows``, so they get weight 0; a mode with amplitude on the window
+    makes the resolvent genuinely singular and raises DomainError.
+    """
+    hit = np.abs(c - evals) < 1e-9 * (1.0 + abs(c))
+    if np.any(hit) and np.max(np.abs(evecs[rows, hit])) > 1e-8:
+        raise DomainError(f"pole {c} hits the truncation spectrum")
+    return np.where(hit, 0.0, num / np.where(hit, 1.0, c - evals))

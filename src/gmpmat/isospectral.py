@@ -10,8 +10,9 @@ on truncations, and extracts the induced Jacobi coefficients.
 import numpy as np
 
 from ._kernels import _factor_product
+from .discriminant import _damped_newton
 from .errors import ConvergenceError, DomainError
-from .gmp import assemble, GmpCoefficients
+from .gmp import _pole_weights, assemble, GmpCoefficients
 from .transfer import lambda_k
 
 
@@ -51,44 +52,24 @@ def _head_residual(delta, head):
     return manifold_residual(_coeffs_from_head(delta, head), delta)
 
 
-def _head_jacobian(delta, head, h=1e-7):
+def _head_jacobian(delta, head, r0, h=1e-7):
+    """Forward-difference Jacobian of the head residual; r0 is its value at head."""
     g = delta.g
     J = np.empty((g, 2 * g))
-    r0 = _head_residual(delta, head)
     for i in range(2 * g):
         step = h * (1.0 + abs(head[i]))
         hp = head.copy()
         hp[i] += step
         J[:, i] = (_head_residual(delta, hp) - r0) / step
-    return J, r0
+    return J
 
 
-def _gauss_newton(delta, head, tol, max_iter=100):
-    head = np.asarray(head, dtype=float).copy()
-    res = _head_residual(delta, head)
-    rnorm = np.max(np.abs(res)) if res.size else 0.0
-    for _ in range(max_iter):
-        if rnorm <= tol:
-            return head, rnorm
-        J, res = _head_jacobian(delta, head)
-        step, *_ = np.linalg.lstsq(J, -res, rcond=None)
-        scale = 1.0
-        for _ in range(40):
-            trial = head + scale * step
-            tres = _head_residual(delta, trial)
-            tnorm = np.max(np.abs(tres))
-            if tnorm < rnorm or tnorm <= tol:
-                head, res, rnorm = trial, tres, tnorm
-                break
-            scale *= 0.5
-        else:
-            raise ConvergenceError(
-                f"projection stalled at residual {rnorm:.3e}", residual=rnorm
-            )
-    if rnorm <= tol:
-        return head, rnorm
-    raise ConvergenceError(
-        f"projection did not converge, residual {rnorm:.3e}", residual=rnorm
+def _gauss_newton(delta, head, tol):
+    """Damped Gauss-Newton projection of a head; returns (head, residual)."""
+    return _damped_newton(
+        lambda x: _head_residual(delta, x),
+        lambda x, res: _head_jacobian(delta, x, res),
+        np.asarray(head, dtype=float), tol,
     )
 
 
@@ -133,11 +114,11 @@ def trace_torus(start, delta, steps, step_len, tol=1e-10):
     if g == 0:
         return [start] * (steps + 1)
     head = np.concatenate([np.asarray(start.p[:g]), np.asarray(start.q[:g])])
-    head, _ = _gauss_newton(delta, head, tol)
+    head, res = _gauss_newton(delta, head, tol)
     points = [_coeffs_from_head(delta, head)]
     prev_t = None
     for i in range(steps):
-        J, _ = _head_jacobian(delta, head)
+        J = _head_jacobian(delta, head, res)
         _, svals, vh = np.linalg.svd(J)
         if svals.size and svals[-1] < 1e-10 * max(1.0, svals[0]):
             raise ConvergenceError(f"residual Jacobian rank-deficient at step {i}")
@@ -145,7 +126,7 @@ def trace_torus(start, delta, steps, step_len, tol=1e-10):
         if prev_t is not None and np.dot(t, prev_t) < 0:
             t = -t
         prev_t = t
-        head, _ = _gauss_newton(delta, head + step_len * t, tol)
+        head, res = _gauss_newton(delta, head + step_len * t, tol)
         points.append(_coeffs_from_head(delta, head))
     return points
 
@@ -160,30 +141,18 @@ def magic_verify(coeffs, delta, n_periods=60):
     A = assemble(coeffs, n_periods)
     dense = A.to_dense()
     n = A.n
-    lo, hi = n // 3, 2 * n // 3
+    window = slice(n // 3, 2 * n // 3)
     evals, evecs = np.linalg.eigh(dense)
     D = delta.lambda0 * dense + delta.c0 * np.eye(n)
     for lam, c in delta.terms:
-        dist = np.abs(c - evals)
-        hit = dist < 1e-9 * (1.0 + abs(c))
-        if np.any(hit):
-            # open-boundary truncations can park spurious eigenvalues on a
-            # pole; such modes are boundary-localized and carry no weight
-            # on the interior window, so they are deflated.  A mode with
-            # interior amplitude makes the resolvent genuinely singular.
-            interior = np.max(np.abs(evecs[lo:hi, hit]))
-            if interior > 1e-8:
-                raise DomainError(f"pole {c} hits the truncation spectrum")
-        weights = np.where(hit, 0.0, lam / np.where(hit, 1.0, c - evals))
-        D += (evecs * weights) @ evecs.T
+        D += (evecs * _pole_weights(evals, evecs, c, lam, window)) @ evecs.T
     w = g + 1
     shift = np.zeros((n, n))
     idx = np.arange(n - w)
     shift[idx, idx + w] = 1.0
     shift[idx + w, idx] = 1.0
     defect = D - shift
-    lo, hi = n // 3, 2 * n // 3
-    return float(np.max(np.abs(defect[lo:hi, lo:hi])))
+    return float(np.max(np.abs(defect[window, window])))
 
 
 def spectrum_truncation(coeffs, n_periods):
@@ -237,6 +206,8 @@ def jacobi_band_edges(a, b, tol=1e-12, grid=4001):
             flo = f[i]
             while hi - lo > tol:
                 mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
                 fm = jacobi_transfer(a, b, mid)[0].real - target
                 if fm == 0.0:
                     lo = hi = mid

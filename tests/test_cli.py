@@ -158,6 +158,24 @@ def test_jacobi_bands_command(workdir):
     assert np.max(np.abs(np.array(got) - [-3.0, -1.0, 1.0, 3.0])) < 1e-10
 
 
+def test_jacobi_bands_tol_zero_terminates(workdir):
+    # tol = 0 is below the float spacing: bisection must stop when the
+    # midpoint equals an end, not loop forever
+    out = workdir / "edges0.json"
+    subprocess.run(
+        [sys.executable, "-m", "gmpmat.cli", "jacobi", "transfer", "--a", "1,1",
+         "--b", "0,0.5", "--bands", "--tol", "0", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), check=True, timeout=60,
+    )
+    want = _run(
+        ["jacobi", "transfer", "--a", "1,1", "--b", "0,0.5", "--bands", "--tol", "1e-12"],
+        workdir / "edges12.json",
+    )
+    got = json.loads(out.read_text())
+    assert len(got) == len(want) == 4
+    assert np.max(np.abs(np.array(got) - want)) <= 1e-12
+
+
 def test_ortho_build_report(workdir):
     lines = ["%s,1.0" % x for x in np.linspace(-2.0, -1.0, 12)]
     lines += ["%s,1.0" % x for x in np.linspace(1.0, 2.0, 12)]

@@ -388,3 +388,37 @@ def test_g32_stall_is_pinned():
         solve_discriminant(E)
     assert str(exc_info.value) == "Newton stalled at residual 1.148e-12"
     assert exc_info.value.residual == 1.1475265182525618e-12
+
+
+def test_solve_accepts_tol_reached_on_last_allowed_iteration(monkeypatch):
+    # the Jacobian is formed once per Newton iteration; count them
+    E = FiniteGapSet(-2.0, 2.0, ((-1.0, 0.5),))
+    want = solve_discriminant(E)
+    calls = []
+    jacobian = dm._edge_jacobian
+
+    def counted(*args):
+        calls.append(args)
+        return jacobian(*args)
+
+    monkeypatch.setattr(dm, "_edge_jacobian", counted)
+    solve_discriminant(E)
+    n = len(calls)
+    assert n > 1
+    assert _same(solve_discriminant(E, max_iter=n), want)
+    with pytest.raises(ConvergenceError, match=f"no convergence after {n - 1} iterations"):
+        solve_discriminant(E, max_iter=n - 1)
+
+
+def test_bands_of_random_g64_discriminants():
+    # poles as close as ~1e-3 apart: each bracket must end short of the next pole
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        poles = rng.uniform(-10.0, 10.0, 64)
+        lams = rng.uniform(0.2, 2.0, 64)
+        delta = RationalDiscriminant(
+            rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0), tuple(zip(lams, poles))
+        )
+        for x, t in bands(delta).edges:
+            slope = dm.eval_discriminant_deriv(delta, x)
+            assert abs(eval_discriminant(delta, x) - t) <= 5e-13 * slope

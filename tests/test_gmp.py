@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gmpmat import (
     BandedOperator,
@@ -156,3 +156,66 @@ def test_to_dense_matches_diag_sums_bytes_with_negative_zero():
         assert new.tobytes() == old.tobytes()
         assert lower_triangle_csv(new) == lower_triangle_csv(old)
         assert "-0\n" not in lower_triangle_csv(new)
+
+
+def _check_shifted_oracle(coeffs, k, n_periods, tol):
+    """The per-entry loop that check_shifted_inverse_structure replaces."""
+    g = coeffs.g
+    w = g + 1
+    ck = coeffs.poles[k - 1]
+    M = assemble(coeffs, n_periods).to_dense()
+    margin = 2 * w * w
+    evals, evecs = np.linalg.eigh(M)
+    hit = np.abs(ck - evals) < 1e-9 * (1.0 + abs(ck))
+    if np.any(hit) and np.max(np.abs(evecs[margin : M.shape[0] - margin, hit])) > 1e-8:
+        raise DomainError(f"c_k - A numerically singular at pole {ck}")
+    weights = np.where(hit, 0.0, 1.0 / np.where(hit, 1.0, ck - evals))
+    R = ((evecs * weights) @ evecs.T)[k:, k:]
+    m = R.shape[0]
+    scale = 1.0 + np.max(np.abs(R))
+    for i in range(margin, m - margin):
+        for j in range(margin, m - margin):
+            d = j - i
+            if abs(d) > w and abs(R[i, j]) > tol * scale:
+                return False
+            if d == w:
+                if i % w == g:
+                    if R[i, j] <= tol * scale:
+                        return False
+                elif abs(R[i, j]) > tol * scale:
+                    return False
+    return True
+
+
+def _verdict(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError:
+        return DomainError
+
+
+_NOT_GMP = GmpCoefficients((5.0,), (1.0, 1.0), (-1.0, 0.0))  # Lambda_1 = -3
+_PINNED = GmpCoefficients((1.0,), (1.0, 1.0), (0.0, 0.0))  # an eigenvalue on c_1
+
+
+@st.composite
+def coeffs_and_k(draw):
+    """random_coeffs-style coefficients (Lambda_k of either sign) and k in 1..g."""
+    g = draw(st.integers(1, 3))
+    coeffs = random_coeffs(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), g=g)
+    return coeffs, draw(st.integers(1, g))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    case=coeffs_and_k(),
+    n_periods=st.integers(20, 40),  # a window of at least one block for g <= 3
+    tol=st.sampled_from([0.0, 1e-10, 1e-8, 1e-4]),
+)
+@example(case=(_NOT_GMP, 1), n_periods=30, tol=1e-8)  # False
+@example(case=(_NOT_GMP, 1), n_periods=4, tol=1e-8)  # empty window: True
+@example(case=(_PINNED, 1), n_periods=30, tol=1e-8)  # deflates a boundary state
+def test_structure_check_matches_per_entry_loop(case, n_periods, tol):
+    coeffs, k = case
+    got = _verdict(check_shifted_inverse_structure, coeffs, k, n_periods, tol)
+    assert got is _verdict(_check_shifted_oracle, coeffs, k, n_periods, tol)

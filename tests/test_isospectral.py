@@ -65,6 +65,7 @@ def test_projection_g2():
     delta = RationalDiscriminant(1.0, 0.0, ((1.0, -2.0), (1.5, 2.0)))
     pt = project_to_manifold([1.0, 1.0, 0.1, -0.1], delta)
     assert np.max(np.abs(manifold_residual(pt, delta))) < 1e-10
+    assert magic_verify(pt, delta, 60) < 1e-6  # lambda_k != 1 weight the resolvents
 
 
 def test_magic_formula_on_and_off_manifold():
@@ -139,3 +140,23 @@ def test_jacobi_transfer_validates_input():
         jacobi_transfer((1.0, -2.0), (0.0, 0.0), 0.0)
     with pytest.raises(DomainError):
         jacobi_transfer((1.0, 2.0), (0.0,), 0.0)
+
+
+def test_projection_below_rounding_floor_reports_stall():
+    # tol = 1e-20 is below the residual's rounding floor: every restart stalls
+    delta = RationalDiscriminant(
+        1.3243905315095892,
+        -0.9448817735138633,
+        (
+            (0.7612966136188739, -2.283134910582869),
+            (0.9619876081506362, -0.3574393660939661),
+            (1.689864668876795, 0.35880005298548445),
+            (0.9365584454644904, 2.2817742236913503),
+        ),
+    )
+    init = [0.02842224131579679, 0.5467129866124469, -0.7364540870016669, -0.16290994799305278,
+            -0.48211931267997826, 0.5988462126346276, 0.03972210748165899, -0.2924567509650886]
+    with pytest.raises(ConvergenceError) as exc_info:
+        project_to_manifold(init, delta, tol=1e-20)
+    assert str(exc_info.value) == "Newton stalled at residual 1.110e-16"
+    assert exc_info.value.residual == 1.1102230246251565e-16
