@@ -58,7 +58,7 @@ def _load_coeffs(path):
 
 
 def _cmd_delta_solve(args):
-    delta = solve_discriminant(_load_set(args.set), tol=args.tol)
+    delta = solve_discriminant(_load_set(args.set))
     serialize.write_text(args.out, serialize.dumps(delta.to_dict()))
 
 
@@ -74,7 +74,7 @@ def _cmd_delta_eval(args):
 
 
 def _cmd_delta_bands(args):
-    E = bands(_load_delta(args.delta), tol=args.tol)
+    E = bands(_load_delta(args.delta))
     serialize.write_text(args.out, serialize.dumps(E.to_dict()))
 
 
@@ -242,7 +242,7 @@ def _cmd_jacobi_transfer(args):
         t, _ = isospectral.jacobi_transfer(a, b, xs)
         serialize.write_text(args.out, serialize.rows_csv(np.column_stack([xs, t])))
     elif args.bands:
-        edges = isospectral.jacobi_band_edges(a, b, tol=args.tol)
+        edges = isospectral.jacobi_band_edges(a, b)
         serialize.write_text(args.out, serialize.dumps(edges))
     else:
         t, _ = isospectral.jacobi_transfer(a, b, _parse_complex(args.z))
@@ -275,6 +275,8 @@ def _join_signed_values(argv):
 
 
 def _add_common(sp, tol=1e-10):
+    # every subcommand takes --tol; delta solve, delta bands and
+    # jacobi transfer --bands accept and ignore it: they have no iteration
     sp.add_argument("--tol", type=float, default=tol)
     sp.add_argument("--out", default=None)
 
@@ -286,7 +288,7 @@ def build_parser():
     delta = sub.add_parser("delta").add_subparsers(dest="action", required=True)
     p = delta.add_parser("solve")
     p.add_argument("--set", required=True)
-    _add_common(p, tol=1e-12)
+    _add_common(p)
     p.set_defaults(func=_cmd_delta_solve)
     p = delta.add_parser("eval")
     p.add_argument("--delta", required=True)
@@ -296,7 +298,7 @@ def build_parser():
     p.set_defaults(func=_cmd_delta_eval)
     p = delta.add_parser("bands")
     p.add_argument("--delta", required=True)
-    _add_common(p, tol=1e-12)
+    _add_common(p)
     p.set_defaults(func=_cmd_delta_bands)
 
     ahl = sub.add_parser("ahlfors").add_subparsers(dest="action", required=True)
@@ -314,7 +316,9 @@ def build_parser():
     p.set_defaults(func=_cmd_gmp_build)
     p = gmp.add_parser("check")
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--periods", type=int, default=40)
+    p.add_argument("--periods", type=int, default=40, help="periods of the finite section; "
+                   "the structural check exits 1 unless at least 2(g+1) rows lie "
+                   "2(g+1)^2 or more rows from both ends")
     _add_common(p, tol=1e-8)
     p.set_defaults(func=_cmd_gmp_check)
 
@@ -402,7 +406,7 @@ def build_parser():
     p.add_argument("--z")
     p.add_argument("--grid")
     p.add_argument("--bands", action="store_true")
-    _add_common(p, tol=1e-12)
+    _add_common(p)
     p.set_defaults(func=_cmd_jacobi_transfer)
 
     return parser

@@ -6,16 +6,17 @@ Each such set has a unique rational function Delta with
     Delta(z) = lambda0*z + c0 + sum_k lambda_k / (c_k - z),
 
 all lambda_k > 0 and one pole c_k inside each gap, such that the preimage
-of [-2, 2] is exactly the set.  This module solves for Delta, inverts it
-back to bands, and evaluates the associated unimodular-bounded function
-by Joukowski inversion.
+of [-2, 2] is exactly the set.  This module solves for Delta and inverts
+it back to bands, both in closed form (no iteration but the pole
+bisection), and evaluates the associated unimodular-bounded function by
+Joukowski inversion.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -139,147 +140,76 @@ def eval_discriminant_deriv(delta, x):
     return d
 
 
-def _edge_residual(params, xs, ts, g):
-    lam0, c0 = params[0], params[1]
-    lams = params[2 : 2 + g]
-    cs = params[2 + g :]
-    return lam0 * xs + c0 + np.sum(lams / (cs - xs[:, None]), axis=1) - ts
-
-
-def _edge_jacobian(params, xs, g):
-    lams = params[2 : 2 + g]
-    d = params[2 + g :] - xs[:, None]
-    J = np.empty((len(xs), 2 + 2 * g))
-    J[:, 0] = xs
-    J[:, 1] = 1.0
-    J[:, 2 : 2 + g] = 1.0 / d
-    J[:, 2 + g :] = -lams / d**2
-    return J
-
-
-def _admissible_bounds(E):
-    """Open bounds on params: lambda0 > 0, lambda_k > 0, each pole inside its gap."""
-    g = E.g
-    gap_a, gap_b = np.array(E.gaps).reshape(-1, 2).T
-    lower = np.concatenate([[0.0, -np.inf], np.zeros(g), gap_a])
-    upper = np.concatenate([np.full(2 + g, np.inf), gap_b])
-    return lower, upper
-
-
-def _damped_newton(residual, jacobian, x, tol, max_iter=100, lower=-np.inf, upper=np.inf):
-    """Damped Newton iteration on residual(x) = 0; returns (x, residual(x)).
-
-    ``jacobian(x, res)`` gets the residual the iteration already holds at
-    x.  A square Jacobian takes the Newton step (least squares if it is
-    singular), a wide one the minimum-norm least-squares step.  The step
-    is halved up to 40 times until the trial point lies in the open box
-    (lower, upper) and lowers the max-norm residual or reaches ``tol``.
-
-    Raises ConvergenceError (carrying the last residual) if no halving is
-    accepted, or if the residual is above ``tol`` after ``max_iter`` steps.
-    """
-    res = residual(x)
-    rnorm = np.max(np.abs(res))
-    for _ in range(max_iter):
-        if rnorm <= tol:
-            break
-        J = jacobian(x, res)
-        try:
-            step = np.linalg.solve(J, -res)  # raises for a singular or wide J
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(J, -res, rcond=None)
-        scale = 1.0
-        for _ in range(40):
-            trial = x + scale * step
-            if np.all((lower < trial) & (trial < upper)):
-                tres = residual(trial)
-                tnorm = np.max(np.abs(tres))
-                if tnorm < rnorm or tnorm <= tol:
-                    x, res, rnorm = trial, tres, tnorm
-                    break
-            scale *= 0.5
-        else:
-            raise ConvergenceError(
-                f"Newton stalled at residual {rnorm:.3e}", residual=rnorm
-            )
-    if rnorm <= tol:
-        return x, res
-    raise ConvergenceError(
-        f"no convergence after {max_iter} iterations, residual {rnorm:.3e}",
-        residual=rnorm,
-    )
-
-
-def solve_discriminant(E, tol=1e-12, max_iter=100):
+def solve_discriminant(E):
     """Solve for the unique rational discriminant of a finite gap set.
 
-    Poles start at gap midpoints; the linear parameters (lambda0, c0,
-    lambda_k) are initialized by least squares on the 2g+2 edge equations
-    Delta(a_j) = 2, Delta(b_j) = -2, and a damped Newton iteration then
-    refines all 2g+2 unknowns.
-
-    Raises ConvergenceError (carrying the last residual) if the edge
-    residual does not drop below ``tol`` within ``max_iter`` iterations.
+    With P_A, P_B the monic polynomials vanishing on A = {gap starts, a0}
+    (Delta = 2) and B = {b0, gap ends} (Delta = -2), the closed form is
+    Delta = 2 (P_A + P_B) / (P_B - P_A).  So lambda0 = 4 / (sum A - sum B);
+    pole c_k is the one root of P_A = P_B in gap k, found for all k in one
+    lane-wise bisection run to two float spacings of the gap's edges;
+    lambda_k = 4 / (sum_a 1/(c_k - a) - sum_b 1/(c_k - b)); and c0 follows
+    from Delta(b0) = -2.  Raises DomainError for a gap too narrow to hold
+    a pole strictly inside it.
     """
-    g = E.g
-    xs, ts = np.array(E.edges).reshape(-1, 2).T
-    lower, upper = _admissible_bounds(E)
+    gap_a, gap_b = np.array(E.gaps).reshape(-1, 2).T
+    A = np.append(gap_a, E.a0)
+    B = np.append(gap_b, E.b0)
+    lambda0 = 4.0 / (np.sum(A) - np.sum(B))
 
-    cs = np.array([(a + b) / 2.0 for a, b in E.gaps])
-    # Delta is linear in (lambda0, c0, lambda_k) for fixed poles.
-    design = np.column_stack([xs, np.ones_like(xs), 1.0 / (cs - xs[:, None])])
-    lin, *_ = np.linalg.lstsq(design, ts, rcond=None)
+    def log_ratio(x):  # log|P_A(x) / P_B(x)|: no product is formed, none overflows
+        with np.errstate(divide="ignore"):  # a frozen lane may sit on an edge
+            return np.sum(np.log(np.abs((x[:, None] - A) / (x[:, None] - B))), axis=1)
 
-    params = np.concatenate([lin, cs])
-    params[2 : 2 + g] = np.maximum(params[2 : 2 + g], 1e-12)
-    if params[0] <= 0:
-        params[0] = 1.0
-
-    params, _ = _damped_newton(
-        lambda x: _edge_residual(x, xs, ts, g),
-        lambda x, _res: _edge_jacobian(x, xs, g),
-        params, tol, max_iter, lower, upper,
-    )
-    return RationalDiscriminant(
-        params[0], params[1], tuple(zip(params[2 : 2 + g], params[2 + g :]))
-    )
+    width = 2.0 * np.spacing(np.maximum(np.abs(gap_a), np.abs(gap_b)))
+    cs = _bisect(log_ratio, gap_a, gap_b, width)
+    if not np.all((gap_a < cs) & (cs < gap_b)):
+        raise DomainError("a gap is too narrow to hold a pole")
+    lams = 4.0 / (np.sum(1.0 / (cs[:, None] - A), axis=1)
+                  - np.sum(1.0 / (cs[:, None] - B), axis=1))
+    c0 = -2.0 - lambda0 * E.b0 - np.sum(lams / (cs - E.b0))
+    return RationalDiscriminant(lambda0, c0, tuple(zip(lams, cs)))
 
 
-def bands(delta, tol=1e-12):
+def bands(delta):
     """Invert Delta: return the finite gap set with Delta^{-1}([-2,2]) = E.
 
-    On each maximal interval between consecutive poles (and the two
-    unbounded ends) Delta increases from -inf to +inf, so each carries
-    exactly one solution of Delta = -2 and one of Delta = 2.  All -2
-    roots are found in one lane-wise bisection, then all +2 roots, each
-    bracketed by its -2 root and the end of its interval.
+    The g+1 roots of Delta(x) = t are the eigenvalues of the arrowhead
+    matrix [[(t - c0)/lambda0, w^T], [w, diag(c)]], w_k = sqrt(lambda_k/lambda0),
+    whose characteristic polynomial is the secular equation Delta(x) = t.
+    By interlacing, the i-th sorted root of each level lies between poles
+    i-1 and i, so the -2 and +2 roots pair index-wise into bands.
     """
-    g = delta.g
     order = np.argsort(delta.poles)
-    cs = np.array(delta.poles)[order]
-    if g == 0:
-        segments = [(_outward(delta, -1.0, -1, 2.0), _outward(delta, 1.0, +1, 2.0))]
-    else:
-        span = max(1.0, cs[-1] - cs[0])
-        ends = [_outward(delta, cs[0] - span, -1, span)]
-        for c in cs:
-            ends += [_shrink_to_pole(delta, c, -1), _shrink_to_pole(delta, c, +1)]
-        ends.append(_outward(delta, cs[-1] + span, +1, span))
-        segments = list(zip(ends[::2], ends[1::2]))
+    lams, cs = np.array(delta.terms).reshape(-1, 2)[order].T
+    x_minus = _level_roots(delta, lams, cs, -2.0)
+    x_plus = _level_roots(delta, lams, cs, 2.0)
+    return FiniteGapSet(x_minus[0], x_plus[-1], tuple(zip(x_plus[:-1], x_minus[1:])))
 
-    lo, hi = np.array(segments).T
-    f = lambda x: eval_discriminant(delta, x)
-    x_minus = _bisect(lambda x: f(x) + 2.0, lo, hi, tol)
-    x_plus = _bisect(lambda x: f(x) - 2.0, x_minus, hi, tol)
-    gaps = tuple(zip(x_plus[:-1], x_minus[1:]))
-    return FiniteGapSet(x_minus[0], x_plus[-1], gaps)
+
+def _level_roots(delta, lams, cs, t):
+    """Sorted roots of Delta(x) = t: arrowhead eigenvalues plus one Newton
+    step, kept where it stays between the root's neighbouring poles (or
+    +/-inf) and skipped for an eigenvalue equal to a pole."""
+    M = np.diag(np.append((t - delta.c0) / delta.lambda0, cs))
+    M[0, 1:] = M[1:, 0] = np.sqrt(lams / delta.lambda0)
+    x = np.linalg.eigvalsh(M)
+    free = ~np.isin(x, cs)
+    y = x[free]
+    newton = y - (eval_discriminant(delta, y) - t) / eval_discriminant_deriv(delta, y)
+    lo = np.append(-np.inf, cs)[free]
+    hi = np.append(cs, np.inf)[free]
+    x[free] = np.where((lo < newton) & (newton < hi), newton, y)
+    return x
 
 
 def _bisect(f, lo, hi, tol):
-    """Roots of a monotone increasing f, one per bracket [lo[i], hi[i]].
+    """Roots of f, one per bracket [lo[i], hi[i]] on which f changes sign
+    once, from negative to positive.
 
-    A lane stops once its bracket is no wider than tol or its midpoint
-    equals an end; stopped lanes stay frozen while the others go on.
+    ``tol`` is one width for all lanes or one per lane.  A lane stops once
+    its bracket is no wider than its tol or its midpoint equals an end;
+    stopped lanes stay frozen while the others go on.
     """
     while True:
         mid = 0.5 * (lo + hi)
@@ -289,34 +219,6 @@ def _bisect(f, lo, hi, tol):
         below = f(mid) < 0.0
         lo = np.where(run & below, mid, lo)
         hi = np.where(run & ~below, mid, hi)
-
-
-def _outward(delta, x, side, step):
-    """First of x, x + side*step, x + 3*side*step, ... with side*Delta >= 2."""
-    while side * eval_discriminant(delta, x) < 2.0:
-        x += side * step
-        step *= 2.0
-    return x
-
-
-def _shrink_to_pole(delta, c, side):
-    """Point near pole c (side=-1: left, +1: right) where |Delta| > 2.
-
-    The point stays strictly short of the next pole on that side, so the
-    bracket it ends is never reversed.
-    """
-    target = 2.0 if side < 0 else -2.0
-    ahead = [p for p in delta.poles if side * (p - c) > 0]
-    limit = (min if side > 0 else max)(ahead, default=side * np.inf)
-    eps = 1e-3 * (1.0 + abs(c))
-    for _ in range(200):
-        x = c + side * eps
-        if side * (limit - x) > 0:
-            val = eval_discriminant(delta, x)
-            if (side < 0 and val > target) or (side > 0 and val < target):
-                return x
-        eps *= 0.5
-    raise ConvergenceError(f"could not bracket band edge near pole {c}")
 
 
 def ahlfors_eval(delta, z, boundary_tol=1e-8):

@@ -164,18 +164,23 @@ def check_shifted_inverse_structure(coeffs, k, n_periods=40, tol=1e-8):
     from the truncation boundary: zero beyond bandwidth g+1, and on the
     outermost diagonal zero except at the p_g positions (row index g
     modulo g+1), which must be positive.
+
+    Raises DomainError if the window holds fewer than 2(g+1) rows, which
+    could miss every outermost-diagonal entry and so pass vacuously.
     """
     g = coeffs.g
     if not 1 <= k <= g:
         raise DomainError(f"k must be in 1..{g}")
     w = g + 1
     ck = coeffs.poles[k - 1]
-    M = assemble(coeffs, n_periods).to_dense()
     margin = 2 * w * w
+    rows = w * n_periods - k - 2 * margin  # window rows after the index shift by k
+    if rows < 2 * w:
+        raise DomainError(f"window of {max(rows, 0)} rows, need {2 * w}: raise n_periods")
+    M = assemble(coeffs, n_periods).to_dense()
     evals, evecs = np.linalg.eigh(M)
     weights = _pole_weights(evals, evecs, ck, 1.0, slice(margin, M.shape[0] - margin))
-    inv = (evecs * weights) @ evecs.T
-    R = inv[k:, k:]  # index shift by k
+    R = ((evecs * weights) @ evecs.T)[k:, k:]  # index shift by k
     m = R.shape[0]
     t = tol * (1.0 + np.max(np.abs(R)))
     idx = np.arange(margin, m - margin)

@@ -10,10 +10,48 @@ on truncations, and extracts the induced Jacobi coefficients.
 import numpy as np
 
 from ._kernels import _factor_product
-from .discriminant import _damped_newton
 from .errors import ConvergenceError, DomainError
 from .gmp import _pole_weights, assemble, GmpCoefficients
 from .transfer import lambda_k
+
+
+def _damped_newton(residual, jacobian, x, tol, max_iter=100):
+    """Damped Newton iteration on residual(x) = 0; returns (x, residual(x)).
+
+    ``jacobian(x, res)`` gets the residual the iteration already holds at
+    x.  The step is the minimum-norm least-squares solution of
+    J step = -res (the Newton step for a square, nonsingular J); it is
+    halved up to 40 times until the trial point is finite and lowers
+    the max-norm residual or reaches ``tol``.
+
+    Raises ConvergenceError (carrying the last residual) if no halving is
+    accepted, or if the residual is above ``tol`` after ``max_iter`` steps.
+    """
+    res = residual(x)
+    rnorm = np.max(np.abs(res))
+    for _ in range(max_iter):
+        if rnorm <= tol:
+            break
+        J = jacobian(x, res)
+        step, *_ = np.linalg.lstsq(J, -res, rcond=None)
+        scale = 1.0
+        for _ in range(40):
+            trial = x + scale * step
+            if np.all(np.isfinite(trial)):
+                tres = residual(trial)
+                tnorm = np.max(np.abs(tres))
+                if tnorm < rnorm or tnorm <= tol:
+                    x, res, rnorm = trial, tres, tnorm
+                    break
+            scale *= 0.5
+        else:
+            raise ConvergenceError(f"Newton stalled at residual {rnorm:.3e}", residual=rnorm)
+    if rnorm <= tol:
+        return x, res
+    raise ConvergenceError(
+        f"no convergence after {max_iter} iterations, residual {rnorm:.3e}",
+        residual=rnorm,
+    )
 
 
 def forced_tail(delta, head):
@@ -166,6 +204,16 @@ def jacobi_coeffs(coeffs):
     return float(np.linalg.norm(p)), float(coeffs.p[-1] * coeffs.q[-1])
 
 
+def _jacobi_ab(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.size == 0:
+        raise DomainError("a and b must be nonempty and of equal length")
+    if np.any(a <= 0):
+        raise DomainError("all a_j must be positive")
+    return a, b
+
+
 def jacobi_transfer(a, b, z):
     """Periodic Jacobi transfer matrix and its trace.
 
@@ -174,46 +222,23 @@ def jacobi_transfer(a, b, z):
     of [-2, 2] under the trace.  For an ndarray z the trace has the shape
     of z and the matrix has shape (2, 2) + z.shape.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DomainError("a and b must have equal length")
-    if np.any(a <= 0):
-        raise DomainError("all a_j must be positive")
+    a, b = _jacobi_ab(a, b)
     m11, m12, m21, m22 = _factor_product(z, (), a.tolist(), (b / a).tolist())
     return m11 + m22, np.array([[m11, m12], [m21, m22]])
 
 
-def jacobi_band_edges(a, b, tol=1e-12, grid=4001):
-    """Band edges of the periodic Jacobi operator by scanning the trace.
+def jacobi_band_edges(a, b):
+    """The 2N band edges, sorted, of the period-N Jacobi operator.
 
-    Scans a spectral enclosure for crossings of T = +/-2 and bisects each
-    to ``tol``; returns the sorted list of edges.
+    They are the Floquet eigenvalues at theta = 0 and pi: the spectra of
+    the N x N matrices with diagonal b, off-diagonal a[1:] and corners
+    +a[0] (periodic) or -a[0] (antiperiodic); for N = 1 these are
+    b +/- 2a.  A closed gap appears as an equal pair.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    bound = float(np.max(np.abs(b)) + 2.0 * np.max(a) + 1.0)
-    xs = np.linspace(-bound, bound, grid)
-    ts = jacobi_transfer(a, b, xs)[0]
-    edges = []
-    for target in (-2.0, 2.0):
-        f = ts - target
-        for i in np.flatnonzero((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0)):
-            if f[i] == 0.0:
-                edges.append(xs[i])
-                continue
-            lo, hi = xs[i], xs[i + 1]
-            flo = f[i]
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break
-                fm = jacobi_transfer(a, b, mid)[0].real - target
-                if fm == 0.0:
-                    lo = hi = mid
-                elif (fm < 0) == (flo < 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            edges.append(0.5 * (lo + hi))
-    return sorted(edges)
+    a, b = _jacobi_ab(a, b)
+    M = np.diag(b) + np.diag(a[1:], 1) + np.diag(a[1:], -1)
+    corners = np.zeros_like(M)
+    corners[0, -1] += a[0]
+    corners[-1, 0] += a[0]  # for N = 1 both land on the diagonal
+    edges = np.append(np.linalg.eigvalsh(M + corners), np.linalg.eigvalsh(M - corners))
+    return np.sort(edges).tolist()

@@ -158,6 +158,19 @@ def test_jacobi_bands_command(workdir):
     assert np.max(np.abs(np.array(got) - [-3.0, -1.0, 1.0, 3.0])) < 1e-10
 
 
+def test_delta_and_jacobi_bands_ignore_tol(workdir):
+    # delta solve, delta bands and jacobi transfer --bands have no
+    # tolerance: --tol is accepted and changes nothing
+    for cmd in (
+        ["delta", "solve", "--set", str(workdir / "set.json")],
+        ["delta", "bands", "--delta", str(workdir / "delta.json")],
+        ["jacobi", "transfer", "--a", "1,1", "--b", "0,0.5", "--bands"],
+    ):
+        want = _run(cmd, workdir / "plain.json")
+        for tol in ("0", "1e-30", "0.5"):
+            assert _run(cmd + ["--tol", tol], workdir / "tol.json") == want
+
+
 def test_jacobi_bands_tol_zero_terminates(workdir):
     # tol = 0 is below the float spacing: bisection must stop when the
     # midpoint equals an end, not loop forever
@@ -212,14 +225,23 @@ def test_missing_file_exits_1(workdir, capsys):
 
 
 def test_convergence_failure_exits_2(workdir, capsys):
-    asym = {"b0": -2.1, "a0": 2.3, "gaps": [[-0.7, 0.9]]}
-    (workdir / "asym.json").write_text(json.dumps(asym))
-    code = main(
-        ["delta", "solve", "--set", str(workdir / "asym.json"), "--tol", "1e-30"]
-    )
+    # tol = 1e-20 is below this g = 4 projection's rounding floor
+    delta = {
+        "lambda0": 1.3243905315095892,
+        "c0": -0.9448817735138633,
+        "terms": [[0.7612966136188739, -2.283134910582869],
+                  [0.9619876081506362, -0.3574393660939661],
+                  [1.689864668876795, 0.35880005298548445],
+                  [0.9365584454644904, 2.2817742236913503]],
+    }
+    (workdir / "d4.json").write_text(json.dumps(delta))
+    init = ("0.02842224131579679,0.5467129866124469,-0.7364540870016669,-0.16290994799305278,"
+            "-0.48211931267997826,0.5988462126346276,0.03972210748165899,-0.2924567509650886")
+    code = main(["iso", "project", "--delta", str(workdir / "d4.json"), "--init", init,
+                 "--tol", "1e-20"])
     assert code == 2
     payload = json.loads(capsys.readouterr().err)
-    assert "residual" in payload
+    assert payload["residual"] == 1.1102230246251565e-16
 
 
 @pytest.mark.parametrize(

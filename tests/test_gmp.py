@@ -213,9 +213,18 @@ def coeffs_and_k(draw):
     tol=st.sampled_from([0.0, 1e-10, 1e-8, 1e-4]),
 )
 @example(case=(_NOT_GMP, 1), n_periods=30, tol=1e-8)  # False
-@example(case=(_NOT_GMP, 1), n_periods=4, tol=1e-8)  # empty window: True
 @example(case=(_PINNED, 1), n_periods=30, tol=1e-8)  # deflates a boundary state
 def test_structure_check_matches_per_entry_loop(case, n_periods, tol):
     coeffs, k = case
     got = _verdict(check_shifted_inverse_structure, coeffs, k, n_periods, tol)
     assert got is _verdict(_check_shifted_oracle, coeffs, k, n_periods, tol)
+
+
+def test_structure_check_rejects_short_window():
+    # p=(1,1), q=(-1,0), c=5 is not GMP; up to 10 periods the window of
+    # rows 2(g+1)^2 from both ends holds < 2(g+1) rows and misses the
+    # outermost diagonal, which would pass vacuously
+    for n_periods in (1, 4, 10):
+        with pytest.raises(DomainError, match="window of"):
+            check_shifted_inverse_structure(_NOT_GMP, 1, n_periods)
+    assert check_shifted_inverse_structure(_NOT_GMP, 1, 11) is False

@@ -121,6 +121,29 @@ def test_jacobi_period2_band_edges():
     assert np.max(np.abs(np.array(edges) - [-3.0, -1.0, 1.0, 3.0])) < 1e-10
 
 
+def test_jacobi_band_edges_keep_close_and_closed_gaps():
+    # 2N edges always: a gap narrower than any scan grid cell, and a closed
+    # gap counted as an equal pair
+    edges = jacobi_band_edges((1.0, 1.0), (0.0, 1e-4))
+    assert len(edges) == 4
+    np.testing.assert_allclose(edges[1:3], [0.0, 1e-4], rtol=0, atol=1e-15)
+    assert jacobi_band_edges((1.0, 1.0), (0.0, 0.0)) == [-2.0, 0.0, 0.0, 2.0]
+    assert jacobi_band_edges((1.5,), (0.2,)) == [0.2 - 3.0, 0.2 + 3.0]
+
+
+def test_jacobi_band_edges_solve_trace_levels():
+    # each edge is a root of trace = +/-2; the periodic and antiperiodic
+    # spectra give N edges at each level
+    rng = np.random.default_rng(7)
+    for period in range(1, 9):
+        a, b = rng.uniform(0.5, 2.0, period), rng.uniform(-1.0, 1.0, period)
+        edges = np.array(jacobi_band_edges(a, b))
+        t = jacobi_transfer(a, b, edges)[0]
+        assert edges.shape == (2 * period,) and np.all(np.diff(edges) >= 0)
+        assert np.sum(t > 0) == np.sum(t < 0) == period
+        assert np.max(np.abs(np.abs(t) - 2.0)) < 1e-9
+
+
 def test_jacobi_free_magic():
     # T_1(J) = J for a = 1, b = 0, and J = S + S^{-1} on interior rows
     c = GmpCoefficients((), (1.0,), (0.0,))
@@ -140,6 +163,8 @@ def test_jacobi_transfer_validates_input():
         jacobi_transfer((1.0, -2.0), (0.0, 0.0), 0.0)
     with pytest.raises(DomainError):
         jacobi_transfer((1.0, 2.0), (0.0,), 0.0)
+    with pytest.raises(DomainError):
+        jacobi_band_edges((), ())
 
 
 def test_projection_below_rounding_floor_reports_stall():
