@@ -7,8 +7,8 @@ Each such set has a unique rational function Delta with
 
 all lambda_k > 0 and one pole c_k inside each gap, such that the preimage
 of [-2, 2] is exactly the set.  This module solves for Delta and inverts
-it back to bands, both in closed form (no iteration but the pole
-bisection), and evaluates the associated unimodular-bounded function by
+it back to bands, both in closed form (no iteration but the bracketed
+pole search), and evaluates the associated unimodular-bounded function by
 Joukowski inversion.
 """
 
@@ -147,7 +147,8 @@ def solve_discriminant(E):
     (Delta = 2) and B = {b0, gap ends} (Delta = -2), the closed form is
     Delta = 2 (P_A + P_B) / (P_B - P_A).  So lambda0 = 4 / (sum A - sum B);
     pole c_k is the one root of P_A = P_B in gap k, found for all k in one
-    lane-wise bisection run to two float spacings of the gap's edges;
+    lane-wise bracketed Newton search run to two float spacings of the
+    gap's edges;
     lambda_k = 4 / (sum_a 1/(c_k - a) - sum_b 1/(c_k - b)); and c0 follows
     from Delta(b0) = -2.  Raises DomainError for a gap too narrow to hold
     a pole strictly inside it.
@@ -157,12 +158,19 @@ def solve_discriminant(E):
     B = np.append(gap_b, E.b0)
     lambda0 = 4.0 / (np.sum(A) - np.sum(B))
 
-    def log_ratio(x):  # log|P_A(x) / P_B(x)|: no product is formed, none overflows
-        with np.errstate(divide="ignore"):  # a frozen lane may sit on an edge
-            return np.sum(np.log(np.abs((x[:, None] - A) / (x[:, None] - B))), axis=1)
+    def log_ratio(x):  # log|P_A(x) / P_B(x)| and its derivative: no product is formed
+        dA, dB = x[:, None] - A, x[:, None] - B
+        with np.errstate(divide="ignore", invalid="ignore"):  # a lane may sit on an edge
+            return (np.sum(np.log(np.abs(dA / dB)), axis=1),
+                    np.sum(1.0 / dA, axis=1) - np.sum(1.0 / dB, axis=1))
+
+    def logit_newton(x, h, dh):  # in t = log(u/v), u = x - a, v = b - x: h ~ t at both ends
+        u, v, w = x - gap_a, gap_b - x, gap_b - gap_a
+        with np.errstate(all="ignore"):  # overflow or 0/0 gives a proposal outside the gap
+            return gap_a + w * u / (u + v * np.exp(h * w / (dh * u * v)))
 
     width = 2.0 * np.spacing(np.maximum(np.abs(gap_a), np.abs(gap_b)))
-    cs = _bisect(log_ratio, gap_a, gap_b, width)
+    cs = _bisect(log_ratio, gap_a, gap_b, width, logit_newton)
     if not np.all((gap_a < cs) & (cs < gap_b)):
         raise DomainError("a gap is too narrow to hold a pole")
     lams = 4.0 / (np.sum(1.0 / (cs[:, None] - A), axis=1)
@@ -203,22 +211,33 @@ def _level_roots(delta, lams, cs, t):
     return x
 
 
-def _bisect(f, lo, hi, tol):
+def _bisect(f, lo, hi, tol, step=None):
     """Roots of f, one per bracket [lo[i], hi[i]] on which f changes sign
     once, from negative to positive.
 
     ``tol`` is one width for all lanes or one per lane.  A lane stops once
     its bracket is no wider than its tol or its midpoint equals an end;
-    stopped lanes stay frozen while the others go on.
+    stopped lanes stay frozen while the others go on.  Each pass splits
+    the bracket at a trial point: the midpoint, or with ``step`` (f then
+    returns (f, f')) the proposal step(x, f, f') if it lies in the
+    bracket, kept tol/2 from the ends so the bracket shrinks by tol/2.
     """
+    x = 0.5 * (lo + hi)
     while True:
         mid = 0.5 * (lo + hi)
         run = (hi - lo > tol) & (mid != lo) & (mid != hi)
         if not run.any():
             return mid
-        below = f(mid) < 0.0
-        lo = np.where(run & below, mid, lo)
-        hi = np.where(run & ~below, mid, hi)
+        fx = f(x)
+        below = (fx[0] if step else fx) < 0.0
+        lo = np.where(run & below, x, lo)
+        hi = np.where(run & ~below, x, hi)
+        trial = 0.5 * (lo + hi)
+        if step:
+            new = step(x, *fx)
+            inside = (lo <= new) & (new <= hi)
+            trial = np.where(inside, np.clip(new, lo + 0.5 * tol, hi - 0.5 * tol), trial)
+        x = trial
 
 
 def ahlfors_eval(delta, z, boundary_tol=1e-8):

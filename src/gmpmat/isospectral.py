@@ -12,17 +12,15 @@ import numpy as np
 from ._kernels import _factor_product
 from .errors import ConvergenceError, DomainError
 from .gmp import _pole_weights, assemble, GmpCoefficients
-from .transfer import lambda_k
 
 
 def _damped_newton(residual, jacobian, x, tol, max_iter=100):
-    """Damped Newton iteration on residual(x) = 0; returns (x, residual(x)).
+    """Damped Newton iteration on residual(x) = 0; returns x.
 
-    ``jacobian(x, res)`` gets the residual the iteration already holds at
-    x.  The step is the minimum-norm least-squares solution of
-    J step = -res (the Newton step for a square, nonsingular J); it is
-    halved up to 40 times until the trial point is finite and lowers
-    the max-norm residual or reaches ``tol``.
+    The step is the minimum-norm least-squares solution of
+    J step = -res with J = jacobian(x) (the Newton step for a square,
+    nonsingular J); it is halved up to 40 times until the trial point is
+    finite and lowers the max-norm residual or reaches ``tol``.
 
     Raises ConvergenceError (carrying the last residual) if no halving is
     accepted, or if the residual is above ``tol`` after ``max_iter`` steps.
@@ -32,8 +30,7 @@ def _damped_newton(residual, jacobian, x, tol, max_iter=100):
     for _ in range(max_iter):
         if rnorm <= tol:
             break
-        J = jacobian(x, res)
-        step, *_ = np.linalg.lstsq(J, -res, rcond=None)
+        step, *_ = np.linalg.lstsq(jacobian(x), -res, rcond=None)
         scale = 1.0
         for _ in range(40):
             trial = x + scale * step
@@ -47,7 +44,7 @@ def _damped_newton(residual, jacobian, x, tol, max_iter=100):
         else:
             raise ConvergenceError(f"Newton stalled at residual {rnorm:.3e}", residual=rnorm)
     if rnorm <= tol:
-        return x, res
+        return x
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations, residual {rnorm:.3e}",
         residual=rnorm,
@@ -69,44 +66,106 @@ def forced_tail(delta, head):
     return p_g, q_g
 
 
-def _coeffs_from_head(delta, head):
-    g = delta.g
+def _head_pq(delta, head):
+    """Full (p, q) of a head vector, with the forced tail appended."""
     p_g, q_g = forced_tail(delta, head)
-    return GmpCoefficients(
-        delta.poles, tuple(head[:g]) + (p_g,), tuple(head[g:]) + (q_g,)
-    )
+    return np.concatenate([head[:delta.g], [p_g], head[delta.g:], [q_g]]).reshape(2, -1)
+
+
+def _coeffs_from_head(delta, head):
+    return GmpCoefficients(delta.poles, *_head_pq(delta, head))
+
+
+def _check_poles(coeffs, delta):
+    if coeffs.g != delta.g or coeffs.poles != delta.poles:
+        raise DomainError("coefficients and discriminant must share the pole list")
+
+
+def _lane_factors(poles, p, q):
+    """Factors F[k, j], shape (g, g+1, 2, 2), with Lambda_k = -tr(F[k, 0] .. F[k, g]).
+
+    Lane k is the one-period product at z = c_k with factor k replaced by
+    the rank-one R_k = [p_k; q_k][p_k q_k] j, as in transfer.lambda_k:
+    F[k, j] = I + W[k, j] R_j with W[k, j] = 1/(c_k - c_j), F[k, k] = R_k
+    (W[k, k] = 1), and F[k, g] the infinity factor.  Returns (F, W).
+    """
+    g = len(poles)
+    c = np.asarray(poles, dtype=float)
+    eye = np.eye(g)
+    W = 1.0 / (c[:, None] - c + eye)
+    off = 1.0 - eye  # the identity of the pole factors
+    pj, qj = p[:g], q[:g]
+    Wpq = W * (pj * qj)
+    F = np.empty((g, g + 1, 2, 2))
+    F[:, :g, 0, 0] = off + Wpq
+    F[:, :g, 0, 1] = W * -(pj * pj)
+    F[:, :g, 1, 0] = W * (qj * qj)
+    F[:, :g, 1, 1] = off - Wpq
+    p_g, q_g = p[g], q[g]
+    F[:, g, 0] = 0.0, -p_g
+    F[:, g, 1, 0] = 1.0 / p_g
+    F[:, g, 1, 1] = (c - p_g * q_g) / p_g
+    return F, W
+
+
+def _prefix_products(F):
+    """P[:, j] = F[:, 0] .. F[:, j-1] in every lane, j = 0..g+1."""
+    P = np.empty((F.shape[0], F.shape[1] + 1, 2, 2))
+    P[:, 0] = np.eye(2)
+    for j in range(F.shape[1]):
+        P[:, j + 1] = P[:, j] @ F[:, j]
+    return P
+
+
+def _lane_lambdas(poles, p, q):
+    """All Lambda_k at once: minus the trace of each lane's product."""
+    m = _prefix_products(_lane_factors(poles, p, q)[0])[:, -1]
+    return -(m[:, 0, 0] + m[:, 1, 1])
 
 
 def manifold_residual(coeffs, delta):
     """Vector of defects Lambda_k - lambda_k, k = 1..g."""
-    if coeffs.g != delta.g or coeffs.poles != delta.poles:
-        raise DomainError("coefficients and discriminant must share the pole list")
-    return np.array(
-        [lambda_k(coeffs, k) - delta.terms[k - 1][0] for k in range(1, delta.g + 1)]
-    )
+    _check_poles(coeffs, delta)
+    return _residual(delta, np.array(coeffs.p), np.array(coeffs.q))
 
 
-def _head_residual(delta, head):
-    return manifold_residual(_coeffs_from_head(delta, head), delta)
+def _residual(delta, p, q):
+    return _lane_lambdas(delta.poles, p, q) - np.array([lam for lam, _ in delta.terms])
 
 
-def _head_jacobian(delta, head, r0, h=1e-7):
-    """Forward-difference Jacobian of the head residual; r0 is its value at head."""
+def _head_jacobian(delta, head):
+    """Exact Jacobian of the head residual, shape (g, 2g).
+
+    With prefix P_j and suffix S_j of factor j in lane k,
+    dLambda_k/dx = -tr(dF_j/dx S_j P_j).  The pole and rank-one factors
+    are W R_j (plus I), and R = [[pq, -p^2], [q^2, -pq]] gives
+    tr(dR/dp M) = q (M00 - M11) - 2p M10 and
+    tr(dR/dq M) = p (M00 - M11) + 2q M01.  The forced tail adds
+    dLambda_k/dq_g = (S_g P_g)_11 through dq_g/dp_j = -lambda0 q_j and
+    dq_g/dq_j = -lambda0 p_j.
+    """
     g = delta.g
-    J = np.empty((g, 2 * g))
-    for i in range(2 * g):
-        step = h * (1.0 + abs(head[i]))
-        hp = head.copy()
-        hp[i] += step
-        J[:, i] = (_head_residual(delta, hp) - r0) / step
-    return J
+    p, q = _head_pq(delta, head)
+    F, W = _lane_factors(delta.poles, p, q)
+    P = _prefix_products(F)
+    S = np.empty_like(F)  # S[:, j] = F[:, j+1] .. F[:, g]
+    S[:, g] = np.eye(2)
+    for j in range(g, 0, -1):
+        S[:, j - 1] = F[:, j] @ S[:, j]
+    M = S @ P[:, :-1]
+    diag = M[:, :g, 0, 0] - M[:, :g, 1, 1]
+    tail = delta.lambda0 * M[:, g, 1, 1, None]  # dLambda_k/dq_g = M_g11, times lambda0
+    pj, qj = p[:g], q[:g]
+    Jp = -W * (qj * diag - 2.0 * pj * M[:, :g, 1, 0]) - tail * qj
+    Jq = -W * (pj * diag + 2.0 * qj * M[:, :g, 0, 1]) - tail * pj
+    return np.hstack([Jp, Jq])
 
 
 def _gauss_newton(delta, head, tol):
-    """Damped Gauss-Newton projection of a head; returns (head, residual)."""
+    """Damped Gauss-Newton projection of a head onto the manifold."""
     return _damped_newton(
-        lambda x: _head_residual(delta, x),
-        lambda x, res: _head_jacobian(delta, x, res),
+        lambda x: _residual(delta, *_head_pq(delta, x)),
+        lambda x: _head_jacobian(delta, x),
         np.asarray(head, dtype=float), tol,
     )
 
@@ -129,13 +188,12 @@ def project_to_manifold(init_head, delta, tol=1e-10, max_restarts=8):
             scale=0.3 * (1.0 + np.abs(init_head)), size=2 * g
         )
         try:
-            head, _ = _gauss_newton(delta, start, tol)
+            head = _gauss_newton(delta, start, tol)
         except ConvergenceError as exc:
             last_exc = exc
             continue
-        coeffs = _coeffs_from_head(delta, head)
-        if all(lambda_k(coeffs, k) > 0 for k in range(1, g + 1)):
-            return coeffs
+        if np.all(_lane_lambdas(delta.poles, *_head_pq(delta, head)) > 0):
+            return _coeffs_from_head(delta, head)
         last_exc = ConvergenceError("converged to a point with Lambda_k <= 0")
     raise last_exc
 
@@ -148,23 +206,23 @@ def trace_torus(start, delta, steps, step_len, tol=1e-10):
     re-projects.  Every returned point satisfies the manifold equations
     to ``tol`` and carries the exact forced tail.
     """
+    _check_poles(start, delta)
     g = delta.g
     if g == 0:
         return [start] * (steps + 1)
     head = np.concatenate([np.asarray(start.p[:g]), np.asarray(start.q[:g])])
-    head, res = _gauss_newton(delta, head, tol)
+    head = _gauss_newton(delta, head, tol)
     points = [_coeffs_from_head(delta, head)]
     prev_t = None
     for i in range(steps):
-        J = _head_jacobian(delta, head, res)
-        _, svals, vh = np.linalg.svd(J)
+        _, svals, vh = np.linalg.svd(_head_jacobian(delta, head))
         if svals.size and svals[-1] < 1e-10 * max(1.0, svals[0]):
             raise ConvergenceError(f"residual Jacobian rank-deficient at step {i}")
         t = vh[-1]  # null direction of the g x 2g Jacobian
         if prev_t is not None and np.dot(t, prev_t) < 0:
             t = -t
         prev_t = t
-        head, res = _gauss_newton(delta, head + step_len * t, tol)
+        head = _gauss_newton(delta, head + step_len * t, tol)
         points.append(_coeffs_from_head(delta, head))
     return points
 
@@ -174,23 +232,24 @@ def magic_verify(coeffs, delta, n_periods=60):
 
     Returns the maximum absolute entry over the middle-third row and
     column range; small (and shrinking with N) exactly at manifold points.
+    Only that window block is formed: the pole terms share the
+    eigenvectors, so their weights add up to one vector before the
+    (window x n)(n x window) product.
     """
-    g = coeffs.g
-    A = assemble(coeffs, n_periods)
-    dense = A.to_dense()
-    n = A.n
+    _check_poles(coeffs, delta)
+    dense = assemble(coeffs, n_periods).to_dense()
+    n = dense.shape[0]
     window = slice(n // 3, 2 * n // 3)
     evals, evecs = np.linalg.eigh(dense)
-    D = delta.lambda0 * dense + delta.c0 * np.eye(n)
-    for lam, c in delta.terms:
-        D += (evecs * _pole_weights(evals, evecs, c, lam, window)) @ evecs.T
-    w = g + 1
-    shift = np.zeros((n, n))
-    idx = np.arange(n - w)
-    shift[idx, idx + w] = 1.0
-    shift[idx + w, idx] = 1.0
-    defect = D - shift
-    return float(np.max(np.abs(defect[window, window])))
+    weights = sum(_pole_weights(evals, evecs, c, lam, window) for lam, c in delta.terms)
+    V = evecs[window]
+    m = V.shape[0]
+    D = (V * weights) @ V.T + delta.lambda0 * dense[window, window] + delta.c0 * np.eye(m)
+    w = coeffs.g + 1
+    idx = np.arange(m - w)
+    D[idx, idx + w] -= 1.0
+    D[idx + w, idx] -= 1.0
+    return float(np.max(np.abs(D)))
 
 
 def spectrum_truncation(coeffs, n_periods):

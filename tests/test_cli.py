@@ -246,6 +246,22 @@ def test_convergence_failure_exits_2(workdir, capsys):
 
 @pytest.mark.parametrize(
     "args",
+    [["magic", "verify", "--periods", "30"], ["iso", "trace", "--steps", "2"]],
+    ids=["magic", "trace"],
+)
+def test_pole_mismatch_exits_1(workdir, capsys, args):
+    # GOOD has pole 2.0, DELTA1 has pole 1.0
+    files = ["--delta", str(workdir / "delta.json"), "--coeffs", str(workdir / "good.json")]
+    code = main(args + files + ["--out", str(workdir / "out")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "coefficients and discriminant must share the pole list"
+    }
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
     [
         ["transfer", "eval", "--coeffs", "good.json", "--grid=1:3:3"],
         ["delta", "eval", "--delta", "delta.json", "--grid=0:2:3"],

@@ -381,6 +381,50 @@ def test_bisect_lanes_match_scalar_bisection(lanes, tol):
     assert np.array_equal(got, want)
 
 
+_ROOTS = np.array([0.1, -3.7, 123.456])
+_LO, _HI = _ROOTS - [1.0, 0.3, 50.0], _ROOTS + [2.0, 0.01, 7.0]
+
+
+def test_bisect_step_onto_the_root_closes_the_bracket():
+    # an exact Newton step lands on the root, where f = 0 makes it a bracket
+    # end; the next proposal is moved tol/2 inside, which closes the bracket
+    # (taken as it stands, the end would fall back to ~50 bisection passes)
+    tol = 2.0 * np.spacing(np.maximum(np.abs(_LO), np.abs(_HI)))
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - _ROOTS, np.ones_like(x)
+
+    got = dm._bisect(f, _LO, _HI, tol, step=lambda x, fx, dfx: x - fx / dfx)
+    assert np.all(np.abs(got - _ROOTS) <= tol)
+    assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("propose", [lambda x: np.full_like(x, np.nan), lambda x: _HI + 1.0])
+def test_bisect_refused_steps_give_plain_bisection(propose):
+    want = dm._bisect(lambda x: x - _ROOTS, _LO, _HI, 1e-12)
+    got = dm._bisect(lambda x: (x - _ROOTS, 1.0), _LO, _HI, 1e-12,
+                     step=lambda x, fx, dfx: propose(x))
+    assert np.array_equal(got, want)
+
+
+def test_pole_search_takes_few_passes(monkeypatch):
+    # the logit Newton step needs 6-7 passes where bisection needs ~52
+    passes = []
+    plain = dm._bisect
+
+    def counted(f, *args):
+        return plain(lambda x: passes.append(x) or f(x), *args)
+
+    monkeypatch.setattr(dm, "_bisect", counted)
+    e = np.sort(np.random.default_rng(0).uniform(-10.0, 10.0, 66))
+    for E in (FiniteGapSet(e[0], e[-1], tuple(zip(e[1:-1:2], e[2:-1:2]))), _TINY_GAP):
+        passes.clear()
+        _assert_roundtrip(E, 1e-12)
+        assert 0 < len(passes) <= 10
+
+
 def test_g32_stall_is_pinned():
     # this seeded set stalled the Newton solve at residual 1.148e-12; the
     # closed form solves it
@@ -396,18 +440,18 @@ def test_solve_accepts_tol_reached_on_last_allowed_iteration():
     # Newton on x^2 = 2; the Jacobian is formed once per iteration
     calls = []
 
-    def jacobian(x, _res):
+    def jacobian(x):
         calls.append(x)
         return np.array([[2.0 * x[0]]])
 
     def run(max_iter):
         return _damped_newton(lambda x: x**2 - 2.0, jacobian, np.array([3.0]), 1e-12, max_iter)
 
-    want, _ = run(100)
+    want = run(100)
     n = len(calls)
     assert n > 1
     assert abs(want[0] - np.sqrt(2.0)) <= 1e-12
-    assert np.array_equal(run(n)[0], want)
+    assert np.array_equal(run(n), want)
     with pytest.raises(ConvergenceError, match=f"no convergence after {n - 1} iterations"):
         run(n - 1)
 

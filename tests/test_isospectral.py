@@ -1,6 +1,10 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gmpmat import isospectral as iso
 from gmpmat import (
     ConvergenceError,
     DomainError,
@@ -17,7 +21,8 @@ from gmpmat import (
     spectrum_truncation,
     trace_torus,
 )
-from gmpmat.transfer import discriminant_coeffs
+from gmpmat.gmp import _pole_weights, assemble
+from gmpmat.transfer import discriminant_coeffs, lambda_k
 
 
 DELTA1 = RationalDiscriminant(1.0, 0.0, ((1.0, 1.0),))
@@ -147,8 +152,6 @@ def test_jacobi_band_edges_solve_trace_levels():
 def test_jacobi_free_magic():
     # T_1(J) = J for a = 1, b = 0, and J = S + S^{-1} on interior rows
     c = GmpCoefficients((), (1.0,), (0.0,))
-    from gmpmat.gmp import assemble
-
     M = assemble(c, 40).to_dense()
     n = M.shape[0]
     shift = np.zeros((n, n))
@@ -185,3 +188,102 @@ def test_projection_below_rounding_floor_reports_stall():
         project_to_manifold(init, delta, tol=1e-20)
     assert str(exc_info.value) == "Newton stalled at residual 1.110e-16"
     assert exc_info.value.residual == 1.1102230246251565e-16
+
+
+def _random_delta(rng, g):
+    poles = np.cumsum(rng.uniform(0.5, 2.0, g)) - 0.6 * g
+    terms = zip(rng.uniform(0.2, 2.0, g), poles)
+    return RationalDiscriminant(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0), tuple(terms))
+
+
+@settings(deadline=None, max_examples=40)
+@given(g=st.integers(0, 16), seed=st.integers(0, 2**32 - 1))
+def test_lane_lambdas_match_lambda_k(g, seed):
+    rng = np.random.default_rng(seed)
+    poles = np.cumsum(rng.uniform(0.5, 2.0, g)) - 0.6 * g
+    c = GmpCoefficients(tuple(poles), tuple(rng.uniform(0.2, 1.5, g + 1)),
+                        tuple(rng.uniform(-1.2, 1.2, g + 1)))
+    got = iso._lane_lambdas(c.poles, np.array(c.p), np.array(c.q))
+    want = np.array([lambda_k(c, k) for k in range(1, g + 1)])
+    assert got.shape == (g,)
+    assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(g=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+def test_head_jacobian_matches_central_difference(g, seed):
+    rng = np.random.default_rng(seed)
+    delta = _random_delta(rng, g)
+    head = rng.normal(size=2 * g)
+    J = iso._head_jacobian(delta, head)
+    Jc = np.empty_like(J)
+    for i in range(2 * g):
+        step = np.zeros(2 * g)
+        step[i] = 1e-5 * (1.0 + abs(head[i]))
+        up, down = (iso._residual(delta, *iso._head_pq(delta, head + s)) for s in (step, -step))
+        Jc[:, i] = (up - down) / (2.0 * step[i])
+    assert J.shape == (g, 2 * g)
+    assert np.max(np.abs(J - Jc)) <= 1e-6 * np.max(np.abs(Jc))
+
+
+def _magic_verify_oracle(coeffs, delta, n_periods):
+    # the full-matrix form: every n x n pole term, then the window
+    g = coeffs.g
+    A = assemble(coeffs, n_periods)
+    dense = A.to_dense()
+    n = A.n
+    window = slice(n // 3, 2 * n // 3)
+    evals, evecs = np.linalg.eigh(dense)
+    D = delta.lambda0 * dense + delta.c0 * np.eye(n)
+    for lam, c in delta.terms:
+        D += (evecs * _pole_weights(evals, evecs, c, lam, window)) @ evecs.T
+    w = g + 1
+    shift = np.zeros((n, n))
+    idx = np.arange(n - w)
+    shift[idx, idx + w] = 1.0
+    shift[idx + w, idx] = 1.0
+    return float(np.max(np.abs((D - shift)[window, window])))
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 4])
+def test_windowed_magic_matches_full_matrix_oracle(g):
+    rng = np.random.default_rng(g)
+    delta = _random_delta(rng, g)
+    on = project_to_manifold(rng.normal(size=2 * g), delta)
+    off = GmpCoefficients(on.poles, on.p, np.array(on.q) + 0.1)
+    for coeffs in (on, off):
+        for periods in (30, 61):
+            got = magic_verify(coeffs, delta, periods)
+            want = _magic_verify_oracle(coeffs, delta, periods)
+            assert abs(got - want) <= 1e-13 * (1.0 + want)
+    assert magic_verify(on, delta, 30) < 1e-6 < magic_verify(off, delta, 30)
+
+
+def test_projection_and_trace_make_no_scalar_transfer_product(monkeypatch):
+    # residuals, Jacobians and the positivity check all come from the lane
+    # products: no per-k lambda_k (one scalar _factor_product each) is left
+    calls = []
+    for mod in (importlib.import_module("gmpmat.transfer"), iso):
+        product = mod._factor_product
+        monkeypatch.setattr(mod, "_factor_product",
+                            lambda *args, _f=product, **kw: calls.append(1) or _f(*args, **kw))
+    delta = _random_delta(np.random.default_rng(4), 4)
+    pt = project_to_manifold(np.random.default_rng(5).normal(size=8), delta)
+    assert lambda_k(pt, 1) > 0 and len(calls) == 1  # the patch sees a lambda_k call
+    points = trace_torus(pt, delta, steps=5, step_len=0.05)
+    assert len(points) == 6 and len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [GmpCoefficients((), (1.0,), (0.0,)), GmpCoefficients((1.5,), (1.0, 1.0), (0.0, 0.0))],
+    ids=["g0", "poles"],
+)
+def test_magic_and_trace_require_matching_poles(coeffs):
+    # a g = 0 point gave a magic defect of 1.0000000000000053 against DELTA1,
+    # and poles (1.5,) against (1.0,) gave 1.289
+    msg = "coefficients and discriminant must share the pole list"
+    with pytest.raises(DomainError, match=msg):
+        magic_verify(coeffs, DELTA1, 60)
+    with pytest.raises(DomainError, match=msg):
+        trace_torus(coeffs, DELTA1, steps=2, step_len=0.05)
