@@ -85,7 +85,7 @@ def _cmd_ahlfors_eval(args):
 
 def _cmd_gmp_build(args):
     op = assemble(_load_coeffs(args.coeffs), args.periods)
-    serialize.write_text(args.out, serialize.lower_triangle_csv(op.to_dense(), tol=args.tol))
+    serialize.write_text(args.out, serialize.lower_triangle_csv(op, tol=args.tol))
 
 
 def _cmd_gmp_check(args):

@@ -94,6 +94,21 @@ class BandedOperator:
             flat[d :: n + 1][: n - d] = diag  # entries (i, i + d)
         return M
 
+    def row_block(self, start, stop):
+        """Rows start..stop-1, columns 0..stop-1 of the dense matrix.
+
+        Only the lower band is filled (entries above the diagonal are 0),
+        with -0.0 stored as +0.0 as in ``to_dense``.
+        """
+        M = np.zeros((stop - start, stop))
+        flat = M.reshape(-1)
+        for d in range(min(self.half_bandwidth, stop - 1) + 1):
+            first = max(start, d)  # entries (i, i - d), i = first..stop-1
+            flat[(first - start) * stop + first - d :: stop + 1] = (
+                self.lower[d, first - d : stop - d] + 0.0
+            )
+        return M
+
     def full_band(self, dtype=float):
         """(2*hb+1, n) band storage for scipy.linalg.solve_banded."""
         hb = self.half_bandwidth
@@ -132,16 +147,18 @@ def assemble(coeffs, n_periods):
     w = g + 1
     n = w * n_periods
     A, B = build_blocks(coeffs)
-    lower = np.zeros((w + 1, n))
-    for d in range(w + 1):
-        for i in range(d, n):
-            j = i - d
-            bi, bj = i // w, j // w
-            if bi == bj:
-                lower[d, j] = B[i % w, j % w]
-            elif bi == bj + 1 and j % w == g:
-                # sub-diagonal block A^T = p e_g^T: nonzero column g
-                lower[d, j] = A[g, i % w]
+    # one period of band row d: entry (j + d, j) at r = j mod w lies in the
+    # diagonal block B while r + d < w, else in the sub-diagonal block
+    # A^T = p e_g^T, whose only nonzero column is r = g
+    r = np.arange(w)
+    row = r + np.arange(w + 1)[:, None]
+    inside = row < w
+    period = np.where(inside, B[np.minimum(row, g), r], 0.0)
+    below = ~inside & (r == g)
+    period[below] = A[g, row[below] - w]
+    lower = np.tile(period, n_periods)
+    for d in range(1, w + 1):
+        lower[d, n - d :] = 0.0  # past the last row
     return BandedOperator(n=n, half_bandwidth=w, lower=lower)
 
 

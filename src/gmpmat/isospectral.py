@@ -81,19 +81,28 @@ def _check_poles(coeffs, delta):
         raise DomainError("coefficients and discriminant must share the pole list")
 
 
-def _lane_factors(poles, p, q):
+def _pole_matrices(poles):
+    """(c, W, 1 - I): the pole-only parts of the lane factors.
+
+    W[k, j] = 1/(c_k - c_j) off the diagonal and W[k, k] = 1.  They depend
+    only on the poles, so each solve builds them once and passes them down.
+    """
+    c = np.asarray(poles, dtype=float)
+    eye = np.eye(len(c))
+    return c, 1.0 / (c[:, None] - c + eye), 1.0 - eye
+
+
+def _lane_factors(pm, p, q):
     """Factors F[k, j], shape (g, g+1, 2, 2), with Lambda_k = -tr(F[k, 0] .. F[k, g]).
 
     Lane k is the one-period product at z = c_k with factor k replaced by
     the rank-one R_k = [p_k; q_k][p_k q_k] j, as in transfer.lambda_k:
     F[k, j] = I + W[k, j] R_j with W[k, j] = 1/(c_k - c_j), F[k, k] = R_k
-    (W[k, k] = 1), and F[k, g] the infinity factor.  Returns (F, W).
+    (W[k, k] = 1), and F[k, g] the infinity factor.  ``pm`` is
+    ``_pole_matrices(poles)``.
     """
-    g = len(poles)
-    c = np.asarray(poles, dtype=float)
-    eye = np.eye(g)
-    W = 1.0 / (c[:, None] - c + eye)
-    off = 1.0 - eye  # the identity of the pole factors
+    c, W, off = pm
+    g = len(c)
     pj, qj = p[:g], q[:g]
     Wpq = W * (pj * qj)
     F = np.empty((g, g + 1, 2, 2))
@@ -105,7 +114,7 @@ def _lane_factors(poles, p, q):
     F[:, g, 0] = 0.0, -p_g
     F[:, g, 1, 0] = 1.0 / p_g
     F[:, g, 1, 1] = (c - p_g * q_g) / p_g
-    return F, W
+    return F
 
 
 def _prefix_products(F):
@@ -117,23 +126,23 @@ def _prefix_products(F):
     return P
 
 
-def _lane_lambdas(poles, p, q):
+def _lane_lambdas(pm, p, q):
     """All Lambda_k at once: minus the trace of each lane's product."""
-    m = _prefix_products(_lane_factors(poles, p, q)[0])[:, -1]
+    m = _prefix_products(_lane_factors(pm, p, q))[:, -1]
     return -(m[:, 0, 0] + m[:, 1, 1])
 
 
 def manifold_residual(coeffs, delta):
     """Vector of defects Lambda_k - lambda_k, k = 1..g."""
     _check_poles(coeffs, delta)
-    return _residual(delta, np.array(coeffs.p), np.array(coeffs.q))
+    return _residual(delta, _pole_matrices(delta.poles), np.array(coeffs.p), np.array(coeffs.q))
 
 
-def _residual(delta, p, q):
-    return _lane_lambdas(delta.poles, p, q) - np.array([lam for lam, _ in delta.terms])
+def _residual(delta, pm, p, q):
+    return _lane_lambdas(pm, p, q) - np.array([lam for lam, _ in delta.terms])
 
 
-def _head_jacobian(delta, head):
+def _head_jacobian(delta, pm, head):
     """Exact Jacobian of the head residual, shape (g, 2g).
 
     With prefix P_j and suffix S_j of factor j in lane k,
@@ -145,8 +154,9 @@ def _head_jacobian(delta, head):
     dq_g/dq_j = -lambda0 p_j.
     """
     g = delta.g
+    W = pm[1]
     p, q = _head_pq(delta, head)
-    F, W = _lane_factors(delta.poles, p, q)
+    F = _lane_factors(pm, p, q)
     P = _prefix_products(F)
     S = np.empty_like(F)  # S[:, j] = F[:, j+1] .. F[:, g]
     S[:, g] = np.eye(2)
@@ -161,11 +171,11 @@ def _head_jacobian(delta, head):
     return np.hstack([Jp, Jq])
 
 
-def _gauss_newton(delta, head, tol):
+def _gauss_newton(delta, pm, head, tol):
     """Damped Gauss-Newton projection of a head onto the manifold."""
     return _damped_newton(
-        lambda x: _residual(delta, *_head_pq(delta, x)),
-        lambda x: _head_jacobian(delta, x),
+        lambda x: _residual(delta, pm, *_head_pq(delta, x)),
+        lambda x: _head_jacobian(delta, pm, x),
         np.asarray(head, dtype=float), tol,
     )
 
@@ -181,6 +191,7 @@ def project_to_manifold(init_head, delta, tol=1e-10, max_restarts=8):
     if g == 0:
         return _coeffs_from_head(delta, np.empty(0))
     init_head = np.asarray(init_head, dtype=float)
+    pm = _pole_matrices(delta.poles)
     rng = np.random.default_rng(0)
     last_exc = None
     for attempt in range(max_restarts + 1):
@@ -188,11 +199,11 @@ def project_to_manifold(init_head, delta, tol=1e-10, max_restarts=8):
             scale=0.3 * (1.0 + np.abs(init_head)), size=2 * g
         )
         try:
-            head = _gauss_newton(delta, start, tol)
+            head = _gauss_newton(delta, pm, start, tol)
         except ConvergenceError as exc:
             last_exc = exc
             continue
-        if np.all(_lane_lambdas(delta.poles, *_head_pq(delta, head)) > 0):
+        if np.all(_lane_lambdas(pm, *_head_pq(delta, head)) > 0):
             return _coeffs_from_head(delta, head)
         last_exc = ConvergenceError("converged to a point with Lambda_k <= 0")
     raise last_exc
@@ -211,18 +222,19 @@ def trace_torus(start, delta, steps, step_len, tol=1e-10):
     if g == 0:
         return [start] * (steps + 1)
     head = np.concatenate([np.asarray(start.p[:g]), np.asarray(start.q[:g])])
-    head = _gauss_newton(delta, head, tol)
+    pm = _pole_matrices(delta.poles)
+    head = _gauss_newton(delta, pm, head, tol)
     points = [_coeffs_from_head(delta, head)]
     prev_t = None
     for i in range(steps):
-        _, svals, vh = np.linalg.svd(_head_jacobian(delta, head))
+        _, svals, vh = np.linalg.svd(_head_jacobian(delta, pm, head))
         if svals.size and svals[-1] < 1e-10 * max(1.0, svals[0]):
             raise ConvergenceError(f"residual Jacobian rank-deficient at step {i}")
         t = vh[-1]  # null direction of the g x 2g Jacobian
         if prev_t is not None and np.dot(t, prev_t) < 0:
             t = -t
         prev_t = t
-        head = _gauss_newton(delta, head + step_len * t, tol)
+        head = _gauss_newton(delta, pm, head + step_len * t, tol)
         points.append(_coeffs_from_head(delta, head))
     return points
 

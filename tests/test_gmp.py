@@ -11,6 +11,7 @@ from gmpmat import (
     check_shifted_inverse_structure,
     lambda_positivity_test,
 )
+from gmpmat import serialize
 from gmpmat.serialize import lower_triangle_csv
 from conftest import random_coeffs
 
@@ -132,6 +133,37 @@ def test_g0_reduces_to_jacobi():
     assert np.max(np.abs(M - want)) < 1e-15
 
 
+def _assemble_loop(coeffs, n_periods):
+    """The per-slot double loop that assemble replaces, kept as its oracle."""
+    g = coeffs.g
+    w = g + 1
+    n = w * n_periods
+    A, B = build_blocks(coeffs)
+    lower = np.zeros((w + 1, n))
+    for d in range(w + 1):
+        for i in range(d, n):
+            j = i - d
+            bi, bj = i // w, j // w
+            if bi == bj:
+                lower[d, j] = B[i % w, j % w]
+            elif bi == bj + 1 and j % w == g:
+                lower[d, j] = A[g, i % w]
+    return lower
+
+
+@pytest.mark.parametrize("g", range(7))
+def test_assemble_matches_slot_loop(g):
+    rng = np.random.default_rng(g)
+    coeffs = [random_coeffs(rng, g=g) for _ in range(3)]
+    if g:  # a -0.0 entry keeps its sign in the band, as in the loop
+        coeffs.append(GmpCoefficients(tuple(range(g)), (-0.0,) + (1.0,) * g, (0.5,) * (g + 1)))
+    for c in coeffs:
+        for n_periods in range(1, 8):
+            got, want = assemble(c, n_periods).lower, _assemble_loop(c, n_periods)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def _dense_by_diag_sums(op):
     """Dense matrix as a sum of np.diag matrices, one per band diagonal."""
     M = np.zeros((op.n, op.n))
@@ -156,6 +188,19 @@ def test_to_dense_matches_diag_sums_bytes_with_negative_zero():
         assert new.tobytes() == old.tobytes()
         assert lower_triangle_csv(new) == lower_triangle_csv(old)
         assert "-0\n" not in lower_triangle_csv(new)
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.5, -1.0, np.inf])
+def test_triangle_from_band_storage_matches_dense(monkeypatch, tol):
+    # row blocks of a few entries each, so blocks start mid-band
+    monkeypatch.setattr(serialize, "_BLOCK_ROWS", 5)
+    lower = np.random.default_rng(3).standard_normal((4, 11))
+    lower[1, 2] = lower[0, 5] = lower[3, 0] = -0.0  # printed "0", as to_dense gives
+    g3 = GmpCoefficients((-1.5, 0.0, 1.5), (0.7, 1.1, 0.5, 0.9), (0.2, -0.4, 0.3, 0.1))
+    ops = [BandedOperator(n=11, half_bandwidth=3, lower=lower), assemble(g3, 3),
+           BandedOperator(n=1, half_bandwidth=3, lower=lower[:, :1])]
+    for op in ops:
+        assert lower_triangle_csv(op, tol) == lower_triangle_csv(op.to_dense(), tol)
 
 
 def _check_shifted_oracle(coeffs, k, n_periods, tol):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmpmat import serialize
 
@@ -70,3 +71,59 @@ def test_encoders_are_unchanged_across_row_blocks(monkeypatch):
     M = np.random.default_rng(8).normal(size=(10, 10))
     assert serialize.lower_triangle_csv(M) == _reference_triangle(M)
     assert serialize.lower_triangle_csv(M, 1.0) == _reference_triangle(M, 1.0)
+
+
+# raw 64-bit patterns: every subnormal, inf and nan payload is reachable
+_BITS = st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.array(b, dtype=np.uint64).view(np.float64))
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    cols=st.integers(1, 5),
+    values=st.lists(st.one_of(st.floats(), _BITS), min_size=1, max_size=60),
+)
+def test_rows_csv_matches_format_17g(cols, values):
+    values += [0.0] * (-len(values) % cols)
+    rows = np.array(values).reshape(-1, cols)
+    assert serialize.rows_csv(rows) == _reference_rows(rows)
+
+
+def _powers_of_ten_and_neighbours():
+    tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    return np.concatenate([np.nextafter(tens, 0.0), tens, np.nextafter(tens, np.inf)])
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (123456789012345.625, "123456789012345.62"),  # exact ties: round half to even
+        (123456789012345.875, "123456789012345.88"),
+        (99999999999999999.0, "1e+17"),
+        (1e-4, "0.0001"),  # the last fixed-point exponent ...
+        (1e-5, "1.0000000000000001e-05"),  # ... and the first exponent form
+        (1e16, "10000000000000000"),
+        (1e17, "1e+17"),
+        (1e-14, "1e-14"),  # the nearest double lies below, rounding carries to 10^-14
+        (5e-324, "4.9406564584124654e-324"),
+        (1.7976931348623157e308, "1.7976931348623157e+308"),
+        (-0.0, "-0"),
+        (-np.nan, "nan"),
+    ],
+)
+def test_rows_csv_pinned_values(value, text):
+    assert serialize.rows_csv([[value]]) == text + "\n"
+    assert serialize.rows_csv([[value, -value]]) == _reference_rows([[value, -value]])
+
+
+def test_rows_csv_powers_of_ten_and_neighbours():
+    for sign in (1.0, -1.0):
+        rows = (sign * _powers_of_ten_and_neighbours()).reshape(-1, 3)
+        assert serialize.rows_csv(rows) == _reference_rows(rows)
+
+
+def test_triangle_empty_after_tol_prints_newline():
+    M = np.array([[0.5, 0.0], [0.25, -0.5]])
+    assert serialize.lower_triangle_csv(M, tol=1.0) == "\n"
+    assert serialize.lower_triangle_csv(M, tol=np.inf) == "\n"
