@@ -120,7 +120,12 @@ class BandedOperator:
         return ab
 
     def eigenvalues(self):
-        import scipy.linalg  # deferred: ~250 ms start-up no other command needs
+        """All eigenvalues, from LAPACK's banded solver (scipy.linalg.eig_banded).
+
+        The oracle the tests compare ``spectrum_truncation`` against; no CLI
+        command calls it.
+        """
+        import scipy.linalg  # deferred: ~250 ms start-up that no CLI command needs
 
         return scipy.linalg.eig_banded(
             self.lower, lower=True, eigvals_only=True

@@ -11,7 +11,7 @@ import numpy as np
 
 from ._kernels import _factor_product
 from .errors import ConvergenceError, DomainError
-from .gmp import _pole_weights, assemble, GmpCoefficients
+from .gmp import _pole_weights, assemble, build_blocks, GmpCoefficients
 
 
 def _damped_newton(residual, jacobian, x, tol, max_iter=100):
@@ -264,9 +264,161 @@ def magic_verify(coeffs, delta, n_periods=60):
     return float(np.max(np.abs(D)))
 
 
+def _transfer_phase(coeffs, eig_b, n_periods, x):
+    """Sturm count of the N-period open section at every point of x.
+
+    Returns (phi, psi, j): #{eigenvalues < x} = floor(phi/pi) + N j, and
+    psi - k pi has the sign of phi - k pi for every integer k.  The block
+    LDL^T recursion sigma_k = [(B - x - sigma_{k-1} p p^T)^{-1}]_gg is the
+    Moebius map of the transposed transfer matrix K = T(x)^T acting on
+    the angle psi, sigma = -cot psi, and the count is floor(K~^N(pi/2)/pi)
+    for the lift K~ of K with K~(0) in ((m-1)pi, m pi], where
+    m = #{eig B < x} + [R_pp >= 0] and R_pp = T12/T22.  The Nth power is
+    taken in closed form by conjugation: to a rotation by beta where
+    |tr T| < 2, with phi = psi = phi0 + N beta, and to diag(lam, 1/lam)
+    where |tr T| > 2.  There phi is the forward image of the angle pi/2
+    and psi the backward image of 0 compared with pi/2: each is a step
+    function of x at states localized at one end of the section and
+    smooth at those at the other.  At a point on a pole or with
+    |tr T| = 2 exactly, where the conjugation degenerates, the count is
+    taken one float spacing above it: #{eigenvalues <= x}.
+    """
+    for c in coeffs.poles:
+        x = np.where(x == c, np.nextafter(x, np.inf), x)
+    while True:
+        t11, t12, t21, t22 = _factor_product(x, coeffs.poles, coeffs.p, coeffs.q)
+        tau = 0.5 * (t11 + t22)
+        w = np.sqrt(np.abs((1.0 - tau) * (1.0 + tau)))
+        flat = w == 0.0
+        if not flat.any():
+            break
+        x = np.where(flat, np.nextafter(x, np.inf), x)
+    # #{eig B < x}: T22 = -1/R_pg vanishes at eig B and changes sign at the
+    # poles, so T22 > 0 iff an even number of both lie above x; a count
+    # that disagrees (x within rounding of an eigenvalue) moves across the
+    # nearest one
+    k = np.searchsorted(eig_b, x)
+    above = len(eig_b) - k + np.sum(np.asarray(coeffs.poles)[:, None] > x, axis=0)
+    near = np.concatenate([[-np.inf], eig_b, [np.inf]])
+    k = np.where(
+        (t22 != 0.0) & ((t22 < 0.0) != (above % 2 == 1)),
+        np.where(x - near[k] < near[k + 1] - x, k - 1, k + 1),
+        k,
+    )
+    m = k + (t12 * t22 >= 0.0)
+    ell = np.abs(tau) < 1.0
+    # elliptic: K = P R(beta) P^-1 with P = [[1, A], [0, C]], C > 0, fixing psi = 0
+    up = t12 > 0.0
+    beta = np.arctan2(w, tau)
+    beta = np.where(up, beta, np.pi - beta)
+    phi_e = np.arctan2(2.0 * w, np.where(up, t22 - t11, t11 - t22)) + n_periods * beta
+    # hyperbolic: sign(tau) K = P diag(lam, 1/lam) P^-1, P = [u, v], det P > 0
+    sg = np.where(tau > 0.0, 1.0, -1.0)
+    a, b, c, d = sg * t11, sg * t21, sg * t12, sg * t22
+    lam, inv = np.abs(tau) + w, np.abs(tau) - w
+    ua = np.abs(lam - a) > np.abs(lam - d)
+    u1, u2 = np.where(ua, b, lam - d), np.where(ua, lam - a, c)
+    va = np.abs(inv - a) > np.abs(inv - d)
+    v1, v2 = np.where(va, b, inv - d), np.where(va, inv - a, c)
+    det = u1 * v2 - u2 * v1
+    v1, v2 = np.where(det < 0.0, -v1, v1), np.where(det < 0.0, -v2, v2)
+    zeta = np.arctan2(-u2, v2)  # preimage of the angle 0, taken in (-pi, 0]
+    zeta = np.where(zeta > 0.0, zeta - np.pi, zeta)
+    phi0 = zeta + np.arctan2(np.abs(det), -(u1 * u2 + v1 * v2))  # preimage of pi/2
+    mu = np.exp(-2.0 * n_periods * np.arcsinh(w))  # lam^(-2N)
+    phi = np.arctan2(mu * np.sin(phi0), np.cos(phi0)) - zeta
+    psi = phi0 - np.arctan2(np.sin(zeta), mu * np.cos(zeta))
+    j = m - 1 + (~ell & (zeta < -0.5 * np.pi))
+    return np.where(ell, phi_e, phi), np.where(ell, phi_e, psi), j
+
+
+def _floquet_points(coeffs, n_periods):
+    """Sorted eigenvalues of the periodic closure, padded by 2||p|| at both ends.
+
+    They are the eigenvalues of B + e^{i theta} e_g p^T + e^{-i theta} p e_g^T
+    at theta = 2 pi k/N (theta and -theta agree, so only k <= N/2 is
+    solved).  The closure differs from the open section by a rank-2
+    perturbation of norm at most 2||p|| with one eigenvalue of each sign,
+    so by Weyl the i-th eigenvalue of the open section lies between
+    points i and i+2 of the returned list.
+    """
+    _, B = build_blocks(coeffs)
+    p = np.asarray(coeffs.p)
+    g = coeffs.g
+    k = np.arange(n_periods // 2 + 1)
+    phase = np.exp(2j * np.pi * k / n_periods)[:, None]
+    F = np.broadcast_to(B.astype(complex), (k.size,) + B.shape).copy()
+    F[:, g, :] += phase * p
+    F[:, :, g] += np.conj(phase) * p
+    ev = np.linalg.eigvalsh(F)
+    twice = (k > 0) & (2 * k < n_periods)
+    mu = np.sort(np.repeat(ev, np.where(twice, 2, 1), axis=0), axis=None)
+    pad = 2.0 * np.linalg.norm(p)
+    return np.concatenate([[mu[0] - pad], mu, [mu[-1] + pad]])
+
+
 def spectrum_truncation(coeffs, n_periods):
-    """Sorted eigenvalues of the symmetric banded finite section."""
-    return np.sort(assemble(coeffs, n_periods).eigenvalues())
+    """Sorted eigenvalues of the open finite section with n_periods blocks.
+
+    No matrix is factored.  The count of eigenvalues below x comes from
+    the one-period transfer matrix (``_transfer_phase``), in O(g) work per
+    point whatever n_periods is.  Every eigenvalue starts in the bracket
+    of two neighbouring periodic (Floquet) eigenvalues, ``_floquet_points``,
+    and all are refined together on the continuous phase: a secant step
+    through the last two points, else regula falsi on the bracket, and a
+    bisection whenever a bracket has not halved in three passes, until no
+    float lies strictly inside the bracket or the phase hits its target
+    exactly.  ``assemble(coeffs, n_periods).eigenvalues()``, the LAPACK
+    banded solver, is the oracle the tests compare against.
+    """
+    if n_periods < 1:
+        raise DomainError("n_periods must be >= 1")
+    N = n_periods
+    _, B = build_blocks(coeffs)
+    eig_b = np.linalg.eigvalsh(B)
+
+    def residual(phi, psi, j, lanes):
+        # of the two phases' distances to lane i's target (i + 1) pi, the
+        # smaller: both have its sign, so the pick is continuous in x
+        target = np.pi * (lanes + 1 - N * j)
+        return np.where(np.abs(phi - target) <= np.abs(psi - target), phi, psi) - target
+
+    pts = _floquet_points(coeffs, N)
+    phi, psi, j = _transfer_phase(coeffs, eig_b, N, pts)
+    theta = np.maximum.accumulate(phi + np.pi * N * j)
+    lanes = np.arange((coeffs.g + 1) * N)
+    # first point with count >= i + 1, and the one before it
+    h = np.clip(np.searchsorted(theta, np.pi * (lanes + 1)), 1, pts.size - 1)
+    lo, hi = pts[h - 1], pts[h]
+    flo = residual(phi[h - 1], psi[h - 1], j[h - 1], lanes)
+    fhi = residual(phi[h], psi[h], j[h], lanes)
+    xa, fa, xb, fb = lo, flo, hi, fhi  # the last two points, for the secant
+    widths = [np.full(lanes.size, np.inf)] * 3
+    out = np.empty(lanes.size)
+    while True:
+        done = (0.5 * (lo + hi) <= lo) | (0.5 * (lo + hi) >= hi)
+        if done.any():
+            out[lanes[done]] = hi[done]
+            keep = ~done
+            lanes, lo, hi, flo, fhi, xa, fa, xb, fb = (
+                v[keep] for v in (lanes, lo, hi, flo, fhi, xa, fa, xb, fb)
+            )
+            widths = [v[keep] for v in widths]
+            if not lanes.size:
+                return np.sort(out)
+        width = hi - lo
+        with np.errstate(divide="ignore", invalid="ignore"):  # fa = fb: no secant
+            trial = xa - fa * ((xa - xb) / (fa - fb))
+        trial = np.where((lo < trial) & (trial < hi), trial, lo - flo * (width / (fhi - flo)))
+        trial = np.minimum(np.maximum(trial, np.nextafter(lo, hi)), np.nextafter(hi, lo))
+        x = np.where(width <= 0.5 * widths[0], trial, 0.5 * (lo + hi))
+        widths = widths[1:] + [width]
+        f = residual(*_transfer_phase(coeffs, eig_b, N, x), lanes)
+        left = f < 0.0
+        lo, flo = np.where(left, x, lo), np.where(left, f, flo)
+        hi, fhi = np.where(left, hi, x), np.where(left, fhi, f)
+        lo = np.where(f == 0.0, x, lo)  # on target: x is the eigenvalue
+        xb, fb, xa, fa = xa, fa, x, f
 
 
 def jacobi_coeffs(coeffs):

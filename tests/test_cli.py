@@ -358,60 +358,98 @@ def test_value_grids_match_pointwise(workdir):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _fresh(code, *args):
+def _fresh(code, *args, cwd=None):
     """stdout (JSON) of code run in a new interpreter that imports gmpmat from src."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", code, *map(str, args)],
-        env=env, capture_output=True, text=True, check=True,
+        env=env, capture_output=True, text=True, check=True, cwd=cwd,
     )
     return json.loads(proc.stdout)
 
 
+def _readme_cli_lines():
+    """The shell lines of the code block under README's "## CLI" heading."""
+    text = (SRC.parent / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("  #")[0].strip() for line in block.splitlines()]
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+# Runs each line in order in one interpreter: "echo TEXT > FILE" writes
+# FILE, "gmpmat ARGS" calls gmpmat.cli.main(ARGS) and records its exit
+# code and whether scipy has been imported by then.
 STARTUP_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, shlex, sys
 seen = {}
 import gmpmat, gmpmat.cli
-seen["import"] = "scipy" in sys.modules
+seen["import"] = [0, "scipy" in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         gmpmat.cli.main(["--help"])
     except SystemExit:
         pass
-seen["--help"] = "scipy" in sys.modules
-delta, coeffs, out = sys.argv[1:]
-assert gmpmat.cli.main(["delta", "eval", "--delta", delta, "--z=0.5,0.5", "--out", out]) == 0
-seen["delta eval"] = "scipy" in sys.modules
-assert gmpmat.cli.main(["transfer", "eval", "--coeffs", coeffs, "--grid=-3:3:101", "--out", out]) == 0
-seen["transfer eval --grid"] = "scipy" in sys.modules
+seen["--help"] = [0, "scipy" in sys.modules]
+for line in json.loads(sys.argv[1]):
+    argv = shlex.split(line)
+    if argv[0] == "echo":
+        with open(argv[3], "w") as f:
+            f.write(argv[1])
+        continue
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = gmpmat.cli.main(argv[1:])
+    seen[line] = [code, "scipy" in sys.modules]
 print(json.dumps(seen))
 """
 
 
 def test_cold_start_leaves_scipy_unloaded(workdir):
-    seen = _fresh(STARTUP_PROBE, workdir / "delta.json", workdir / "good.json", workdir / "o.csv")
-    assert seen == {
-        "import": False, "--help": False, "delta eval": False, "transfer eval --grid": False
-    }
+    lines = _readme_cli_lines()
+    assert "gmpmat spectrum eig --coeffs coeffs.json --periods 100" in lines
+    assert sum(line.startswith("gmpmat ") for line in lines) >= 19
+    lines.append("gmpmat transfer eval --coeffs coeffs.json --grid=-3:3:101")
+    lines.append("gmpmat delta eval --delta delta.json --grid=-3:-2:5")
+    atoms = np.concatenate([np.linspace(-2.0, -1.0, 12), np.linspace(1.0, 2.0, 12)])
+    (workdir / "atoms.csv").write_text("".join("%s,1.0\n" % x for x in atoms))
+    seen = _fresh(STARTUP_PROBE, json.dumps(lines), cwd=workdir)
+    assert len(seen) == 2 + sum(line.startswith("gmpmat ") for line in lines)
+    assert {step: got for step, got in seen.items() if got != [0, False]} == {}
+
+
+SPECTRUM_PROBE = """
+import json, sys
+import numpy as np
+from gmpmat import GmpCoefficients, assemble, spectrum_truncation
+c = GmpCoefficients.from_dict(json.loads(sys.argv[1]))
+eigs = spectrum_truncation(c, 20)
+loaded = "scipy" in sys.modules
+eig_err = np.max(np.abs(eigs - np.linalg.eigvalsh(assemble(c, 20).to_dense())))
+print(json.dumps({"loaded": loaded, "eig_err": float(eig_err)}))
+"""
+
+
+def test_spectrum_truncation_leaves_scipy_unloaded():
+    got = _fresh(SPECTRUM_PROBE, json.dumps(GOOD))
+    assert not got["loaded"]
+    assert got["eig_err"] < 1e-12
 
 
 BANDED_PROBE = """
 import json, sys
 import numpy as np
-from gmpmat import (
-    GmpCoefficients, assemble, resolvent_pair, spectrum_truncation,
-    truncation_resolvent_oracle,
-)
-before = "scipy" in sys.modules
+from gmpmat import GmpCoefficients, assemble, resolvent_pair, truncation_resolvent_oracle
+seen = {"import": "scipy" in sys.modules}
 c = GmpCoefficients.from_dict(json.loads(sys.argv[1]))
-eigs = spectrum_truncation(c, 20)
-eig_err = np.max(np.abs(eigs - np.linalg.eigvalsh(assemble(c, 20).to_dense())))
 z = 0.3 + 1.5j
 rp, rm = truncation_resolvent_oracle(c, z)
+seen["oracle"] = "scipy.linalg" in sys.modules
 rv = resolvent_pair(c, z)
+del sys.modules["scipy.linalg"], sys.modules["scipy"]
+eigs = assemble(c, 20).eigenvalues()
+seen["eigenvalues"] = "scipy.linalg" in sys.modules
+eig_err = np.max(np.abs(np.sort(eigs) - np.linalg.eigvalsh(assemble(c, 20).to_dense())))
 print(json.dumps({
-    "before": before,
-    "after": "scipy.linalg" in sys.modules,
+    "seen": seen,
     "eig_err": float(eig_err),
     "rp_err": abs(rv.r_plus / rv.a0**2 - rp),
     "rm_err": abs(1.0 / rv.r_minus_inv - rm),
@@ -421,6 +459,6 @@ print(json.dumps({
 
 def test_banded_lapack_calls_load_scipy_on_demand():
     got = _fresh(BANDED_PROBE, json.dumps(GOOD))
-    assert not got["before"] and got["after"]
+    assert got["seen"] == {"import": False, "oracle": True, "eigenvalues": True}
     assert got["eig_err"] < 1e-12
     assert got["rp_err"] < 1e-6 and got["rm_err"] < 1e-6

@@ -23,6 +23,7 @@ from gmpmat import (
 )
 from gmpmat.gmp import _pole_weights, assemble
 from gmpmat.transfer import discriminant_coeffs, lambda_k
+from conftest import random_coeffs
 
 
 DELTA1 = RationalDiscriminant(1.0, 0.0, ((1.0, 1.0),))
@@ -106,6 +107,70 @@ def test_free_truncation_eigenvalues_exact():
     eigs = spectrum_truncation(c, n)
     want = np.sort(2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
     assert np.max(np.abs(eigs - want)) < 1e-10
+
+
+def _lapack_close(c, n_periods):
+    got = spectrum_truncation(c, n_periods)
+    want = np.sort(assemble(c, n_periods).eigenvalues())
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_spectrum_truncation_matches_lapack_oracle():
+    # seeded draws with g <= 8 and periods log-uniform in 1..2000, kept to
+    # n = (g+1) N <= 4000 so the banded LAPACK oracle stays fast
+    rng = np.random.default_rng(20)
+    for _ in range(24):
+        g = int(rng.integers(0, 9))
+        n_periods = min(int(np.exp(rng.uniform(0.0, np.log(2000.0)))), 4000 // (g + 1))
+        _lapack_close(random_coeffs(rng, g=g), n_periods)
+    _lapack_close(random_coeffs(rng, g=1), 2000)
+
+
+@pytest.mark.parametrize("c, periods", [
+    # p_0 = p_1 = 0: the Floquet points at theta = pi/2 are eigenvalues of B
+    (GmpCoefficients((-1.0, 1.0), (0.0, 0.0, 1.0), (0.5, -0.3, 0.2)), (1, 2, 7, 40, 44)),
+    # p_0 = q_0 = 0 and p = e_g: eigenvalues of multiplicity N sit on the poles
+    (GmpCoefficients((-1.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.2)), (1, 2, 5, 40)),
+    (GmpCoefficients((-1.0, 1.0), (0.0, 0.7, 1.0), (0.5, -0.3, 0.2)), (1, 2, 16, 39)),
+    (GmpCoefficients((0.3, 0.3 + 1e-7), (0.8, 0.9, 1.1), (0.2, -0.4, 0.1)), (1, 2, 3, 50)),
+    # free case, odd N: 0 is an eigenvalue and the eigenvalue of B
+    (GmpCoefficients((), (1.0,), (0.0,)), (1, 2, 51, 301)),
+])
+def test_spectrum_truncation_pinned_cases(c, periods):
+    for n_periods in periods:
+        _lapack_close(c, n_periods)
+
+
+def test_spectrum_truncation_long_section():
+    _lapack_close(random_coeffs(np.random.default_rng(21), g=2), 5000)
+
+
+def test_spectrum_truncation_rejects_empty_section():
+    with pytest.raises(DomainError):
+        spectrum_truncation(POINT1, 0)
+
+
+@pytest.mark.parametrize("g, n_periods", [(0, 31), (3, 30), (2, 200)])
+def test_sturm_count_matches_dense_count(g, n_periods):
+    # floor(phi/pi) + N j counts the eigenvalues below x at every grid
+    # point, in bands and deep in gaps, where the periods' product is
+    # near-singular, and on the eigenvalues of B (0 for the free case)
+    rng = np.random.default_rng(22 + g)
+    c = GmpCoefficients((), (1.0,), (0.0,)) if g == 0 else random_coeffs(rng, g=g)
+    eigs = np.linalg.eigvalsh(assemble(c, n_periods).to_dense())
+    xs = np.linspace(eigs[0] - 1.0, eigs[-1] + 1.0, 2001)
+    if g == 0:
+        xs = np.linspace(-3.0, 3.0, 2001)
+    eig_b = np.linalg.eigvalsh(iso.build_blocks(c)[1])
+    phi, psi, j = iso._transfer_phase(c, eig_b, n_periods, xs)
+    count = np.floor(phi / np.pi) + n_periods * j
+    assert np.array_equal(np.floor(psi / np.pi), np.floor(phi / np.pi))
+    want = np.searchsorted(eigs, xs)
+    off = count != want
+    # a mismatch is allowed only within rounding of an eigenvalue
+    gap = np.min(np.abs(xs[off, None] - eigs), axis=1, initial=np.inf)
+    assert np.all(gap <= 1e-13 * max(1.0, np.max(np.abs(eigs))))
 
 
 def test_jacobi_coeffs_at_origin():

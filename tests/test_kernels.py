@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gmpmat import DomainError, _kernels, factor_infinity, factor_pole, transfer
+from gmpmat.transfer import discriminant_of
 from conftest import random_coeffs
 
 
@@ -102,3 +103,17 @@ def test_blocked_grid_names_pole_hit_in_second_block():
     zs[_kernels._BLOCK_POINTS + 7] = c.poles[0]
     with pytest.raises(DomainError, match=re.escape(f"pole c = {c.poles[0]}")):
         _kernels.transfer_grid(c, zs)
+
+
+def test_real_grid_stays_real_and_equals_scalar_path():
+    # a real grid is multiplied out in float, the arithmetic of the scalar
+    # discriminant_of at each point, so the values agree bit for bit
+    rng = np.random.default_rng(7)
+    c = random_coeffs(rng, g=3)
+    xs = np.linspace(-3.0, 3.0, 2001)
+    tr = _kernels.discriminant_grid(c, xs)
+    assert tr.dtype == np.float64
+    assert tr.tolist() == [discriminant_of(c, float(x)) for x in xs]
+    zs = _grid(rng, 16)  # a complex grid keeps the complex core
+    assert np.array_equal(_kernels.discriminant_grid(c, zs), np.sum(
+        _kernels.transfer_grid(c, zs)[[0, 3]], axis=0))
