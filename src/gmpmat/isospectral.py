@@ -279,40 +279,59 @@ def _transfer_phase(coeffs, eig_b, n_periods, x):
     where |tr T| > 2.  There phi is the forward image of the angle pi/2
     and psi the backward image of 0 compared with pi/2: each is a step
     function of x at states localized at one end of the section and
-    smooth at those at the other.  At a point on a pole or with
-    |tr T| = 2 exactly, where the conjugation degenerates, the count is
-    taken one float spacing above it: #{eigenvalues <= x}.
+    smooth at those at the other.  Where the conjugation degenerates, at
+    |tr T| = 2 exactly and within one float spacing of a pole (at the
+    scale of max(|x|, ||p||)), the count is taken one such spacing above.
     """
-    for c in coeffs.poles:
-        x = np.where(x == c, np.nextafter(x, np.inf), x)
+    scale = np.linalg.norm(coeffs.p)  # never 0, since p_g > 0
     while True:
+        for c in coeffs.poles:
+            step = np.spacing(max(abs(c), scale))
+            on = np.abs(x - c) < step
+            if on.any():
+                x = np.where(on, c + step, x)
         t11, t12, t21, t22 = _factor_product(x, coeffs.poles, coeffs.p, coeffs.q)
         tau = 0.5 * (t11 + t22)
         w = np.sqrt(np.abs((1.0 - tau) * (1.0 + tau)))
         flat = w == 0.0
         if not flat.any():
             break
-        x = np.where(flat, np.nextafter(x, np.inf), x)
+        x = np.where(flat, x + np.spacing(np.maximum(np.abs(x), scale)), x)
     # #{eig B < x}: T22 = -1/R_pg vanishes at eig B and changes sign at the
     # poles, so T22 > 0 iff an even number of both lie above x; a count
     # that disagrees (x within rounding of an eigenvalue) moves across the
     # nearest one
     k = np.searchsorted(eig_b, x)
     above = len(eig_b) - k + np.sum(np.asarray(coeffs.poles)[:, None] > x, axis=0)
-    near = np.concatenate([[-np.inf], eig_b, [np.inf]])
-    k = np.where(
-        (t22 != 0.0) & ((t22 < 0.0) != (above % 2 == 1)),
-        np.where(x - near[k] < near[k + 1] - x, k - 1, k + 1),
-        k,
-    )
-    m = k + (t12 * t22 >= 0.0)
-    ell = np.abs(tau) < 1.0
+    off = (t22 != 0.0) & ((t22 < 0.0) != (above % 2 == 1))
+    if off.any():
+        near = np.concatenate([[-np.inf], eig_b, [np.inf]])
+        k = np.where(off, np.where(x - near[k] < near[k + 1] - x, k - 1, k + 1), k)
+    j = k - 1 + (t12 * t22 >= 0.0)
     # elliptic: K = P R(beta) P^-1 with P = [[1, A], [0, C]], C > 0, fixing psi = 0
     up = t12 > 0.0
     beta = np.arctan2(w, tau)
     beta = np.where(up, beta, np.pi - beta)
-    phi_e = np.arctan2(2.0 * w, np.where(up, t22 - t11, t11 - t22)) + n_periods * beta
-    # hyperbolic: sign(tau) K = P diag(lam, 1/lam) P^-1, P = [u, v], det P > 0
+    phi = np.arctan2(2.0 * w, np.where(up, t22 - t11, t11 - t22)) + n_periods * beta
+    psi = phi
+    hyp = np.abs(tau) >= 1.0
+    if hyp.any():
+        phi, psi = phi.copy(), psi.copy()
+        phi[hyp], psi[hyp], low = _hyperbolic_phase(
+            n_periods, tau[hyp], w[hyp], t11[hyp], t12[hyp], t21[hyp], t22[hyp]
+        )
+        j[hyp] += low
+    return phi, psi, j
+
+
+def _hyperbolic_phase(n_periods, tau, w, t11, t12, t21, t22):
+    """(phi, psi, low) of ``_transfer_phase`` where |tr T| > 2.
+
+    sign(tau) K = P diag(lam, 1/lam) P^-1 with P = [u, v], det P > 0.
+    zeta and phi0 are the preimages under P of the angles 0 and pi/2;
+    the lift of K is P~ D~ P~^-1 + (m - 1 + low) pi, with low = 1 when
+    that lift maps 0 below 0.
+    """
     sg = np.where(tau > 0.0, 1.0, -1.0)
     a, b, c, d = sg * t11, sg * t21, sg * t12, sg * t22
     lam, inv = np.abs(tau) + w, np.abs(tau) - w
@@ -322,17 +341,16 @@ def _transfer_phase(coeffs, eig_b, n_periods, x):
     v1, v2 = np.where(va, b, inv - d), np.where(va, inv - a, c)
     det = u1 * v2 - u2 * v1
     v1, v2 = np.where(det < 0.0, -v1, v1), np.where(det < 0.0, -v2, v2)
-    zeta = np.arctan2(-u2, v2)  # preimage of the angle 0, taken in (-pi, 0]
+    zeta = np.arctan2(-u2, v2)  # taken in (-pi, 0]
     zeta = np.where(zeta > 0.0, zeta - np.pi, zeta)
-    phi0 = zeta + np.arctan2(np.abs(det), -(u1 * u2 + v1 * v2))  # preimage of pi/2
+    phi0 = zeta + np.arctan2(np.abs(det), -(u1 * u2 + v1 * v2))
     mu = np.exp(-2.0 * n_periods * np.arcsinh(w))  # lam^(-2N)
     phi = np.arctan2(mu * np.sin(phi0), np.cos(phi0)) - zeta
     psi = phi0 - np.arctan2(np.sin(zeta), mu * np.cos(zeta))
-    j = m - 1 + (~ell & (zeta < -0.5 * np.pi))
-    return np.where(ell, phi_e, phi), np.where(ell, phi_e, psi), j
+    return phi, psi, zeta < -0.5 * np.pi
 
 
-def _floquet_points(coeffs, n_periods):
+def _floquet_points(B, p, n_periods):
     """Sorted eigenvalues of the periodic closure, padded by 2||p|| at both ends.
 
     They are the eigenvalues of B + e^{i theta} e_g p^T + e^{-i theta} p e_g^T
@@ -342,9 +360,7 @@ def _floquet_points(coeffs, n_periods):
     so by Weyl the i-th eigenvalue of the open section lies between
     points i and i+2 of the returned list.
     """
-    _, B = build_blocks(coeffs)
-    p = np.asarray(coeffs.p)
-    g = coeffs.g
+    g = len(p) - 1
     k = np.arange(n_periods // 2 + 1)
     phase = np.exp(2j * np.pi * k / n_periods)[:, None]
     F = np.broadcast_to(B.astype(complex), (k.size,) + B.shape).copy()
@@ -366,7 +382,7 @@ def spectrum_truncation(coeffs, n_periods):
     of two neighbouring periodic (Floquet) eigenvalues, ``_floquet_points``,
     and all are refined together on the continuous phase: a secant step
     through the last two points, else regula falsi on the bracket, and a
-    bisection whenever a bracket has not halved in three passes, until no
+    bisection when a bracket has not halved in three passes, until no
     float lies strictly inside the bracket or the phase hits its target
     exactly.  ``assemble(coeffs, n_periods).eigenvalues()``, the LAPACK
     banded solver, is the oracle the tests compare against.
@@ -383,7 +399,7 @@ def spectrum_truncation(coeffs, n_periods):
         target = np.pi * (lanes + 1 - N * j)
         return np.where(np.abs(phi - target) <= np.abs(psi - target), phi, psi) - target
 
-    pts = _floquet_points(coeffs, N)
+    pts = _floquet_points(B, np.asarray(coeffs.p), N)
     phi, psi, j = _transfer_phase(coeffs, eig_b, N, pts)
     theta = np.maximum.accumulate(phi + np.pi * N * j)
     lanes = np.arange((coeffs.g + 1) * N)
@@ -407,11 +423,13 @@ def spectrum_truncation(coeffs, n_periods):
             if not lanes.size:
                 return np.sort(out)
         width = hi - lo
-        with np.errstate(divide="ignore", invalid="ignore"):  # fa = fb: no secant
-            trial = xa - fa * ((xa - xb) / (fa - fb))
-        trial = np.where((lo < trial) & (trial < hi), trial, lo - flo * (width / (fhi - flo)))
+        with np.errstate(divide="ignore", invalid="ignore"):  # equal residuals: no step
+            secant = xa - fa * ((xa - xb) / (fa - fb))
+            falsi = lo - flo * (width / (fhi - flo))
+        trial = np.where((lo < secant) & (secant < hi), secant, falsi)
         trial = np.minimum(np.maximum(trial, np.nextafter(lo, hi)), np.nextafter(hi, lo))
-        x = np.where(width <= 0.5 * widths[0], trial, 0.5 * (lo + hi))
+        step = (width <= 0.5 * widths[0]) & ~np.isnan(trial)
+        x = np.where(step, trial, 0.5 * (lo + hi))
         widths = widths[1:] + [width]
         f = residual(*_transfer_phase(coeffs, eig_b, N, x), lanes)
         left = f < 0.0

@@ -134,6 +134,9 @@ def test_spectrum_truncation_matches_lapack_oracle():
     (GmpCoefficients((-1.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.2)), (1, 2, 5, 40)),
     (GmpCoefficients((-1.0, 1.0), (0.0, 0.7, 1.0), (0.5, -0.3, 0.2)), (1, 2, 16, 39)),
     (GmpCoefficients((0.3, 0.3 + 1e-7), (0.8, 0.9, 1.1), (0.2, -0.4, 0.1)), (1, 2, 3, 50)),
+    # a pole at 0 with integer data: exact hits of the pole and of |tr T| = 2
+    (GmpCoefficients((-1.0, 0.0, 1.0), (1.0, 0.0, 0.5, 1.0), (0.5, 0.0, 0.0, 0.0)), (1, 2, 3, 8)),
+    (GmpCoefficients((0.0, 3.0), (0.0, 1.0, 1.0), (0.0, -1.0, 1.0)), (1, 2, 5, 33)),
     # free case, odd N: 0 is an eigenvalue and the eigenvalue of B
     (GmpCoefficients((), (1.0,), (0.0,)), (1, 2, 51, 301)),
 ])
