@@ -4,7 +4,8 @@ For a target discriminant the manifold is cut out by the tail equations
 p_g = 1/lambda0, q_g = -c0 - lambda0 * sum_{j<g} p_j q_j and the residue
 equations Lambda_k = lambda_k.  This module projects onto the manifold,
 traces it, verifies the operator identity Delta(A) = S^{g+1} + S^{-(g+1)}
-on truncations, and extracts the induced Jacobi coefficients.
+on truncations, computes the spectrum of a truncation from the one-period
+transfer matrix, and extracts the induced Jacobi coefficients.
 """
 
 import numpy as np
