@@ -272,7 +272,7 @@ def _transfer_phase(coeffs, eig_b, n_periods, x):
     psi - k pi has the sign of phi - k pi for every integer k.  The block
     LDL^T recursion sigma_k = [(B - x - sigma_{k-1} p p^T)^{-1}]_gg is the
     Moebius map of the transposed transfer matrix K = T(x)^T acting on
-    the angle psi, sigma = -cot psi, and the count is floor(K~^N(pi/2)/pi)
+    the angle w, sigma = -cot w, and the count is floor(K~^N(pi/2)/pi)
     for the lift K~ of K with K~(0) in ((m-1)pi, m pi], where
     m = #{eig B < x} + [R_pp >= 0] and R_pp = T12/T22.  The Nth power is
     taken in closed form by conjugation: to a rotation by beta where
@@ -309,7 +309,7 @@ def _transfer_phase(coeffs, eig_b, n_periods, x):
         near = np.concatenate([[-np.inf], eig_b, [np.inf]])
         k = np.where(off, np.where(x - near[k] < near[k + 1] - x, k - 1, k + 1), k)
     j = k - 1 + (t12 * t22 >= 0.0)
-    # elliptic: K = P R(beta) P^-1 with P = [[1, A], [0, C]], C > 0, fixing psi = 0
+    # elliptic: K = P R(beta) P^-1 with P = [[1, A], [0, C]], C > 0, fixing the angle 0
     up = t12 > 0.0
     beta = np.arctan2(w, tau)
     beta = np.where(up, beta, np.pi - beta)
@@ -331,7 +331,7 @@ def _hyperbolic_phase(n_periods, tau, w, t11, t12, t21, t22):
     sign(tau) K = P diag(lam, 1/lam) P^-1 with P = [u, v], det P > 0.
     zeta and phi0 are the preimages under P of the angles 0 and pi/2;
     the lift of K is P~ D~ P~^-1 + (m - 1 + low) pi, with low = 1 when
-    that lift maps 0 below 0.
+    P~ D~ P~^-1 maps the angle 0 below 0.
     """
     sg = np.where(tau > 0.0, 1.0, -1.0)
     a, b, c, d = sg * t11, sg * t21, sg * t12, sg * t22

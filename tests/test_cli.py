@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gmpmat import GmpCoefficients, assemble
 from gmpmat.cli import main
 
 
@@ -143,6 +144,10 @@ def test_spectrum_and_resolvent_commands(workdir):
         workdir / "eig.csv",
     )
     assert len(text.strip().splitlines()) == 20
+    # the transfer-matrix spectrum agrees with the LAPACK oracle to rounding
+    eigs = np.array([float(v) for v in text.split()])
+    want = np.sort(assemble(GmpCoefficients.from_dict(POINT1), 10).eigenvalues())
+    assert np.max(np.abs(eigs - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
     got = _run(
         ["resolvent", "eval", "--coeffs", str(workdir / "pt.json"), "--z", "0.2,1.0"],
         workdir / "res.json",
