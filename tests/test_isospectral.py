@@ -162,9 +162,8 @@ def test_sturm_count_matches_dense_count(g, n_periods):
     rng = np.random.default_rng(22 + g)
     c = GmpCoefficients((), (1.0,), (0.0,)) if g == 0 else random_coeffs(rng, g=g)
     eigs = np.linalg.eigvalsh(assemble(c, n_periods).to_dense())
-    xs = np.linspace(eigs[0] - 1.0, eigs[-1] + 1.0, 2001)
-    if g == 0:
-        xs = np.linspace(-3.0, 3.0, 2001)
+    lo, hi = (-3.0, 3.0) if g == 0 else (eigs[0] - 1.0, eigs[-1] + 1.0)
+    xs = np.linspace(lo, hi, 2001)  # symmetric for g = 0: x = 0 is a grid point
     eig_b = np.linalg.eigvalsh(iso.build_blocks(c)[1])
     phi, psi, j = iso._transfer_phase(c, eig_b, n_periods, xs)
     count = np.floor(phi / np.pi) + n_periods * j
