@@ -84,14 +84,6 @@ def _over_blocks(coeffs, zs, rows, entries):
     return out
 
 
-def transfer_grid(coeffs, zs):
-    """Entries (m11, m12, m21, m22) of the transfer matrix over a z grid.
-
-    Returns a complex array of shape (4,) + zs.shape, filled block by block.
-    """
-    return _over_blocks(coeffs, np.asarray(zs, dtype=complex), (4,), np.array)
-
-
 def discriminant_grid(coeffs, zs):
     """Trace of the transfer matrix over a z grid.
 

@@ -175,7 +175,7 @@ def _cmd_iso_project(args):
 def _cmd_iso_trace(args):
     delta = _load_delta(args.delta)
     start = _load_coeffs(args.coeffs)
-    points = isospectral.trace_torus(start, delta, args.steps, args.step_len)
+    points = isospectral.trace_torus(start, delta, args.steps, args.step_len, args.tol)
     P = np.array([pt.p for pt in points])
     Q = np.array([pt.q for pt in points])
     defects = [

@@ -7,11 +7,12 @@ Each such set has a unique rational function Delta with
 
 all lambda_k > 0 and one pole c_k inside each gap, such that the preimage
 of [-2, 2] is exactly the set.  This module solves for Delta and inverts
-it back to bands, both in closed form (no iteration but the bracketed
-pole search), and evaluates the associated unimodular-bounded function by
-Joukowski inversion.
+it back to bands, each way as symmetric eigenvalue problems plus one
+guarded Newton step (no iteration), and evaluates the associated
+unimodular-bounded function by Joukowski inversion.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,38 +146,63 @@ def solve_discriminant(E):
 
     With P_A, P_B the monic polynomials vanishing on A = {gap starts, a0}
     (Delta = 2) and B = {b0, gap ends} (Delta = -2), the closed form is
-    Delta = 2 (P_A + P_B) / (P_B - P_A).  So lambda0 = 4 / (sum A - sum B);
-    pole c_k is the one root of P_A = P_B in gap k, found for all k in one
-    lane-wise bracketed Newton search run to two float spacings of the
-    gap's edges;
-    lambda_k = 4 / (sum_a 1/(c_k - a) - sum_b 1/(c_k - b)); and c0 follows
-    from Delta(b0) = -2.  Raises DomainError for a gap too narrow to hold
-    a pole strictly inside it.
+    Delta = 2 (P_A + P_B) / (P_B - P_A).  So lambda0 = 4 / (sum A - sum B),
+    and the poles c_k are the g roots of the secular equation
+    P_A/P_B = 1 + sum_i r_i/(x - B_i) = 1, whose weights r_i all have one
+    sign: the eigenvalues of diag(B) compressed to the complement of
+    u = sqrt|r| (Golub 1973), clamped into the open gaps and refined by
+    one Newton step on log|P_A/P_B| kept where it stays inside its gap.
+    Then lambda_k = 4 / (sum_a 1/(c_k - a) - sum_b 1/(c_k - b)), and c0
+    follows from Delta(b0) = -2.  All of this is done for E - m, with the
+    exact shift m of ``_exact_shift``, so the digits do not depend on
+    where E lies.  Raises DomainError for a gap with no float strictly
+    inside it.
     """
     gap_a, gap_b = np.array(E.gaps).reshape(-1, 2).T
-    A = np.append(gap_a, E.a0)
-    B = np.append(gap_b, E.b0)
+    lo, hi = np.nextafter(gap_a, np.inf), np.nextafter(gap_b, -np.inf)
+    if not np.all(lo <= hi):
+        raise DomainError("a gap is too narrow to hold a pole")
+    m = _exact_shift(E.b0, E.a0)
+    A = np.append(gap_a, E.a0) - m
+    B = np.append(gap_b, E.b0) - m
     lambda0 = 4.0 / (np.sum(A) - np.sum(B))
 
-    def log_ratio(x):  # log|P_A(x) / P_B(x)| and its derivative: no product is formed
-        dA, dB = x[:, None] - A, x[:, None] - B
-        with np.errstate(divide="ignore", invalid="ignore"):  # a lane may sit on an edge
-            return (np.sum(np.log(np.abs(dA / dB)), axis=1),
-                    np.sum(1.0 / dA, axis=1) - np.sum(1.0 / dB, axis=1))
+    # log|r_i| = sum_j log|B_i - A_j| - sum_{j != i} log|B_i - B_j|: no product is formed
+    BB = B[:, None] - B
+    np.fill_diagonal(BB, 1.0)
+    log_r = np.sum(np.log(np.abs((B[:, None] - A) / BB)), axis=1)
+    u = np.exp(0.5 * (log_r - np.max(log_r)))
+    Q = np.linalg.qr(u[:, None], mode="complete")[0][:, 1:]
+    x = np.linalg.eigvalsh(Q.T @ (B[:, None] * Q))
+    x = np.clip(x, np.nextafter(A[:-1], np.inf), np.nextafter(B[:-1], -np.inf))
+    dA, dB = x[:, None] - A, x[:, None] - B
+    x = _newton_inside(x, np.sum(np.log(np.abs(dA / dB)), axis=1),
+                       np.sum(1.0 / dA, axis=1) - np.sum(1.0 / dB, axis=1), A[:-1], B[:-1])
 
-    def logit_newton(x, h, dh):  # in t = log(u/v), u = x - a, v = b - x: h ~ t at both ends
-        u, v, w = x - gap_a, gap_b - x, gap_b - gap_a
-        with np.errstate(all="ignore"):  # overflow or 0/0 gives a proposal outside the gap
-            return gap_a + w * u / (u + v * np.exp(h * w / (dh * u * v)))
+    lams = 4.0 / (np.sum(1.0 / (x[:, None] - A), axis=1)
+                  - np.sum(1.0 / (x[:, None] - B), axis=1))
+    c0 = -2.0 - lambda0 * B[-1] - np.sum(lams / (x - B[-1]))
+    cs = np.clip(x + m, lo, hi)  # a pole within half a spacing of an edge stays inside
+    return RationalDiscriminant(lambda0, c0 - lambda0 * m, tuple(zip(lams, cs)))
 
-    width = 2.0 * np.spacing(np.maximum(np.abs(gap_a), np.abs(gap_b)))
-    cs = _bisect(log_ratio, gap_a, gap_b, width, logit_newton)
-    if not np.all((gap_a < cs) & (cs < gap_b)):
-        raise DomainError("a gap is too narrow to hold a pole")
-    lams = 4.0 / (np.sum(1.0 / (cs[:, None] - A), axis=1)
-                  - np.sum(1.0 / (cs[:, None] - B), axis=1))
-    c0 = -2.0 - lambda0 * E.b0 - np.sum(lams / (cs - E.b0))
-    return RationalDiscriminant(lambda0, c0, tuple(zip(lams, cs)))
+
+def _exact_shift(b0, a0):
+    """Shift m with x - m exact for every float x in [b0, a0], or 0.
+
+    m is the centre of [b0, a0] rounded to a multiple of
+    s = 2^floor(log2(a0 - b0)), kept only where m/2 <= x <= 2m holds at
+    both ends (Sterbenz's lemma); a set within a few widths of 0 gets 0.
+    """
+    s = math.ldexp(1.0, math.frexp(a0 - b0)[1] - 1)
+    m = round((b0 + a0) / 2.0 / s) * s
+    lo, hi = (b0, a0) if m > 0 else (-a0, -b0)
+    return m if abs(m) <= 2.0 * lo and hi <= 2.0 * abs(m) else 0.0
+
+
+def _newton_inside(x, f, df, lo, hi):
+    """One Newton step x - f/df, kept only where it lands strictly inside (lo, hi)."""
+    new = x - f / df
+    return np.where((lo < new) & (new < hi), new, x)
 
 
 def bands(delta):
@@ -204,40 +230,9 @@ def _level_roots(delta, lams, cs, t):
     x = np.linalg.eigvalsh(M)
     free = ~np.isin(x, cs)
     y = x[free]
-    newton = y - (eval_discriminant(delta, y) - t) / eval_discriminant_deriv(delta, y)
-    lo = np.append(-np.inf, cs)[free]
-    hi = np.append(cs, np.inf)[free]
-    x[free] = np.where((lo < newton) & (newton < hi), newton, y)
+    x[free] = _newton_inside(y, eval_discriminant(delta, y) - t, eval_discriminant_deriv(delta, y),
+                             np.append(-np.inf, cs)[free], np.append(cs, np.inf)[free])
     return x
-
-
-def _bisect(f, lo, hi, tol, step=None):
-    """Roots of f, one per bracket [lo[i], hi[i]] on which f changes sign
-    once, from negative to positive.
-
-    ``tol`` is one width for all lanes or one per lane.  A lane stops once
-    its bracket is no wider than its tol or its midpoint equals an end;
-    stopped lanes stay frozen while the others go on.  Each pass splits
-    the bracket at a trial point: the midpoint, or with ``step`` (f then
-    returns (f, f')) the proposal step(x, f, f') if it lies in the
-    bracket, kept tol/2 from the ends so the bracket shrinks by tol/2.
-    """
-    x = 0.5 * (lo + hi)
-    while True:
-        mid = 0.5 * (lo + hi)
-        run = (hi - lo > tol) & (mid != lo) & (mid != hi)
-        if not run.any():
-            return mid
-        fx = f(x)
-        below = (fx[0] if step else fx) < 0.0
-        lo = np.where(run & below, x, lo)
-        hi = np.where(run & ~below, x, hi)
-        trial = 0.5 * (lo + hi)
-        if step:
-            new = step(x, *fx)
-            inside = (lo <= new) & (new <= hi)
-            trial = np.where(inside, np.clip(new, lo + 0.5 * tol, hi - 0.5 * tol), trial)
-        x = trial
 
 
 def ahlfors_eval(delta, z, boundary_tol=1e-8):

@@ -75,7 +75,6 @@ class BandedOperator:
     n: int
     half_bandwidth: int
     lower: np.ndarray
-    block_offset: int = 0
 
     def entry(self, i, j):
         d = abs(i - j)

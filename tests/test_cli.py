@@ -249,6 +249,18 @@ def test_convergence_failure_exits_2(workdir, capsys):
     assert payload["residual"] == 1.1102230246251565e-16
 
 
+def test_iso_trace_honours_tol(workdir, capsys):
+    # README's d1.json and pt.json: tol = 1e-20 is below the trace's rounding floor
+    delta = str(workdir / "delta.json")
+    _run(["iso", "project", "--delta", delta, "--init", "1.2,0.1"], workdir / "proj.json")
+    code = main(["iso", "trace", "--delta", delta, "--coeffs", str(workdir / "proj.json"),
+                 "--steps", "2", "--tol", "1e-20"])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload == {"error": "Newton stalled at residual 1.110e-16",
+                       "residual": 1.1102230246251565e-16}
+
+
 @pytest.mark.parametrize(
     "args",
     [["magic", "verify", "--periods", "30"], ["iso", "trace", "--steps", "2"]],

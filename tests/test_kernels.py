@@ -56,14 +56,19 @@ def test_core_rejects_grid_through_pole():
     c = random_coeffs(np.random.default_rng(4), g=2)
     zs = np.array([c.poles[0] - 1.0, c.poles[1], c.poles[1] + 1.0])
     with pytest.raises(DomainError, match="pole"):
-        _kernels.transfer_grid(c, zs)
+        _kernels.discriminant_grid(c, zs)
+
+
+def _blocked_entries(c, zs):
+    """All four entries over the grid, multiplied out block by block."""
+    return _kernels._over_blocks(c, zs, (4,), np.array)
 
 
 def test_grid_matches_pointwise_transfer():
     rng = np.random.default_rng(2)
     c = random_coeffs(rng, g=2)
     zs = _grid(rng, 16)
-    m11, m12, m21, m22 = _kernels.transfer_grid(c, zs)
+    m11, m12, m21, m22 = _blocked_entries(c, zs)
     for i, z in enumerate(zs):
         M = transfer(c, complex(z))
         assert abs(M[0, 0] - m11[i]) < 1e-12
@@ -76,7 +81,7 @@ def test_discriminant_grid_unit_determinant():
     rng = np.random.default_rng(3)
     c = random_coeffs(rng)
     zs = _grid(rng)
-    m11, m12, m21, m22 = _kernels.transfer_grid(c, zs)
+    m11, m12, m21, m22 = _kernels._factor_product(zs, c.poles, c.p, c.q)
     det = m11 * m22 - m12 * m21
     assert np.max(np.abs(det - 1.0)) < 1e-10
     tr = _kernels.discriminant_grid(c, zs)
@@ -88,7 +93,7 @@ def test_blocked_grid_equals_one_core_call(n):
     rng = np.random.default_rng(5)
     c = random_coeffs(rng, g=3)
     zs = _grid(rng, n)
-    got = _kernels.transfer_grid(c, zs)
+    got = _blocked_entries(c, zs)
     want = _kernels._factor_product(zs, c.poles, c.p, c.q)
     assert got.shape == (4, n)
     assert np.array_equal(got, want)
@@ -102,7 +107,7 @@ def test_blocked_grid_names_pole_hit_in_second_block():
     zs[3] = c.poles[1]
     zs[_kernels._BLOCK_POINTS + 7] = c.poles[0]
     with pytest.raises(DomainError, match=re.escape(f"pole c = {c.poles[0]}")):
-        _kernels.transfer_grid(c, zs)
+        _kernels.discriminant_grid(c, zs)
 
 
 def test_real_grid_stays_real_and_equals_scalar_path():
@@ -115,5 +120,5 @@ def test_real_grid_stays_real_and_equals_scalar_path():
     assert tr.dtype == np.float64
     assert tr.tolist() == [discriminant_of(c, float(x)) for x in xs]
     zs = _grid(rng, 16)  # a complex grid keeps the complex core
-    assert np.array_equal(_kernels.discriminant_grid(c, zs), np.sum(
-        _kernels.transfer_grid(c, zs)[[0, 3]], axis=0))
+    m11, _, _, m22 = _kernels._factor_product(zs, c.poles, c.p, c.q)
+    assert np.array_equal(_kernels.discriminant_grid(c, zs), m11 + m22)
