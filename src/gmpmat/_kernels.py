@@ -59,38 +59,26 @@ def _factor_product(z, poles, p, q, mirror=False, rank_one=None):
     return m11, m12, m21, m22
 
 
-# Grid points per _factor_product call: bounds its ~16 temporaries to a
-# block; the same block size as serialize._BLOCK_ROWS.
+# Grid points per _factor_product call: bounds its ~16 temporaries to a block.
 _BLOCK_POINTS = 1 << 16
-
-
-def _over_blocks(coeffs, zs, rows, entries):
-    """Apply ``entries`` to the factor product of each block of the grid zs.
-
-    ``entries`` maps (m11, m12, m21, m22) of a block to ``rows`` arrays
-    (``rows`` = () for one); the result has shape rows + zs.shape and the
-    dtype of zs.
-    """
-    for c in coeffs.poles:  # whole grid first: the error names the first pole hit
-        if (zs == c).any():
-            raise DomainError(f"transfer matrix evaluated at pole c = {c}")
-    out = np.empty(rows + zs.shape, dtype=zs.dtype)
-    flat, flat_out = zs.reshape(-1), out.reshape(rows + (-1,))
-    for lo in range(0, flat.size, _BLOCK_POINTS):
-        block = slice(lo, lo + _BLOCK_POINTS)
-        flat_out[..., block] = entries(
-            _factor_product(flat[block], coeffs.poles, coeffs.p, coeffs.q)
-        )
-    return out
 
 
 def discriminant_grid(coeffs, zs):
     """Trace of the transfer matrix over a z grid.
 
-    A real grid stays real: each block is multiplied out in float and
-    only its trace is kept, the same arithmetic as the scalar
-    ``discriminant_of`` at each point.
+    The grid is multiplied out block by block.  A real grid stays real:
+    each block is multiplied out in float and only its trace is kept, the
+    same arithmetic as the scalar ``discriminant_of`` at each point.
     """
     zs = np.asarray(zs)
     zs = zs.astype(complex if np.iscomplexobj(zs) else float, copy=False)
-    return _over_blocks(coeffs, zs, (), lambda m: m[0] + m[3])
+    for c in coeffs.poles:  # whole grid first: the error names the first pole hit
+        if (zs == c).any():
+            raise DomainError(f"transfer matrix evaluated at pole c = {c}")
+    out = np.empty(zs.shape, dtype=zs.dtype)
+    flat, flat_out = zs.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat.size, _BLOCK_POINTS):
+        block = slice(lo, lo + _BLOCK_POINTS)
+        m11, _, _, m22 = _factor_product(flat[block], coeffs.poles, coeffs.p, coeffs.q)
+        flat_out[block] = m11 + m22
+    return out

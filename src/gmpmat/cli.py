@@ -275,10 +275,18 @@ def _join_signed_values(argv):
 
 
 def _add_common(sp, tol=1e-10):
-    # every subcommand takes --tol; delta solve, delta bands and
-    # jacobi transfer --bands accept and ignore it: they have no iteration
+    # every subcommand takes --tol; only gmp build, gmp check, iso project,
+    # iso trace, iso verify and ortho build --report read it
     sp.add_argument("--tol", type=float, default=tol)
     sp.add_argument("--out", default=None)
+
+
+def _add_points(sp):
+    """--z and --grid in a group that takes exactly one of its options."""
+    group = sp.add_mutually_exclusive_group(required=True)
+    group.add_argument("--z")
+    group.add_argument("--grid")
+    return group
 
 
 def build_parser():
@@ -292,8 +300,7 @@ def build_parser():
     p.set_defaults(func=_cmd_delta_solve)
     p = delta.add_parser("eval")
     p.add_argument("--delta", required=True)
-    p.add_argument("--z")
-    p.add_argument("--grid")
+    _add_points(p)
     _add_common(p)
     p.set_defaults(func=_cmd_delta_eval)
     p = delta.add_parser("bands")
@@ -325,8 +332,7 @@ def build_parser():
     tr = sub.add_parser("transfer").add_subparsers(dest="action", required=True)
     p = tr.add_parser("eval")
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--z")
-    p.add_argument("--grid")
+    _add_points(p)
     _add_common(p)
     p.set_defaults(func=_cmd_transfer_eval)
     p = tr.add_parser("coeffs")
@@ -341,8 +347,7 @@ def build_parser():
     res = sub.add_parser("resolvent").add_subparsers(dest="action", required=True)
     p = res.add_parser("eval")
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--z")
-    p.add_argument("--grid")
+    _add_points(p)
     p.add_argument("--imag", type=float, default=1.0)
     _add_common(p)
     p.set_defaults(func=_cmd_resolvent_eval)
@@ -403,9 +408,7 @@ def build_parser():
     p = jac.add_parser("transfer")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--z")
-    p.add_argument("--grid")
-    p.add_argument("--bands", action="store_true")
+    _add_points(p).add_argument("--bands", action="store_true")
     _add_common(p)
     p.set_defaults(func=_cmd_jacobi_transfer)
 

@@ -173,11 +173,13 @@ def solve_discriminant(E):
     log_r = np.sum(np.log(np.abs((B[:, None] - A) / BB)), axis=1)
     u = np.exp(0.5 * (log_r - np.max(log_r)))
     Q = np.linalg.qr(u[:, None], mode="complete")[0][:, 1:]
-    x = np.linalg.eigvalsh(Q.T @ (B[:, None] * Q))
-    x = np.clip(x, np.nextafter(A[:-1], np.inf), np.nextafter(B[:-1], -np.inf))
-    dA, dB = x[:, None] - A, x[:, None] - B
-    x = _newton_inside(x, np.sum(np.log(np.abs(dA / dB)), axis=1),
-                       np.sum(1.0 / dA, axis=1) - np.sum(1.0 / dB, axis=1), A[:-1], B[:-1])
+
+    def log_ratio(x):  # log|P_A/P_B| and its derivative
+        dA, dB = x[:, None] - A, x[:, None] - B
+        return (np.sum(np.log(np.abs(dA / dB)), axis=1),
+                np.sum(1.0 / dA, axis=1) - np.sum(1.0 / dB, axis=1))
+
+    x = _refine(np.linalg.eigvalsh(Q.T @ (B[:, None] * Q)), A[:-1], B[:-1], log_ratio)
 
     lams = 4.0 / (np.sum(1.0 / (x[:, None] - A), axis=1)
                   - np.sum(1.0 / (x[:, None] - B), axis=1))
@@ -199,8 +201,11 @@ def _exact_shift(b0, a0):
     return m if abs(m) <= 2.0 * lo and hi <= 2.0 * abs(m) else 0.0
 
 
-def _newton_inside(x, f, df, lo, hi):
-    """One Newton step x - f/df, kept only where it lands strictly inside (lo, hi)."""
+def _refine(x, lo, hi, f_df):
+    """Clamp x into the open intervals (lo, hi), then take one Newton step
+    x - f/df, with (f, df) = f_df(x), kept only where it stays inside."""
+    x = np.clip(x, np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf))
+    f, df = f_df(x)
     new = x - f / df
     return np.where((lo < new) & (new < hi), new, x)
 
@@ -222,17 +227,12 @@ def bands(delta):
 
 
 def _level_roots(delta, lams, cs, t):
-    """Sorted roots of Delta(x) = t: arrowhead eigenvalues plus one Newton
-    step, kept where it stays between the root's neighbouring poles (or
-    +/-inf) and skipped for an eigenvalue equal to a pole."""
+    """Sorted roots of Delta(x) = t: the arrowhead eigenvalues, each refined
+    between its neighbouring poles (or +/-inf) by ``_refine``."""
     M = np.diag(np.append((t - delta.c0) / delta.lambda0, cs))
     M[0, 1:] = M[1:, 0] = np.sqrt(lams / delta.lambda0)
-    x = np.linalg.eigvalsh(M)
-    free = ~np.isin(x, cs)
-    y = x[free]
-    x[free] = _newton_inside(y, eval_discriminant(delta, y) - t, eval_discriminant_deriv(delta, y),
-                             np.append(-np.inf, cs)[free], np.append(cs, np.inf)[free])
-    return x
+    return _refine(np.linalg.eigvalsh(M), np.append(-np.inf, cs), np.append(cs, np.inf),
+                   lambda x: (eval_discriminant(delta, x) - t, eval_discriminant_deriv(delta, x)))
 
 
 def ahlfors_eval(delta, z, boundary_tol=1e-8):

@@ -83,15 +83,10 @@ class BandedOperator:
         return self.lower[d, min(i, j)]
 
     def to_dense(self):
-        n = self.n
-        M = np.zeros((n, n))
-        flat = M.reshape(-1)
-        for d in range(min(self.half_bandwidth, n - 1) + 1):
-            # + 0.0 stores a -0.0 band entry as +0.0, like summing into zeros
-            diag = self.lower[d, : n - d] + 0.0
-            flat[d * n :: n + 1] = diag  # entries (i + d, i)
-            flat[d :: n + 1][: n - d] = diag  # entries (i, i + d)
-        return M
+        """The full matrix: the lower triangle of ``row_block`` mirrored."""
+        L = self.row_block(0, self.n)
+        L += np.tril(L, -1).T
+        return L
 
     def row_block(self, start, stop):
         """Rows start..stop-1, columns 0..stop-1 of the dense matrix.
@@ -204,14 +199,22 @@ def check_shifted_inverse_structure(coeffs, k, n_periods=40, tol=1e-8):
     R = ((evecs * weights) @ evecs.T)[k:, k:]  # index shift by k
     m = R.shape[0]
     t = tol * (1.0 + np.max(np.abs(R)))
-    idx = np.arange(margin, m - margin)
-    win = R[margin : m - margin, margin : m - margin]
-    d = idx[None, :] - idx[:, None]  # column minus row index
-    p_row = (idx % w == g)[:, None]  # rows carrying p_g on the outermost diagonal
-    big = np.abs(win) > t
-    outer = d == w
-    bad = (big & (np.abs(d) > w)) | (outer & ~p_row & big) | (outer & p_row & (win <= t))
-    return not bad.any()
+    # margin is a multiple of w, so window row r carries p_g where r % w == g
+    return not _class_a_violations(R[margin : m - margin, margin : m - margin], w, g, t).any()
+
+
+def _class_a_violations(M, w, live, scale):
+    """Mask of the entries of M that break the class-A shape of bandwidth w.
+
+    An entry beyond the bandwidth must be at most ``scale`` in modulus; on
+    the outermost diagonal (i, i + w) it must exceed ``scale`` in rows
+    i = live (mod w) and be at most ``scale`` in modulus in the others.
+    """
+    i, j = np.indices(M.shape)
+    big = np.abs(M) > scale
+    outer = j - i == w
+    live_row = i % w == live
+    return (big & (np.abs(j - i) > w)) | (outer & ~live_row & big) | (outer & live_row & (M <= scale))
 
 
 def _pole_weights(evals, evecs, c, num, rows):

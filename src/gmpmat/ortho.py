@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .gmp import _class_a_violations
 
 _KINDS = ("monomial", "smp", "gmp")
 
@@ -156,22 +157,11 @@ def structure_report(M, fam, tol=1e-8):
     outer diagonal zero except positive entries on one block position).
     """
     M = np.asarray(M)
-    n = M.shape[0]
     scale = tol * (1.0 + np.max(np.abs(M)))
     w = fam.block_size
-    violations = []
-    for i in range(n):
-        for j in range(i + w + 1, n):
-            if abs(M[i, j]) > scale:
-                violations.append((i, j, float(M[i, j]), "outside bandwidth"))
-    outer = np.array([M[i, i + w] for i in range(n - w)])
+    outer = np.diagonal(M, w)
     if fam.kind == "monomial":
-        pattern = "jacobi"
-        for i in range(n - 1):
-            if M[i, i + 1] <= scale:
-                violations.append(
-                    (i, i + 1, float(M[i, i + 1]), "off-diagonal not positive")
-                )
+        pattern, live = "jacobi", 0
     else:
         pattern = "smp" if fam.kind == "smp" else "class-A"
         # nonzero outer entries live on a single residue class mod the
@@ -180,14 +170,13 @@ def structure_report(M, fam, tol=1e-8):
             np.max(np.abs(outer[r::w])) if outer[r::w].size else 0.0 for r in range(w)
         ]
         live = int(np.argmax(classes))
-        for i in range(len(outer)):
-            if i % w == live:
-                if outer[i] <= scale:
-                    violations.append(
-                        (i, i + w, float(outer[i]), "outer entry not positive")
-                    )
-            elif abs(outer[i]) > scale:
-                violations.append(
-                    (i, i + w, float(outer[i]), "outer entry not zero")
-                )
+    bad = _class_a_violations(M, w, live, scale)
+    violations = [(i, j, float(M[i, j]), "outside bandwidth")
+                  for i, j in np.argwhere(np.triu(bad, w + 1)).tolist()]
+    for i in np.flatnonzero(np.diagonal(bad, w)).tolist():
+        if fam.kind == "monomial":
+            reason = "off-diagonal not positive"
+        else:
+            reason = "outer entry not positive" if i % w == live else "outer entry not zero"
+        violations.append((i, i + w, float(outer[i]), reason))
     return {"pattern": pattern, "bandwidth": w, "violations": violations}

@@ -29,34 +29,27 @@ class ResolventValue:
     a0: float
 
 
-def _quadratic(coeffs, z):
-    """V = m11 - m22, the root of tr^2 - 4 and m21 at z (scalar or ndarray)."""
-    M = transfer(coeffs, z)
-    tr = M[0, 0] + M[1, 1]
-    return M[0, 0] - M[1, 1], np.sqrt(tr * tr - 4.0 + 0.0j), M[1, 0]
-
-
 def resolvent_pair(coeffs, z):
     """Both resolvent roots at z with the Herglotz branch selected.
 
     Both square-root candidates are computed and the one with positive
     imaginary part is assigned to a0^2 r_+ (negative imaginary part to
-    1/r_-).  For real z off the spectrum the branch is fixed by the limit
-    from the upper half plane.  z is a scalar or an ndarray; for an
-    ndarray the roots are arrays of its shape.
+    1/r_-).  For real z in a gap both roots are real, and r_+ is the one
+    whose Floquet multiplier (tr +/- s)/2 has modulus above 1; with s the
+    principal root of tr^2 - 4 that is (V + s) / (2 m21) exactly when
+    tr > 0.  z is a scalar or an ndarray; for an ndarray the roots are
+    arrays of its shape.
     """
     scalar = not isinstance(z, np.ndarray)
     z = complex(z) if scalar else z.astype(complex, copy=False)
-    V, s, a21 = _quadratic(coeffs, z)
+    M = transfer(coeffs, z)
+    tr, V, a21 = M[0, 0] + M[1, 1], M[0, 0] - M[1, 1], M[1, 0]
+    s = np.sqrt(tr * tr - 4.0 + 0.0j)
     if (np.abs(a21) < 1e-14 * (1.0 + np.abs(V))).any():
         raise DomainError("transfer entry m21 vanishes; retry at a perturbed z")
     c0, c1 = (V + s) / (2.0 * a21), (V - s) / (2.0 * a21)
-    plus_first = c0.imag > c1.imag
     gap = c0.imag == c1.imag
-    if gap.any():
-        # real z in a gap: both roots real; decide by the limit from above
-        Vu, su, a21u = _quadratic(coeffs, z + 1j * (1e-9 * (1.0 + np.abs(z))))
-        plus_first = np.where(gap, ((Vu + su) / (2.0 * a21u)).imag > 0, plus_first)
+    plus_first = np.where(gap, tr.real > 0, c0.imag > c1.imag)
     plus_first = plus_first != (z.imag < 0)
     r_plus = np.where(plus_first, c0, c1)
     r_minus_inv = np.where(plus_first, c1, c0)

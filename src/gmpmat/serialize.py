@@ -34,10 +34,6 @@ def dumps(obj):
     return _render(obj) + "\n"
 
 
-def loads(text):
-    return json.loads(text)
-
-
 def load_json(path):
     with open(path) as fh:
         return json.load(fh)

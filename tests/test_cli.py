@@ -338,6 +338,28 @@ def test_usage_error_exits_1_with_json(capsys, args):
     assert "error" in json.loads(captured.err)
 
 
+_POINT_COMMANDS = {
+    "delta eval": ["delta", "eval", "--delta", "{}/delta.json"],
+    "transfer eval": ["transfer", "eval", "--coeffs", "{}/pt.json"],
+    "resolvent eval": ["resolvent", "eval", "--coeffs", "{}/pt.json"],
+    "jacobi transfer": ["jacobi", "transfer", "--a", "1,2", "--b", "0,0"],
+}
+
+
+@pytest.mark.parametrize("choice", [[], ["--z", "0.5,0.5", "--grid", "-3:3:5"]],
+                         ids=["missing", "doubled"])
+@pytest.mark.parametrize("command", list(_POINT_COMMANDS))
+def test_point_command_takes_one_of_z_and_grid(workdir, capsys, command, choice):
+    # with no point these crashed with a traceback; given both, they used --grid
+    out = workdir / "out.txt"
+    args = [a.format(workdir) for a in _POINT_COMMANDS[command]] + choice
+    assert main(args + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    error = json.loads(captured.err)["error"]
+    assert "--z" in error and "--grid" in error
+
+
 def _csv(text):
     return np.array([[float(v) for v in line.split(",")] for line in text.splitlines()])
 

@@ -190,6 +190,29 @@ def test_to_dense_matches_diag_sums_bytes_with_negative_zero():
         assert "-0\n" not in lower_triangle_csv(new)
 
 
+def _to_dense_fill(op):
+    """The per-diagonal fill that to_dense replaces, kept as its oracle."""
+    n = op.n
+    M = np.zeros((n, n))
+    flat = M.reshape(-1)
+    for d in range(min(op.half_bandwidth, n - 1) + 1):
+        diag = op.lower[d, : n - d] + 0.0
+        flat[d * n :: n + 1] = diag  # entries (i + d, i)
+        flat[d :: n + 1][: n - d] = diag  # entries (i, i + d)
+    return M
+
+
+def test_to_dense_matches_diagonal_fill_bits():
+    # random band matrices with -0.0 entries, compared as int64
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n, hb = int(rng.integers(1, 13)), int(rng.integers(0, 6))
+        lower = rng.standard_normal((hb + 1, n))
+        lower[rng.random(lower.shape) < 0.3] = -0.0
+        op = BandedOperator(n=n, half_bandwidth=hb, lower=lower)
+        assert np.array_equal(op.to_dense().view(np.int64), _to_dense_fill(op).view(np.int64))
+
+
 @pytest.mark.parametrize("tol", [0.0, 0.5, -1.0, np.inf])
 def test_triangle_from_band_storage_matches_dense(monkeypatch, tol):
     # row blocks of a few entries each, so blocks start mid-band

@@ -59,22 +59,14 @@ def test_core_rejects_grid_through_pole():
         _kernels.discriminant_grid(c, zs)
 
 
-def _blocked_entries(c, zs):
-    """All four entries over the grid, multiplied out block by block."""
-    return _kernels._over_blocks(c, zs, (4,), np.array)
-
-
 def test_grid_matches_pointwise_transfer():
     rng = np.random.default_rng(2)
     c = random_coeffs(rng, g=2)
     zs = _grid(rng, 16)
-    m11, m12, m21, m22 = _blocked_entries(c, zs)
+    tr = _kernels.discriminant_grid(c, zs)
     for i, z in enumerate(zs):
         M = transfer(c, complex(z))
-        assert abs(M[0, 0] - m11[i]) < 1e-12
-        assert abs(M[0, 1] - m12[i]) < 1e-12
-        assert abs(M[1, 0] - m21[i]) < 1e-12
-        assert abs(M[1, 1] - m22[i]) < 1e-12
+        assert abs(M[0, 0] + M[1, 1] - tr[i]) < 1e-12
 
 
 def test_discriminant_grid_unit_determinant():
@@ -93,10 +85,10 @@ def test_blocked_grid_equals_one_core_call(n):
     rng = np.random.default_rng(5)
     c = random_coeffs(rng, g=3)
     zs = _grid(rng, n)
-    got = _blocked_entries(c, zs)
-    want = _kernels._factor_product(zs, c.poles, c.p, c.q)
-    assert got.shape == (4, n)
-    assert np.array_equal(got, want)
+    got = _kernels.discriminant_grid(c, zs)
+    m11, _, _, m22 = _kernels._factor_product(zs, c.poles, c.p, c.q)
+    assert got.shape == (n,)
+    assert np.array_equal(got, m11 + m22)
 
 
 def test_blocked_grid_names_pole_hit_in_second_block():

@@ -126,3 +126,64 @@ def test_structure_report_flags_violations():
     rep = structure_report(M, fam, tol=1e-10)
     reasons = {v[3] for v in rep["violations"]}
     assert "outside bandwidth" in reasons
+
+
+def _structure_report_loop(M, fam, tol=1e-8):
+    """The per-entry loops that structure_report replaces, kept as its oracle."""
+    M = np.asarray(M)
+    n = M.shape[0]
+    scale = tol * (1.0 + np.max(np.abs(M)))
+    w = fam.block_size
+    violations = []
+    for i in range(n):
+        for j in range(i + w + 1, n):
+            if abs(M[i, j]) > scale:
+                violations.append((i, j, float(M[i, j]), "outside bandwidth"))
+    outer = np.array([M[i, i + w] for i in range(n - w)])
+    if fam.kind == "monomial":
+        pattern = "jacobi"
+        for i in range(n - 1):
+            if M[i, i + 1] <= scale:
+                violations.append((i, i + 1, float(M[i, i + 1]), "off-diagonal not positive"))
+    else:
+        pattern = "smp" if fam.kind == "smp" else "class-A"
+        classes = [np.max(np.abs(outer[r::w])) if outer[r::w].size else 0.0 for r in range(w)]
+        live = int(np.argmax(classes))
+        for i in range(len(outer)):
+            if i % w == live:
+                if outer[i] <= scale:
+                    violations.append((i, i + w, float(outer[i]), "outer entry not positive"))
+            elif abs(outer[i]) > scale:
+                violations.append((i, i + w, float(outer[i]), "outer entry not zero"))
+    return {"pattern": pattern, "bandwidth": w, "violations": violations}
+
+
+_FAMILIES = (RationalFamily("monomial"), RationalFamily("smp", (0.0,)),
+             RationalFamily("gmp", (0.3,)), RationalFamily("gmp", (-1.5, 0.5)))
+
+
+def _shaped_matrix(rng, n, w):
+    """Symmetric n x n, bandwidth w, outer diagonal positive on one residue
+    class mod w and zero elsewhere; then some entries overwritten at random
+    (values, zeros and -0.0), so that every kind of violation occurs."""
+    M = rng.standard_normal((n, n))
+    M = np.tril(np.triu(M + M.T, -w), w)
+    i = np.arange(max(n - w, 0))
+    live = i % w == rng.integers(w)
+    M[i, i + w] = np.where(live, np.abs(M[i, i + w]), 0.0)
+    M[i + w, i] = M[i, i + w]
+    hit = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.3))
+    M[hit] = rng.choice([0.0, -0.0, 1.0, -1.0, 1e-9, -1e-9], hit.sum()) * rng.uniform(0.0, 3.0, hit.sum())
+    return np.where(np.tri(n, k=-1, dtype=bool), M.T, M)  # mirrored, not summed: keeps -0.0
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-8, 0.5])
+def test_structure_report_matches_per_entry_loop(tol):
+    # bytes and order: repr tells -0.0 from 0.0 and np.int64 from int
+    rng = np.random.default_rng(31)
+    mu = _two_band_measure(seed=3)
+    for fam in _FAMILIES:
+        cases = [_shaped_matrix(rng, int(rng.integers(1, 16)), fam.block_size) for _ in range(150)]
+        cases.append(multiplication_matrix(mu, fam, 12))
+        for M in cases:
+            assert repr(structure_report(M, fam, tol)) == repr(_structure_report_loop(M, fam, tol))

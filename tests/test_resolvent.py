@@ -10,6 +10,7 @@ from gmpmat import (
     resolvent_matrix,
     resolvent_pair,
     solve_discriminant,
+    transfer,
     truncation_resolvent_oracle,
 )
 from gmpmat.transfer import discriminant_coeffs
@@ -108,3 +109,51 @@ def test_reflectionless_rejects_bad_eps():
 def test_oracle_rejects_real_z():
     with pytest.raises(DomainError):
         truncation_resolvent_oracle(_gmp_point(), 1.5)
+
+
+def _resolvent_pair_perturbed(coeffs, z):
+    """resolvent_pair as it was before the trace rule: a lane with two real
+    roots takes the branch of the limit from above, the transfer matrix
+    evaluated a second time at z + 1e-9 (1 + |z|) i.  Kept as an oracle."""
+    def quadratic(z):
+        M = transfer(coeffs, z)
+        tr = M[0, 0] + M[1, 1]
+        return M[0, 0] - M[1, 1], np.sqrt(tr * tr - 4.0 + 0.0j), M[1, 0]
+
+    scalar = not isinstance(z, np.ndarray)
+    z = complex(z) if scalar else z.astype(complex, copy=False)
+    V, s, a21 = quadratic(z)
+    if (np.abs(a21) < 1e-14 * (1.0 + np.abs(V))).any():
+        raise DomainError("transfer entry m21 vanishes; retry at a perturbed z")
+    c0, c1 = (V + s) / (2.0 * a21), (V - s) / (2.0 * a21)
+    plus_first = c0.imag > c1.imag
+    gap = c0.imag == c1.imag
+    if gap.any():
+        Vu, su, a21u = quadratic(z + 1j * (1e-9 * (1.0 + np.abs(z))))
+        plus_first = np.where(gap, ((Vu + su) / (2.0 * a21u)).imag > 0, plus_first)
+    plus_first = plus_first != (z.imag < 0)
+    r_plus, r_minus_inv = np.where(plus_first, c0, c1), np.where(plus_first, c1, c0)
+    if scalar:
+        return complex(r_plus), complex(r_minus_inv), bool(gap)
+    return r_plus, r_minus_inv, gap
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-12j, 1e-6j, 1j, -0.5j])
+def test_gap_branch_matches_perturbed_oracle(offset):
+    # bit for bit over grids through bands, gaps and poles' neighbourhoods
+    lanes = 0  # lanes with two real roots
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        c = random_coeffs(rng, g=seed % 5)
+        zs = np.linspace(-4.0, 4.0, 2001) + offset
+        rv = resolvent_pair(c, zs)
+        r_plus, r_minus_inv, gap = _resolvent_pair_perturbed(c, zs)
+        lanes += gap.sum()
+        assert np.array_equal(rv.r_plus.view(np.int64), r_plus.view(np.int64))
+        assert np.array_equal(rv.r_minus_inv.view(np.int64), r_minus_inv.view(np.int64))
+        # the scalar path, at a lane with two real roots where there is one
+        z = complex(zs[np.argmax(gap)] if gap.any() else zs[int(rng.integers(zs.size))])
+        one = resolvent_pair(c, z)
+        assert repr((one.r_plus, one.r_minus_inv)) == repr(_resolvent_pair_perturbed(c, z)[:2])
+    if offset == 0.0:
+        assert lanes > 0
