@@ -2,6 +2,8 @@
 
 Thin adapters over the library modules with deterministic, file-based
 I/O: JSON for structured data, CSV for matrices, traces and grids.
+Each command returns its result and ``main`` writes it: a 2-D ndarray as
+CSV rows, a str as it is, any other value as JSON.
 Exit codes: 0 success, 1 domain/input/usage error, 2 convergence failure.
 A grid that hits a pole is a domain error: no partial output is written.
 """
@@ -57,35 +59,34 @@ def _load_coeffs(path):
     return GmpCoefficients.from_dict(serialize.load_json(path))
 
 
+def _complex(value):
+    value = complex(value)
+    return {"re": value.real, "im": value.imag}
+
+
 def _cmd_delta_solve(args):
-    delta = solve_discriminant(_load_set(args.set))
-    serialize.write_text(args.out, serialize.dumps(delta.to_dict()))
+    return solve_discriminant(_load_set(args.set)).to_dict()
 
 
 def _cmd_delta_eval(args):
     delta = _load_delta(args.delta)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
-        vals = eval_discriminant(delta, xs)
-        serialize.write_text(args.out, serialize.rows_csv(np.column_stack([xs, vals])))
-    else:
-        val = complex(eval_discriminant(delta, _parse_complex(args.z)))
-        serialize.write_text(args.out, serialize.dumps({"re": val.real, "im": val.imag}))
+        return np.column_stack([xs, eval_discriminant(delta, xs)])
+    return _complex(eval_discriminant(delta, _parse_complex(args.z)))
 
 
 def _cmd_delta_bands(args):
-    E = bands(_load_delta(args.delta))
-    serialize.write_text(args.out, serialize.dumps(E.to_dict()))
+    return bands(_load_delta(args.delta)).to_dict()
 
 
 def _cmd_ahlfors_eval(args):
-    val = ahlfors_eval(_load_delta(args.delta), _parse_complex(args.z))
-    serialize.write_text(args.out, serialize.dumps({"re": val.real, "im": val.imag}))
+    return _complex(ahlfors_eval(_load_delta(args.delta), _parse_complex(args.z)))
 
 
 def _cmd_gmp_build(args):
-    op = assemble(_load_coeffs(args.coeffs), args.periods)
-    serialize.write_text(args.out, serialize.lower_triangle_csv(op, tol=args.tol))
+    return serialize.lower_triangle_csv(assemble(_load_coeffs(args.coeffs), args.periods),
+                                        tol=args.tol)
 
 
 def _cmd_gmp_check(args):
@@ -95,70 +96,46 @@ def _cmd_gmp_check(args):
         check_shifted_inverse_structure(coeffs, k, args.periods, args.tol)
         for k in range(1, coeffs.g + 1)
     ]
-    serialize.write_text(
-        args.out,
-        serialize.dumps(
-            {
-                "is_gmp": is_gmp,
-                "lambdas": list(lambdas),
-                "structural_ok": all(structural),
-            }
-        ),
-    )
+    return {"is_gmp": is_gmp, "lambdas": list(lambdas), "structural_ok": all(structural)}
 
 
 def _cmd_transfer_eval(args):
     coeffs = _load_coeffs(args.coeffs)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
-        vals = _kernels.discriminant_grid(coeffs, xs)
-        serialize.write_text(args.out, serialize.rows_csv(np.column_stack([xs, vals.real])))
-    else:
-        M = eval_transfer(coeffs, _parse_complex(args.z))
-        out = {
-            "m11": [M[0, 0].real, M[0, 0].imag],
-            "m12": [M[0, 1].real, M[0, 1].imag],
-            "m21": [M[1, 0].real, M[1, 0].imag],
-            "m22": [M[1, 1].real, M[1, 1].imag],
-        }
-        serialize.write_text(args.out, serialize.dumps(out))
+        return np.column_stack([xs, _kernels.discriminant_grid(coeffs, xs).real])
+    M = eval_transfer(coeffs, _parse_complex(args.z))
+    return {f"m{i + 1}{j + 1}": [M[i, j].real, M[i, j].imag] for i in (0, 1) for j in (0, 1)}
 
 
 def _cmd_transfer_coeffs(args):
-    dc = discriminant_coeffs(_load_coeffs(args.coeffs))
-    serialize.write_text(args.out, serialize.dumps(dc.to_dict()))
+    return discriminant_coeffs(_load_coeffs(args.coeffs)).to_dict()
 
 
 def _cmd_transfer_lambdas(args):
     coeffs = _load_coeffs(args.coeffs)
-    vals = [lambda_k(coeffs, k) for k in range(1, coeffs.g + 1)]
-    serialize.write_text(args.out, serialize.dumps(vals))
+    return [lambda_k(coeffs, k) for k in range(1, coeffs.g + 1)]
 
 
 def _cmd_resolvent_eval(args):
+    if args.z is not None and args.imag is not None:
+        raise ValueError("gmpmat resolvent eval: argument --imag: not allowed with argument --z")
     coeffs = _load_coeffs(args.coeffs)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
-        rv = resolvent.resolvent_pair(coeffs, xs + 1j * args.imag)
+        rv = resolvent.resolvent_pair(coeffs, xs + 1j * (1.0 if args.imag is None else args.imag))
         cols = [xs, rv.r_plus.real, rv.r_plus.imag, rv.r_minus_inv.real, rv.r_minus_inv.imag]
-        serialize.write_text(args.out, serialize.rows_csv(np.column_stack(cols)))
-    else:
-        rv = resolvent.resolvent_pair(coeffs, _parse_complex(args.z))
-        serialize.write_text(
-            args.out,
-            serialize.dumps(
-                {
-                    "r_plus": [rv.r_plus.real, rv.r_plus.imag],
-                    "r_minus_inv": [rv.r_minus_inv.real, rv.r_minus_inv.imag],
-                    "a0": rv.a0,
-                }
-            ),
-        )
+        return np.column_stack(cols)
+    rv = resolvent.resolvent_pair(coeffs, _parse_complex(args.z))
+    return {
+        "r_plus": [rv.r_plus.real, rv.r_plus.imag],
+        "r_minus_inv": [rv.r_minus_inv.real, rv.r_minus_inv.imag],
+        "a0": rv.a0,
+    }
 
 
 def _cmd_resolvent_reflectionless(args):
-    defect = resolvent.reflectionless_check(_load_coeffs(args.coeffs), args.x, args.eps)
-    serialize.write_text(args.out, serialize.dumps({"defect": defect}))
+    return {"defect": resolvent.reflectionless_check(_load_coeffs(args.coeffs), args.x, args.eps)}
 
 
 def _cmd_iso_project(args):
@@ -166,10 +143,8 @@ def _cmd_iso_project(args):
     if args.init is not None:
         head = [float(v) for v in args.init.split(",")] if args.init else []
     else:
-        rng = np.random.default_rng(args.seed)
-        head = rng.normal(size=2 * delta.g)
-    coeffs = isospectral.project_to_manifold(head, delta, tol=args.tol)
-    serialize.write_text(args.out, serialize.dumps(coeffs.to_dict()))
+        head = np.random.default_rng(args.seed).normal(size=2 * delta.g)
+    return isospectral.project_to_manifold(head, delta, tol=args.tol).to_dict()
 
 
 def _cmd_iso_trace(args):
@@ -182,8 +157,8 @@ def _cmd_iso_trace(args):
         np.max(np.abs(isospectral.manifold_residual(pt, delta))) if delta.g else 0.0
         for pt in points
     ]
-    cols = [np.arange(len(points)), P[:, :-1], Q[:, :-1], P[:, -1], Q[:, -1], defects]
-    serialize.write_text(args.out, serialize.rows_csv(np.column_stack(cols)))
+    return np.column_stack([np.arange(len(points)), P[:, :-1], Q[:, :-1], P[:, -1], Q[:, -1],
+                            defects])
 
 
 def _cmd_iso_verify(args):
@@ -194,44 +169,38 @@ def _cmd_iso_verify(args):
         delta, list(coeffs.p[:-1]) + list(coeffs.q[:-1])
     )
     tail_defect = max(abs(coeffs.p[-1] - p_g), abs(coeffs.q[-1] - q_g))
-    serialize.write_text(
-        args.out,
-        serialize.dumps(
-            {
-                "residual": list(res),
-                "tail_defect": tail_defect,
-                "on_manifold": bool(
-                    tail_defect <= args.tol
-                    and (res.size == 0 or np.max(np.abs(res)) <= args.tol)
-                ),
-            }
+    return {
+        "residual": list(res),
+        "tail_defect": tail_defect,
+        "on_manifold": bool(
+            tail_defect <= args.tol and (res.size == 0 or np.max(np.abs(res)) <= args.tol)
         ),
-    )
+    }
 
 
 def _cmd_magic_verify(args):
     defect = isospectral.magic_verify(
         _load_coeffs(args.coeffs), _load_delta(args.delta), args.periods
     )
-    serialize.write_text(args.out, serialize.dumps({"defect": defect}))
+    return {"defect": defect}
 
 
 def _cmd_spectrum_eig(args):
-    eigs = isospectral.spectrum_truncation(_load_coeffs(args.coeffs), args.periods)
-    serialize.write_text(args.out, serialize.rows_csv(eigs[:, None]))
+    return isospectral.spectrum_truncation(_load_coeffs(args.coeffs), args.periods)[:, None]
 
 
 def _cmd_ortho_build(args):
+    if args.tol is not None and not args.report:
+        raise ValueError("gmpmat ortho build: argument --tol: not allowed without --report")
     measure = ortho.DiscreteMeasure.from_csv(args.measure)
     poles = tuple(float(v) for v in args.poles.split(",")) if args.poles else ()
     fam = ortho.RationalFamily(args.family, poles, orientation=args.orientation)
     M = ortho.multiplication_matrix(measure, fam, args.n)
-    if args.report:
-        rep = ortho.structure_report(M, fam, tol=args.tol)
-        rep["violations"] = [list(v) for v in rep["violations"]]
-        serialize.write_text(args.out, serialize.dumps(rep))
-    else:
-        serialize.write_text(args.out, serialize.lower_triangle_csv(M))
+    if not args.report:
+        return serialize.lower_triangle_csv(M)
+    rep = ortho.structure_report(M, fam, tol=1e-8 if args.tol is None else args.tol)
+    rep["violations"] = [list(v) for v in rep["violations"]]
+    return rep
 
 
 def _cmd_jacobi_transfer(args):
@@ -239,15 +208,10 @@ def _cmd_jacobi_transfer(args):
     b = [float(v) for v in args.b.split(",")]
     if args.grid is not None:
         xs = _parse_grid(args.grid)
-        t, _ = isospectral.jacobi_transfer(a, b, xs)
-        serialize.write_text(args.out, serialize.rows_csv(np.column_stack([xs, t])))
-    elif args.bands:
-        edges = isospectral.jacobi_band_edges(a, b)
-        serialize.write_text(args.out, serialize.dumps(edges))
-    else:
-        t, _ = isospectral.jacobi_transfer(a, b, _parse_complex(args.z))
-        t = complex(t)
-        serialize.write_text(args.out, serialize.dumps({"re": t.real, "im": t.imag}))
+        return np.column_stack([xs, isospectral.jacobi_transfer(a, b, xs)[0]])
+    if args.bands:
+        return isospectral.jacobi_band_edges(a, b)
+    return _complex(isospectral.jacobi_transfer(a, b, _parse_complex(args.z))[0])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -274,11 +238,14 @@ def _join_signed_values(argv):
     return out
 
 
-def _add_common(sp, tol=1e-10):
-    # every subcommand takes --tol; only gmp build, gmp check, iso project,
-    # iso trace, iso verify and ortho build --report read it
-    sp.add_argument("--tol", type=float, default=tol)
-    sp.add_argument("--out", default=None)
+def _command(parent, name, func, *required):
+    """A leaf command with its required options and --out."""
+    p = parent.add_parser(name)
+    for option in required:
+        p.add_argument(option, required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=func)
+    return p
 
 
 def _add_points(sp):
@@ -293,124 +260,69 @@ def build_parser():
     parser = _Parser(prog="gmpmat")
     sub = parser.add_subparsers(dest="group", required=True)
 
-    delta = sub.add_parser("delta").add_subparsers(dest="action", required=True)
-    p = delta.add_parser("solve")
-    p.add_argument("--set", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_delta_solve)
-    p = delta.add_parser("eval")
-    p.add_argument("--delta", required=True)
-    _add_points(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_delta_eval)
-    p = delta.add_parser("bands")
-    p.add_argument("--delta", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_delta_bands)
+    def group(name):
+        return sub.add_parser(name).add_subparsers(dest="action", required=True)
 
-    ahl = sub.add_parser("ahlfors").add_subparsers(dest="action", required=True)
-    p = ahl.add_parser("eval")
-    p.add_argument("--delta", required=True)
-    p.add_argument("--z", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_ahlfors_eval)
+    delta = group("delta")
+    _command(delta, "solve", _cmd_delta_solve, "--set")
+    _add_points(_command(delta, "eval", _cmd_delta_eval, "--delta"))
+    _command(delta, "bands", _cmd_delta_bands, "--delta")
 
-    gmp = sub.add_parser("gmp").add_subparsers(dest="action", required=True)
-    p = gmp.add_parser("build")
-    p.add_argument("--coeffs", required=True)
+    _command(group("ahlfors"), "eval", _cmd_ahlfors_eval, "--delta", "--z")
+
+    gmp = group("gmp")
+    p = _command(gmp, "build", _cmd_gmp_build, "--coeffs")
     p.add_argument("--periods", type=int, default=60)
-    _add_common(p, tol=0.0)
-    p.set_defaults(func=_cmd_gmp_build)
-    p = gmp.add_parser("check")
-    p.add_argument("--coeffs", required=True)
+    p.add_argument("--tol", type=float, default=0.0)
+    p = _command(gmp, "check", _cmd_gmp_check, "--coeffs")
     p.add_argument("--periods", type=int, default=40, help="periods of the finite section; "
                    "the structural check exits 1 unless at least 2(g+1) rows lie "
                    "2(g+1)^2 or more rows from both ends")
-    _add_common(p, tol=1e-8)
-    p.set_defaults(func=_cmd_gmp_check)
+    p.add_argument("--tol", type=float, default=1e-8)
 
-    tr = sub.add_parser("transfer").add_subparsers(dest="action", required=True)
-    p = tr.add_parser("eval")
-    p.add_argument("--coeffs", required=True)
-    _add_points(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_transfer_eval)
-    p = tr.add_parser("coeffs")
-    p.add_argument("--coeffs", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_transfer_coeffs)
-    p = tr.add_parser("lambdas")
-    p.add_argument("--coeffs", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_transfer_lambdas)
+    tr = group("transfer")
+    _add_points(_command(tr, "eval", _cmd_transfer_eval, "--coeffs"))
+    _command(tr, "coeffs", _cmd_transfer_coeffs, "--coeffs")
+    _command(tr, "lambdas", _cmd_transfer_lambdas, "--coeffs")
 
-    res = sub.add_parser("resolvent").add_subparsers(dest="action", required=True)
-    p = res.add_parser("eval")
-    p.add_argument("--coeffs", required=True)
+    res = group("resolvent")
+    p = _command(res, "eval", _cmd_resolvent_eval, "--coeffs")
     _add_points(p)
-    p.add_argument("--imag", type=float, default=1.0)
-    _add_common(p)
-    p.set_defaults(func=_cmd_resolvent_eval)
-    p = res.add_parser("reflectionless")
-    p.add_argument("--coeffs", required=True)
+    p.add_argument("--imag", type=float, help="imaginary part of every --grid point "
+                   "(default 1.0); not allowed with --z")
+    p = _command(res, "reflectionless", _cmd_resolvent_reflectionless, "--coeffs")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--eps", type=float, default=1e-6)
-    _add_common(p)
-    p.set_defaults(func=_cmd_resolvent_reflectionless)
 
-    iso = sub.add_parser("iso").add_subparsers(dest="action", required=True)
-    p = iso.add_parser("project")
-    p.add_argument("--delta", required=True)
-    p.add_argument("--init")
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=_cmd_iso_project)
-    p = iso.add_parser("trace")
-    p.add_argument("--delta", required=True)
-    p.add_argument("--coeffs", required=True)
+    iso = group("iso")
+    p = _command(iso, "project", _cmd_iso_project, "--delta")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--init")
+    start.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p = _command(iso, "trace", _cmd_iso_trace, "--delta", "--coeffs")
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--step-len", type=float, default=0.05)
-    _add_common(p)
-    p.set_defaults(func=_cmd_iso_trace)
-    p = iso.add_parser("verify")
-    p.add_argument("--delta", required=True)
-    p.add_argument("--coeffs", required=True)
-    _add_common(p, tol=1e-8)
-    p.set_defaults(func=_cmd_iso_verify)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p = _command(iso, "verify", _cmd_iso_verify, "--delta", "--coeffs")
+    p.add_argument("--tol", type=float, default=1e-8)
 
-    magic = sub.add_parser("magic").add_subparsers(dest="action", required=True)
-    p = magic.add_parser("verify")
-    p.add_argument("--delta", required=True)
-    p.add_argument("--coeffs", required=True)
+    p = _command(group("magic"), "verify", _cmd_magic_verify, "--delta", "--coeffs")
     p.add_argument("--periods", type=int, default=60)
-    _add_common(p)
-    p.set_defaults(func=_cmd_magic_verify)
 
-    spec = sub.add_parser("spectrum").add_subparsers(dest="action", required=True)
-    p = spec.add_parser("eig")
-    p.add_argument("--coeffs", required=True)
+    p = _command(group("spectrum"), "eig", _cmd_spectrum_eig, "--coeffs")
     p.add_argument("--periods", type=int, default=60)
-    _add_common(p)
-    p.set_defaults(func=_cmd_spectrum_eig)
 
-    ob = sub.add_parser("ortho").add_subparsers(dest="action", required=True)
-    p = ob.add_parser("build")
-    p.add_argument("--measure", required=True)
+    p = _command(group("ortho"), "build", _cmd_ortho_build, "--measure")
     p.add_argument("--family", choices=["monomial", "smp", "gmp"], required=True)
     p.add_argument("--poles", default="")
     p.add_argument("--n", type=int, default=12)
     p.add_argument("--report", action="store_true")
     p.add_argument("--orientation", choices=["paper", "reversed"], default="paper")
-    _add_common(p, tol=1e-8)
-    p.set_defaults(func=_cmd_ortho_build)
+    p.add_argument("--tol", type=float, help="violation threshold of --report (default 1e-8)")
 
-    jac = sub.add_parser("jacobi").add_subparsers(dest="action", required=True)
-    p = jac.add_parser("transfer")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
+    p = _command(group("jacobi"), "transfer", _cmd_jacobi_transfer, "--a", "--b")
     _add_points(p).add_argument("--bands", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_jacobi_transfer)
 
     return parser
 
@@ -419,7 +331,12 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(_join_signed_values(argv))
-        args.func(args)
+        result = args.func(args)
+        if isinstance(result, np.ndarray):
+            result = serialize.rows_csv(result)
+        elif not isinstance(result, str):
+            result = serialize.dumps(result)
+        serialize.write_text(args.out, result)
     except ConvergenceError as exc:
         payload = {"error": str(exc)}
         if exc.residual is not None:

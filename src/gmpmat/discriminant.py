@@ -218,9 +218,15 @@ def bands(delta):
     whose characteristic polynomial is the secular equation Delta(x) = t.
     By interlacing, the i-th sorted root of each level lies between poles
     i-1 and i, so the -2 and +2 roots pair index-wise into bands.
+    Raises DomainError for two poles with fewer than two floats between
+    them: a band holds at least two.
     """
     order = np.argsort(delta.poles)
     lams, cs = np.array(delta.terms).reshape(-1, 2)[order].T
+    for lo, hi in zip(cs[:-1], cs[1:]):
+        if np.nextafter(np.nextafter(lo, np.inf), np.inf) >= hi:
+            raise DomainError(f"poles {lo} and {hi} have fewer than two floats between "
+                              "them, too few for the band they enclose")
     x_minus = _level_roots(delta, lams, cs, -2.0)
     x_plus = _level_roots(delta, lams, cs, 2.0)
     return FiniteGapSet(x_minus[0], x_plus[-1], tuple(zip(x_plus[:-1], x_minus[1:])))

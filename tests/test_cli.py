@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from gmpmat import GmpCoefficients, assemble
-from gmpmat.cli import main
+from gmpmat.cli import build_parser, main
 
 
 SET_SYM = {"b0": -2.0, "a0": 2.0, "gaps": [[-1.0, 1.0]]}
@@ -163,37 +164,6 @@ def test_jacobi_bands_command(workdir):
     assert np.max(np.abs(np.array(got) - [-3.0, -1.0, 1.0, 3.0])) < 1e-10
 
 
-def test_delta_and_jacobi_bands_ignore_tol(workdir):
-    # delta solve, delta bands and jacobi transfer --bands have no
-    # tolerance: --tol is accepted and changes nothing
-    for cmd in (
-        ["delta", "solve", "--set", str(workdir / "set.json")],
-        ["delta", "bands", "--delta", str(workdir / "delta.json")],
-        ["jacobi", "transfer", "--a", "1,1", "--b", "0,0.5", "--bands"],
-    ):
-        want = _run(cmd, workdir / "plain.json")
-        for tol in ("0", "1e-30", "0.5"):
-            assert _run(cmd + ["--tol", tol], workdir / "tol.json") == want
-
-
-def test_jacobi_bands_tol_zero_terminates(workdir):
-    # tol = 0 is below the float spacing: bisection must stop when the
-    # midpoint equals an end, not loop forever
-    out = workdir / "edges0.json"
-    subprocess.run(
-        [sys.executable, "-m", "gmpmat.cli", "jacobi", "transfer", "--a", "1,1",
-         "--b", "0,0.5", "--bands", "--tol", "0", "--out", str(out)],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), check=True, timeout=60,
-    )
-    want = _run(
-        ["jacobi", "transfer", "--a", "1,1", "--b", "0,0.5", "--bands", "--tol", "1e-12"],
-        workdir / "edges12.json",
-    )
-    got = json.loads(out.read_text())
-    assert len(got) == len(want) == 4
-    assert np.max(np.abs(np.array(got) - want)) <= 1e-12
-
-
 def test_ortho_build_report(workdir):
     lines = ["%s,1.0" % x for x in np.linspace(-2.0, -1.0, 12)]
     lines += ["%s,1.0" % x for x in np.linspace(1.0, 2.0, 12)]
@@ -336,6 +306,68 @@ def test_usage_error_exits_1_with_json(capsys, args):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error" in json.loads(captured.err)
+
+
+# Every option of every command: a new option is an edit of this table.
+# --tol is on the six commands that read it.
+OPTIONS = {
+    "delta solve": "--set --out",
+    "delta eval": "--delta --z --grid --out",
+    "delta bands": "--delta --out",
+    "ahlfors eval": "--delta --z --out",
+    "gmp build": "--coeffs --periods --tol --out",
+    "gmp check": "--coeffs --periods --tol --out",
+    "transfer eval": "--coeffs --z --grid --out",
+    "transfer coeffs": "--coeffs --out",
+    "transfer lambdas": "--coeffs --out",
+    "resolvent eval": "--coeffs --z --grid --imag --out",
+    "resolvent reflectionless": "--coeffs --x --eps --out",
+    "iso project": "--delta --init --seed --tol --out",
+    "iso trace": "--delta --coeffs --steps --step-len --tol --out",
+    "iso verify": "--delta --coeffs --tol --out",
+    "magic verify": "--delta --coeffs --periods --out",
+    "spectrum eig": "--coeffs --periods --out",
+    "ortho build": "--measure --family --poles --n --report --orientation --tol --out",
+    "jacobi transfer": "--a --b --z --grid --bands --out",
+}
+
+
+def _subcommands(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_option_surface():
+    got = {}
+    for group, group_parser in _subcommands(build_parser()).items():
+        for action, leaf in _subcommands(group_parser).items():
+            strings = [s for a in leaf._actions for s in a.option_strings]
+            got[f"{group} {action}"] = sorted(set(strings) - {"-h", "--help"})
+    assert got == {name: sorted(opts.split()) for name, opts in OPTIONS.items()}
+
+
+@pytest.mark.parametrize(
+    "args, refused",
+    [
+        (["resolvent", "eval", "--coeffs", "{}/pt.json", "--z", "0.2,1.0", "--imag", "5"],
+         "--imag"),
+        (["iso", "project", "--delta", "{}/delta.json", "--init", "1.2,0.1", "--seed", "3"],
+         "--seed"),
+        (["ortho", "build", "--measure", "{}/measure.csv", "--family", "monomial", "--n", "6",
+          "--tol", "1e-3"], "--tol"),
+        (["jacobi", "transfer", "--a", "1,1", "--b", "0,0.5", "--bands", "--tol", "0"], "--tol"),
+    ],
+    ids=["imag with z", "seed with init", "ortho tol without report", "tol not read"],
+)
+def test_setting_a_command_would_ignore_is_refused(workdir, capsys, args, refused):
+    (workdir / "measure.csv").write_text(
+        "\n".join("%s,1.0" % x for x in np.linspace(-2.0, 2.0, 30))
+    )
+    out = workdir / "out.txt"
+    assert main([a.format(workdir) for a in args] + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert refused in json.loads(captured.err)["error"]
 
 
 _POINT_COMMANDS = {

@@ -551,6 +551,19 @@ def test_bands_newton_step_never_reaches_a_pole():
     assert E.gaps[0][1] == np.nextafter(1.0, np.inf)
 
 
+
+@pytest.mark.parametrize("hi", ["1.0000000000000002", "1.0000000000000004"])
+def test_bands_rejects_poles_too_close_for_a_band(hi):
+    # no float, then one float, lies between the poles 1.0 and hi; a band
+    # [b, a] between them needs two floats b < a.  The error names both
+    # poles, in either input order.
+    message = (f"poles 1.0 and {hi} have fewer than two floats between them, "
+               "too few for the band they enclose")
+    for terms in (((1.0, 1.0), (1.0, float(hi))), ((2.0, -3.0), (1.0, float(hi)), (1.0, 1.0))):
+        with pytest.raises(DomainError) as info:
+            bands(RationalDiscriminant(1.0, 0.0, terms))
+        assert str(info.value) == message
+
 def test_solve_rejects_gap_without_interior_float():
     # far from 0 the set is solved shifted, where the gap holds many floats:
     # the check is made on the gap itself

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gmpmat import (
     DomainError,
@@ -28,18 +28,35 @@ def test_pole_factor_singular_at_pole():
         factor_pole(2.0, 2.0, 1.0, 1.0)
 
 
+def _factor_norm_product(c, z):
+    """Product of the infinity norms of the factors of T(z): a bound on
+    every partial product, so on the size of its rounding errors."""
+    factors = [factor_pole(z, ck, pk, qk) for ck, pk, qk in zip(c.poles, c.p, c.q)]
+    factors.append(factor_infinity(z, c.p[-1], c.q[-1]))
+    return np.prod([np.abs(F).sum(axis=1).max() for F in factors])
+
+
+# Rounding the product moves det T by about eps K^2, K the factor norm
+# product, which near a pole is far above 1e-10.  The largest
+# (|det T - 1| - 1e-10) / (eps K^2) seen was 0.63, over 737,584 points:
+# seeds 0..10,000 at uniform z and at z 1e-6..1e-2 off each pole.
+_DET_ROUNDING_C = 2.0
+
+
 @settings(deadline=None, max_examples=50)
 @given(
     zr=st.floats(-3.0, 3.0),
     zi=st.floats(-3.0, 3.0),
     seed=st.integers(0, 10_000),
 )
+@example(zr=0.48046875, zi=0.0, seed=9667)  # 5.9e-4 from a pole: det 1 - 5.1e-10
 def test_transfer_unimodular(zr, zi, seed):
     c = random_coeffs(np.random.default_rng(seed))
     z = complex(zr, zi)
     if any(abs(z - ck) < 1e-6 for ck in c.poles):
         return
-    assert abs(np.linalg.det(transfer(c, z)) - 1.0) < 1e-10
+    bound = 1e-10 + _DET_ROUNDING_C * np.finfo(float).eps * _factor_norm_product(c, z) ** 2
+    assert abs(np.linalg.det(transfer(c, z)) - 1.0) < bound
 
 
 def test_worked_discriminant_free_style():
