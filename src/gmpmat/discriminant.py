@@ -223,10 +223,11 @@ def bands(delta):
     """
     order = np.argsort(delta.poles)
     lams, cs = np.array(delta.terms).reshape(-1, 2)[order].T
-    for lo, hi in zip(cs[:-1], cs[1:]):
-        if np.nextafter(np.nextafter(lo, np.inf), np.inf) >= hi:
-            raise DomainError(f"poles {lo} and {hi} have fewer than two floats between "
-                              "them, too few for the band they enclose")
+    close = np.nextafter(np.nextafter(cs[:-1], np.inf), np.inf) >= cs[1:]
+    if close.any():
+        i = int(np.argmax(close))
+        raise DomainError(f"poles {cs[i]} and {cs[i + 1]} have fewer than two floats between "
+                          "them, too few for the band they enclose")
     x_minus = _level_roots(delta, lams, cs, -2.0)
     x_plus = _level_roots(delta, lams, cs, 2.0)
     return FiniteGapSet(x_minus[0], x_plus[-1], tuple(zip(x_plus[:-1], x_minus[1:])))
