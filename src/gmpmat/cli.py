@@ -23,7 +23,7 @@ from .discriminant import (
     eval_discriminant,
     solve_discriminant,
 )
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, finite
 from .gmp import assemble, check_shifted_inverse_structure, GmpCoefficients, lambda_positivity_test
 
 
@@ -31,9 +31,9 @@ def _parse_complex(text):
     """'re' or 're,im' -> complex."""
     parts = text.split(",")
     if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
+        return complex(finite("z", parts[0]), 0.0)
     if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
+        return complex(finite("z", parts[0]), finite("z", parts[1]))
     raise DomainError(f"cannot parse point {text!r}")
 
 
@@ -41,7 +41,7 @@ def _parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError("grid must be lo:hi:count")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi, count = finite("grid", parts[0]), finite("grid", parts[1]), int(parts[2])
     if count < 2 or not lo < hi:
         raise DomainError("grid needs lo < hi and count >= 2")
     return np.linspace(lo, hi, count)
@@ -123,7 +123,8 @@ def _cmd_resolvent_eval(args):
     coeffs = _load_coeffs(args.coeffs)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
-        rv = resolvent.resolvent_pair(coeffs, xs + 1j * (1.0 if args.imag is None else args.imag))
+        imag = 1.0 if args.imag is None else finite("imag", args.imag)
+        rv = resolvent.resolvent_pair(coeffs, xs + 1j * imag)
         cols = [xs, rv.r_plus.real, rv.r_plus.imag, rv.r_minus_inv.real, rv.r_minus_inv.imag]
         return np.column_stack(cols)
     rv = resolvent.resolvent_pair(coeffs, _parse_complex(args.z))
@@ -194,7 +195,7 @@ def _cmd_ortho_build(args):
         raise ValueError("gmpmat ortho build: argument --tol: not allowed without --report")
     measure = ortho.DiscreteMeasure.from_csv(args.measure)
     poles = tuple(float(v) for v in args.poles.split(",")) if args.poles else ()
-    fam = ortho.RationalFamily(args.family, poles, orientation=args.orientation)
+    fam = ortho.RationalFamily(args.family, poles)
     M = ortho.multiplication_matrix(measure, fam, args.n)
     if not args.report:
         return serialize.lower_triangle_csv(M)
@@ -318,7 +319,6 @@ def build_parser():
     p.add_argument("--poles", default="")
     p.add_argument("--n", type=int, default=12)
     p.add_argument("--report", action="store_true")
-    p.add_argument("--orientation", choices=["paper", "reversed"], default="paper")
     p.add_argument("--tol", type=float, help="violation threshold of --report (default 1e-8)")
 
     p = _command(group("jacobi"), "transfer", _cmd_jacobi_transfer, "--a", "--b")

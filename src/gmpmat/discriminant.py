@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, finite
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,9 @@ class FiniteGapSet:
     gaps: tuple = ()
 
     def __post_init__(self):
-        gaps = tuple((float(a), float(b)) for a, b in self.gaps)
-        object.__setattr__(self, "b0", float(self.b0))
-        object.__setattr__(self, "a0", float(self.a0))
+        gaps = tuple((finite("gaps", a), finite("gaps", b)) for a, b in self.gaps)
+        object.__setattr__(self, "b0", finite("b0", self.b0))
+        object.__setattr__(self, "a0", finite("a0", self.a0))
         object.__setattr__(self, "gaps", gaps)
         if not self.b0 < self.a0:
             raise DomainError(f"need b0 < a0, got [{self.b0}, {self.a0}]")
@@ -85,9 +85,9 @@ class RationalDiscriminant:
     terms: tuple = ()
 
     def __post_init__(self):
-        terms = tuple((float(lam), float(c)) for lam, c in self.terms)
-        object.__setattr__(self, "lambda0", float(self.lambda0))
-        object.__setattr__(self, "c0", float(self.c0))
+        terms = tuple((finite("terms", lam), finite("terms", c)) for lam, c in self.terms)
+        object.__setattr__(self, "lambda0", finite("lambda0", self.lambda0))
+        object.__setattr__(self, "c0", finite("c0", self.c0))
         object.__setattr__(self, "terms", terms)
         if self.lambda0 <= 0:
             raise DomainError("lambda0 must be positive")
@@ -105,9 +105,6 @@ class RationalDiscriminant:
     @property
     def poles(self):
         return tuple(c for _, c in self.terms)
-
-    def __call__(self, z):
-        return eval_discriminant(self, z)
 
     def to_dict(self):
         return {
@@ -242,12 +239,12 @@ def _level_roots(delta, lams, cs, t):
                    lambda x: (eval_discriminant(delta, x) - t, eval_discriminant_deriv(delta, x)))
 
 
-def ahlfors_eval(delta, z, boundary_tol=1e-8):
+def ahlfors_eval(delta, z):
     """Small Joukowski root: Psi with Psi + 1/Psi = Delta(z), |Psi| < 1.
 
     Psi vanishes exactly at the poles of Delta and at infinity.  On the
     band set both roots are unimodular and no branch is selected; this is
-    reported as a DomainError.
+    reported as a DomainError (both moduli within 1e-8 of 1).
     """
     for _, c in delta.terms:
         if z == c:
@@ -257,6 +254,6 @@ def ahlfors_eval(delta, z, boundary_tol=1e-8):
     w1 = (d - s) / 2.0
     w2 = (d + s) / 2.0
     m1, m2 = abs(w1), abs(w2)
-    if abs(m1 - 1.0) < boundary_tol and abs(m2 - 1.0) < boundary_tol:
+    if abs(m1 - 1.0) < 1e-8 and abs(m2 - 1.0) < 1e-8:
         raise DomainError("z lies on the band set: both roots unimodular")
     return w1 if m1 < m2 else w2

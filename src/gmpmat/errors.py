@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness rule for inputs."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -14,3 +16,11 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+def finite(field, value):
+    """``value`` as a float; DomainError naming ``field`` if it is NaN or infinite."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise DomainError(f"{field} must be finite")
+    return x

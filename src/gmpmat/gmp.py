@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, finite
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,9 @@ class GmpCoefficients:
     q: tuple
 
     def __post_init__(self):
-        poles = tuple(float(c) for c in self.poles)
-        p = [float(v) for v in self.p]
-        q = [float(v) for v in self.q]
+        poles = tuple(finite("poles", c) for c in self.poles)
+        p = [finite("p", v) for v in self.p]
+        q = [finite("q", v) for v in self.q]
         g = len(poles)
         if len(p) != g + 1 or len(q) != g + 1:
             raise DomainError(f"p and q must have length g+1 = {g + 1}")
@@ -51,11 +51,6 @@ class GmpCoefficients:
     @property
     def g(self):
         return len(self.poles)
-
-    @property
-    def pairs(self):
-        """The scalar pairs (p_j, q_j), j = 0..g."""
-        return list(zip(self.p, self.q))
 
     def to_dict(self):
         return {"poles": list(self.poles), "p": list(self.p), "q": list(self.q)}
@@ -75,12 +70,6 @@ class BandedOperator:
     n: int
     half_bandwidth: int
     lower: np.ndarray
-
-    def entry(self, i, j):
-        d = abs(i - j)
-        if d > self.half_bandwidth:
-            return 0.0
-        return self.lower[d, min(i, j)]
 
     def to_dense(self):
         """The full matrix: the lower triangle of ``row_block`` mirrored."""
@@ -103,14 +92,12 @@ class BandedOperator:
             )
         return M
 
-    def full_band(self, dtype=float):
+    def full_band(self):
         """(2*hb+1, n) band storage for scipy.linalg.solve_banded."""
         hb = self.half_bandwidth
-        ab = np.zeros((2 * hb + 1, self.n), dtype=dtype)
+        ab = np.zeros((2 * hb + 1, self.n))
         for d in range(hb + 1):
-            ab[hb + d, : self.n - d] = self.lower[d, : self.n - d]
-            if d:
-                ab[hb - d, d:] = self.lower[d, : self.n - d]
+            ab[hb + d, : self.n - d] = ab[hb - d, d:] = self.lower[d, : self.n - d]
         return ab
 
     def eigenvalues(self):

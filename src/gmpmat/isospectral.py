@@ -11,7 +11,7 @@ transfer matrix, and extracts the induced Jacobi coefficients.
 import numpy as np
 
 from ._kernels import _factor_product
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, finite
 from .gmp import _pole_weights, assemble, build_blocks, GmpCoefficients
 
 
@@ -181,21 +181,21 @@ def _gauss_newton(delta, pm, head, tol):
     )
 
 
-def project_to_manifold(init_head, delta, tol=1e-10, max_restarts=8):
+def project_to_manifold(init_head, delta, tol=1e-10):
     """Damped Gauss-Newton projection of a head vector onto the manifold.
 
     The 2g head unknowns are iterated with the tail substituted from
     forced_tail at every step.  Converged points with some Lambda_k <= 0
-    are rejected and retried from a deterministically perturbed start.
+    are rejected and retried from up to 8 seeded perturbed starts.
     """
     g = delta.g
     if g == 0:
         return _coeffs_from_head(delta, np.empty(0))
-    init_head = np.asarray(init_head, dtype=float)
+    init_head = np.array([finite("init_head", v) for v in init_head])
     pm = _pole_matrices(delta.poles)
     rng = np.random.default_rng(0)
     last_exc = None
-    for attempt in range(max_restarts + 1):
+    for attempt in range(9):
         start = init_head if attempt == 0 else init_head + rng.normal(
             scale=0.3 * (1.0 + np.abs(init_head)), size=2 * g
         )
@@ -214,7 +214,7 @@ def trace_torus(start, delta, steps, step_len, tol=1e-10):
     """Continuation along the manifold by tangent steps plus re-projection.
 
     Each step moves the head along a unit null vector of the residual
-    Jacobian (orientation kept consistent with the previous step) and
+    Jacobian (its sign kept consistent with the previous step) and
     re-projects.  Every returned point satisfies the manifold equations
     to ``tol`` and carries the exact forced tail.
     """
@@ -235,7 +235,7 @@ def trace_torus(start, delta, steps, step_len, tol=1e-10):
         if prev_t is not None and np.dot(t, prev_t) < 0:
             t = -t
         prev_t = t
-        head = _gauss_newton(delta, pm, head + step_len * t, tol)
+        head = _gauss_newton(delta, pm, head + finite("step_len", step_len) * t, tol)
         points.append(_coeffs_from_head(delta, head))
     return points
 
@@ -284,20 +284,22 @@ def _transfer_phase(coeffs, eig_b, n_periods, x):
     |tr T| = 2 exactly and within one float spacing of a pole (at the
     scale of max(|x|, ||p||)), the count is taken one such spacing above.
     """
-    scale = np.linalg.norm(coeffs.p)  # never 0, since p_g > 0
-    while True:
-        for c in coeffs.poles:
-            step = np.spacing(max(abs(c), scale))
-            on = np.abs(x - c) < step
-            if on.any():
-                x = np.where(on, c + step, x)
-        t11, t12, t21, t22 = _factor_product(x, coeffs.poles, coeffs.p, coeffs.q)
-        tau = 0.5 * (t11 + t22)
-        w = np.sqrt(np.abs((1.0 - tau) * (1.0 + tau)))
-        flat = w == 0.0
-        if not flat.any():
-            break
-        x = np.where(flat, x + np.spacing(np.maximum(np.abs(x), scale)), x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.linalg.norm(coeffs.p)  # never 0, since p_g > 0
+        while True:
+            for c in coeffs.poles:
+                step = np.spacing(max(abs(c), scale))
+                on = np.abs(x - c) < step
+                if on.any():
+                    x = np.where(on, c + step, x)
+            t11, t12, t21, t22 = _factor_product(x, coeffs.poles, coeffs.p, coeffs.q)
+            tau = 0.5 * (t11 + t22)
+            w = np.sqrt(np.abs((1.0 - tau) * (1.0 + tau)))
+            _check_finite("the transfer matrix", w)
+            flat = w == 0.0
+            if not flat.any():
+                break
+            x = np.where(flat, x + np.spacing(np.maximum(np.abs(x), scale)), x)
     # #{eig B < x}: T22 = -1/R_pg vanishes at eig B and changes sign at the
     # poles, so T22 > 0 iff an even number of both lie above x; a count
     # that disagrees (x within rounding of an eigenvalue) moves across the
@@ -323,6 +325,13 @@ def _transfer_phase(coeffs, eig_b, n_periods, x):
         )
         j[hyp] += low
     return phi, psi, j
+
+
+def _check_finite(what, a):
+    """a, or DomainError if an entry overflowed to inf or became NaN."""
+    if not np.isfinite(a).all():
+        raise DomainError(f"{what} overflows float64: the coefficients are out of range")
+    return a
 
 
 def _hyperbolic_phase(n_periods, tau, w, t11, t12, t21, t22):
@@ -391,7 +400,9 @@ def spectrum_truncation(coeffs, n_periods):
     if n_periods < 1:
         raise DomainError("n_periods must be >= 1")
     N = n_periods
-    _, B = build_blocks(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = _check_finite("the block B", build_blocks(coeffs)[1])
+        pts = _check_finite("a Floquet point", _floquet_points(B, np.asarray(coeffs.p), N))
     eig_b = np.linalg.eigvalsh(B)
 
     def residual(phi, psi, j, lanes):
@@ -400,7 +411,6 @@ def spectrum_truncation(coeffs, n_periods):
         target = np.pi * (lanes + 1 - N * j)
         return np.where(np.abs(phi - target) <= np.abs(psi - target), phi, psi) - target
 
-    pts = _floquet_points(B, np.asarray(coeffs.p), N)
     phi, psi, j = _transfer_phase(coeffs, eig_b, N, pts)
     theta = np.maximum.accumulate(phi + np.pi * N * j)
     lanes = np.arange((coeffs.g + 1) * N)
@@ -447,8 +457,8 @@ def jacobi_coeffs(coeffs):
 
 
 def _jacobi_ab(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = np.array([finite("a", v) for v in a])
+    b = np.array([finite("b", v) for v in b])
     if a.shape != b.shape or a.size == 0:
         raise DomainError("a and b must be nonempty and of equal length")
     if np.any(a <= 0):

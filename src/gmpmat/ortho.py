@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, finite
 from .gmp import _class_a_violations
 
 _KINDS = ("monomial", "smp", "gmp")
@@ -26,7 +26,7 @@ class DiscreteMeasure:
     atoms: tuple
 
     def __post_init__(self):
-        atoms = tuple((float(x), float(w)) for x, w in self.atoms)
+        atoms = tuple((finite("atoms", x), finite("atoms", w)) for x, w in self.atoms)
         object.__setattr__(self, "atoms", atoms)
         xs = [x for x, _ in atoms]
         if len(set(xs)) != len(xs):
@@ -52,19 +52,17 @@ class DiscreteMeasure:
 class RationalFamily:
     """Basis family: monomials, the Laurent (SMP) family, or the GMP family.
 
-    ``orientation`` controls the order of the reciprocal functions inside
-    a GMP super-block: "paper" descends from (c_g - x)^-m to
-    (c_1 - x)^-m, "reversed" ascends.
+    A GMP super-block descends from (c_g - x)^-m to (c_1 - x)^-m, so the
+    order of ``poles`` fixes the order of its reciprocal functions.
     """
 
     kind: str
     poles: tuple = ()
-    orientation: str = "paper"
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"kind must be one of {_KINDS}")
-        poles = tuple(float(c) for c in self.poles)
+        poles = tuple(finite("poles", c) for c in self.poles)
         object.__setattr__(self, "poles", poles)
         if self.kind == "monomial" and poles:
             raise DomainError("monomial family has no poles")
@@ -72,8 +70,6 @@ class RationalFamily:
             raise DomainError("smp family has the single pole 0")
         if self.kind == "gmp" and len(set(poles)) != len(poles):
             raise DomainError("poles must be distinct")
-        if self.orientation not in ("paper", "reversed"):
-            raise DomainError("orientation must be 'paper' or 'reversed'")
 
     @property
     def block_size(self):
@@ -106,8 +102,7 @@ def family_function(fam, n, x):
     r = (n - 1) % (g + 1)
     if r == g:
         return x**m
-    idx = (g - 1 - r) if fam.orientation == "paper" else r
-    c = fam.poles[idx]
+    c = fam.poles[g - 1 - r]
     if np.any(x == c):
         raise DomainError(f"evaluation at the pole {c}")
     return (c - x) ** (-m)

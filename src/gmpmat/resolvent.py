@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, finite
 from .gmp import assemble
 from .transfer import transfer
 
@@ -92,15 +92,15 @@ def reflectionless_check(coeffs, x, eps=1e-6):
 
     O(eps) on band interiors; O(1) in gaps, where both roots are real.
     """
-    if eps <= 0:
+    if not finite("eps", eps) > 0:
         raise DomainError("eps must be positive")
-    rv = resolvent_pair(coeffs, float(x) + 1j * eps)
+    rv = resolvent_pair(coeffs, finite("x", x) + 1j * eps)
     a0sq = rv.a0 * rv.a0
     return float(abs(a0sq / rv.r_plus - a0sq / np.conj(rv.r_minus_inv)))
 
 
-def truncation_resolvent_oracle(coeffs, z, n_periods=400):
-    """Numerical oracle for (r_+, r_-) from banded finite sections.
+def truncation_resolvent_oracle(coeffs, z):
+    """Numerical oracle for (r_+, r_-) from banded finite sections of 400 periods.
 
     The right half-line operator is the open-boundary truncation starting
     at block 0 with cyclic vector p/||p|| on the first block; the left
@@ -111,8 +111,8 @@ def truncation_resolvent_oracle(coeffs, z, n_periods=400):
     z = complex(z)
     if z.imag == 0:
         raise DomainError("oracle needs z off the real axis")
-    op = assemble(coeffs, n_periods)
-    ab = op.full_band(dtype=complex)
+    op = assemble(coeffs, 400)
+    ab = op.full_band().astype(complex)
     hb = op.half_bandwidth
     ab[hb, :] -= z
     p = np.asarray(coeffs.p)

@@ -78,17 +78,17 @@ def lambda_k(coeffs, k):
     return -(m11 + m22)
 
 
-def lambda_k_residue(coeffs, k, h_rel=1e-6):
+def lambda_k_residue(coeffs, k):
     """Numeric residue oracle: limit of (c_k - z) * trace at z -> c_k.
 
-    One-sided limit at z = c_k + h with one Richardson extrapolation step
-    to remove the O(h) error of the simple pole.
+    One-sided limit at z = c_k + h, h = 1e-6 (1 + |c_k|), with one Richardson
+    extrapolation step to remove the O(h) error of the simple pole.
     """
     g = coeffs.g
     if not 1 <= k <= g:
         raise DomainError(f"k must be in 1..{g}")
     ck = coeffs.poles[k - 1]
-    h = h_rel * (1.0 + abs(ck))
+    h = 1e-6 * (1.0 + abs(ck))
 
     def f(step):
         z = ck + step

@@ -327,7 +327,7 @@ OPTIONS = {
     "iso verify": "--delta --coeffs --tol --out",
     "magic verify": "--delta --coeffs --periods --out",
     "spectrum eig": "--coeffs --periods --out",
-    "ortho build": "--measure --family --poles --n --report --orientation --tol --out",
+    "ortho build": "--measure --family --poles --n --report --tol --out",
     "jacobi transfer": "--a --b --z --grid --bands --out",
 }
 
@@ -429,14 +429,58 @@ def test_value_grids_match_pointwise(workdir):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _child(argv, cwd=None):
+    """A new interpreter that imports gmpmat from src; one that hangs fails after 60 s."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *map(str, argv)], env=env, capture_output=True,
+                          text=True, timeout=60, cwd=cwd)
+
+
 def _fresh(code, *args, cwd=None):
     """stdout (JSON) of code run in a new interpreter that imports gmpmat from src."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
-        env=env, capture_output=True, text=True, check=True, cwd=cwd,
-    )
+    proc = _child(["-c", code, *args], cwd=cwd)
+    proc.check_returncode()
     return json.loads(proc.stdout)
+
+
+# Inputs that are NaN, infinite or overflow float64.  Before they were refused these
+# gave a traceback, a LAPACK message on stderr, a hang, or exit 0 with garbage.
+NON_FINITE = {
+    "set with Infinity": (["delta", "solve", "--set", "inf_set.json"], "a0 must be finite"),
+    "delta with NaN": (["iso", "project", "--delta", "nan_delta.json"], "c0 must be finite"),
+    "init nan": (["iso", "project", "--delta", "delta.json", "--init", "nan,1"],
+                 "init_head must be finite"),
+    "coeffs with NaN": (["gmp", "check", "--coeffs", "nan_coeffs.json"], "p must be finite"),
+    "spectrum of NaN": (["spectrum", "eig", "--coeffs", "nan_coeffs.json", "--periods", "3"],
+                        "p must be finite"),
+    "spectrum overflow": (["spectrum", "eig", "--coeffs", "huge.json", "--periods", "3"],
+                          "overflows float64"),
+    "spectrum underflow": (["spectrum", "eig", "--coeffs", "tiny.json", "--periods", "3"],
+                           "overflows float64"),
+    "jacobi b nan": (["jacobi", "transfer", "--a", "1,1", "--b", "nan,0", "--bands"],
+                     "b must be finite"),
+    "z nan": (["delta", "eval", "--delta", "delta.json", "--z", "nan"], "z must be finite"),
+    "grid -inf": (["delta", "eval", "--delta", "delta.json", "--grid=-inf:1:5"],
+                  "grid must be finite"),
+    "imag nan": (["resolvent", "eval", "--coeffs", "pt.json", "--grid=-1:1:3", "--imag", "nan"],
+                 "imag must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_non_finite_input_exits_1_with_one_json_line(workdir, case):
+    (workdir / "inf_set.json").write_text('{"b0": -2.0, "a0": Infinity, "gaps": [[-1.0, 1.0]]}')
+    (workdir / "nan_delta.json").write_text('{"lambda0": 1.0, "c0": NaN, "terms": [[1.0, 1.0]]}')
+    (workdir / "nan_coeffs.json").write_text('{"poles": [2.0], "p": [1.0, NaN], "q": [1.0, 0.0]}')
+    (workdir / "huge.json").write_text(json.dumps({"poles": [2.0], "p": [1e200, 1.0],
+                                                   "q": [1e200, 0.0]}))
+    (workdir / "tiny.json").write_text(json.dumps({"poles": [2.0], "p": [1.0, 1e-300],
+                                                   "q": [1.0, 0.0]}))
+    argv, message = NON_FINITE[case]
+    proc = _child(["-m", "gmpmat.cli", *argv], cwd=workdir)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and message in json.loads(lines[0])["error"]
 
 
 def _readme_cli_lines():

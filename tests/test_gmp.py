@@ -64,7 +64,8 @@ def test_assemble_symmetric_banded():
         for j in range(op.n):
             if abs(i - j) > w:
                 assert M[i, j] == 0.0
-            assert op.entry(i, j) == M[i, j]
+            else:
+                assert op.lower[abs(i - j), min(i, j)] == M[i, j]
 
 
 def test_band_storage_roundtrip():

@@ -154,6 +154,17 @@ def test_spectrum_truncation_rejects_empty_section():
         spectrum_truncation(POINT1, 0)
 
 
+@pytest.mark.parametrize("p, q", [
+    ((1e200, 1.0), (1e200, 0.0)),  # B overflows; the search never closed a bracket
+    ((1.0, 1e-300), (1.0, 0.0)),  # T overflows; gave -2.3027756377319943 six times
+    ((1e150, 1.0), (1e150, 0.0)),  # T overflows; gave -2e150 six times
+])
+def test_spectrum_truncation_refuses_overflow(p, q):
+    # RuntimeWarnings are errors under pytest, so none may escape either
+    with pytest.raises(DomainError, match="overflows float64"):
+        spectrum_truncation(GmpCoefficients((2.0,), p, q), 3)
+
+
 @pytest.mark.parametrize("g, n_periods", [(0, 31), (3, 30), (2, 200)])
 def test_sturm_count_matches_dense_count(g, n_periods):
     # floor(phi/pi) + N j counts the eigenvalues below x at every grid

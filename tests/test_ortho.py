@@ -55,8 +55,8 @@ def test_family_functions_gmp_order():
     assert family_function(fam, 1, x)[0] == 0.25
     assert family_function(fam, 2, x)[0] == -1.0
     assert family_function(fam, 3, x)[0] == 1.0
-    # reversed orientation swaps the pole order
-    rev = RationalFamily("gmp", (0.0, 5.0), orientation="reversed")
+    # the pole list fixes the order: reversing it swaps the reciprocal functions
+    rev = RationalFamily("gmp", (5.0, 0.0))
     assert family_function(rev, 1, x)[0] == -1.0
 
 

@@ -90,7 +90,7 @@ def test_g1_closed_form():
     rng = np.random.default_rng(13)
     for _ in range(10):
         c = random_coeffs(rng, g=1)
-        (p0, q0), (p1, q1) = c.pairs
+        (p0, q0), (p1, q1) = zip(c.p, c.q)
         c1 = c.poles[0]
         want = p0**2 / p1 + q0**2 * p1 + p0 * q0 * (c1 - p1 * q1) / p1
         assert abs(lambda_k(c, 1) - want) < 1e-12
