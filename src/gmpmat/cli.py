@@ -29,12 +29,10 @@ from .gmp import assemble, check_shifted_inverse_structure, GmpCoefficients, lam
 
 def _parse_complex(text):
     """'re' or 're,im' -> complex."""
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(finite("z", parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(finite("z", parts[0]), finite("z", parts[1]))
-    raise DomainError(f"cannot parse point {text!r}")
+    parts = _parse_floats("z", text)
+    if not 1 <= len(parts) <= 2:
+        raise DomainError(f"cannot parse point {text!r}")
+    return complex(*parts)
 
 
 def _parse_grid(text):
@@ -47,16 +45,22 @@ def _parse_grid(text):
     return np.linspace(lo, hi, count)
 
 
-def _load_set(path):
-    return FiniteGapSet.from_dict(serialize.load_json(path))
+def _parse_floats(field, text):
+    """'v1,v2,...' -> tuple of finite floats, errors naming ``field``; '' -> ()."""
+    return tuple(finite(field, v) for v in text.split(",")) if text else ()
 
 
-def _load_delta(path):
-    return RationalDiscriminant.from_dict(serialize.load_json(path))
-
-
-def _load_coeffs(path):
-    return GmpCoefficients.from_dict(serialize.load_json(path))
+def _load(cls, path):
+    """cls from the JSON object in the file at path; DomainError naming the file."""
+    try:
+        data = serialize.load_json(path)
+        if not isinstance(data, dict):
+            raise DomainError("the top level must be a JSON object")
+        return cls.from_dict(data)
+    except KeyError as exc:
+        raise DomainError(f"{path}: missing field {exc}") from None
+    except ValueError as exc:  # DomainError and JSON decode errors
+        raise DomainError(f"{path}: {exc}") from None
 
 
 def _complex(value):
@@ -65,11 +69,11 @@ def _complex(value):
 
 
 def _cmd_delta_solve(args):
-    return solve_discriminant(_load_set(args.set)).to_dict()
+    return solve_discriminant(_load(FiniteGapSet, args.set)).to_dict()
 
 
 def _cmd_delta_eval(args):
-    delta = _load_delta(args.delta)
+    delta = _load(RationalDiscriminant, args.delta)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
         return np.column_stack([xs, eval_discriminant(delta, xs)])
@@ -77,20 +81,20 @@ def _cmd_delta_eval(args):
 
 
 def _cmd_delta_bands(args):
-    return bands(_load_delta(args.delta)).to_dict()
+    return bands(_load(RationalDiscriminant, args.delta)).to_dict()
 
 
 def _cmd_ahlfors_eval(args):
-    return _complex(ahlfors_eval(_load_delta(args.delta), _parse_complex(args.z)))
+    return _complex(ahlfors_eval(_load(RationalDiscriminant, args.delta), _parse_complex(args.z)))
 
 
 def _cmd_gmp_build(args):
-    return serialize.lower_triangle_csv(assemble(_load_coeffs(args.coeffs), args.periods),
-                                        tol=args.tol)
+    op = assemble(_load(GmpCoefficients, args.coeffs), args.periods)
+    return serialize.lower_triangle_csv(op, tol=args.tol)
 
 
 def _cmd_gmp_check(args):
-    coeffs = _load_coeffs(args.coeffs)
+    coeffs = _load(GmpCoefficients, args.coeffs)
     is_gmp, lambdas = lambda_positivity_test(coeffs)
     structural = [
         check_shifted_inverse_structure(coeffs, k, args.periods, args.tol)
@@ -100,7 +104,7 @@ def _cmd_gmp_check(args):
 
 
 def _cmd_transfer_eval(args):
-    coeffs = _load_coeffs(args.coeffs)
+    coeffs = _load(GmpCoefficients, args.coeffs)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
         return np.column_stack([xs, _kernels.discriminant_grid(coeffs, xs).real])
@@ -109,18 +113,18 @@ def _cmd_transfer_eval(args):
 
 
 def _cmd_transfer_coeffs(args):
-    return discriminant_coeffs(_load_coeffs(args.coeffs)).to_dict()
+    return discriminant_coeffs(_load(GmpCoefficients, args.coeffs)).to_dict()
 
 
 def _cmd_transfer_lambdas(args):
-    coeffs = _load_coeffs(args.coeffs)
+    coeffs = _load(GmpCoefficients, args.coeffs)
     return [lambda_k(coeffs, k) for k in range(1, coeffs.g + 1)]
 
 
 def _cmd_resolvent_eval(args):
     if args.z is not None and args.imag is not None:
         raise ValueError("gmpmat resolvent eval: argument --imag: not allowed with argument --z")
-    coeffs = _load_coeffs(args.coeffs)
+    coeffs = _load(GmpCoefficients, args.coeffs)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
         imag = 1.0 if args.imag is None else finite("imag", args.imag)
@@ -136,21 +140,22 @@ def _cmd_resolvent_eval(args):
 
 
 def _cmd_resolvent_reflectionless(args):
-    return {"defect": resolvent.reflectionless_check(_load_coeffs(args.coeffs), args.x, args.eps)}
+    coeffs = _load(GmpCoefficients, args.coeffs)
+    return {"defect": resolvent.reflectionless_check(coeffs, args.x, args.eps)}
 
 
 def _cmd_iso_project(args):
-    delta = _load_delta(args.delta)
+    delta = _load(RationalDiscriminant, args.delta)
     if args.init is not None:
-        head = [float(v) for v in args.init.split(",")] if args.init else []
+        head = _parse_floats("init_head", args.init)
     else:
         head = np.random.default_rng(args.seed).normal(size=2 * delta.g)
     return isospectral.project_to_manifold(head, delta, tol=args.tol).to_dict()
 
 
 def _cmd_iso_trace(args):
-    delta = _load_delta(args.delta)
-    start = _load_coeffs(args.coeffs)
+    delta = _load(RationalDiscriminant, args.delta)
+    start = _load(GmpCoefficients, args.coeffs)
     points = isospectral.trace_torus(start, delta, args.steps, args.step_len, args.tol)
     P = np.array([pt.p for pt in points])
     Q = np.array([pt.q for pt in points])
@@ -163,8 +168,8 @@ def _cmd_iso_trace(args):
 
 
 def _cmd_iso_verify(args):
-    delta = _load_delta(args.delta)
-    coeffs = _load_coeffs(args.coeffs)
+    delta = _load(RationalDiscriminant, args.delta)
+    coeffs = _load(GmpCoefficients, args.coeffs)
     res = isospectral.manifold_residual(coeffs, delta)
     p_g, q_g = isospectral.forced_tail(
         delta, list(coeffs.p[:-1]) + list(coeffs.q[:-1])
@@ -181,38 +186,44 @@ def _cmd_iso_verify(args):
 
 def _cmd_magic_verify(args):
     defect = isospectral.magic_verify(
-        _load_coeffs(args.coeffs), _load_delta(args.delta), args.periods
+        _load(GmpCoefficients, args.coeffs), _load(RationalDiscriminant, args.delta), args.periods
     )
     return {"defect": defect}
 
 
 def _cmd_spectrum_eig(args):
-    return isospectral.spectrum_truncation(_load_coeffs(args.coeffs), args.periods)[:, None]
+    coeffs = _load(GmpCoefficients, args.coeffs)
+    return isospectral.spectrum_truncation(coeffs, args.periods)[:, None]
 
 
 def _cmd_ortho_build(args):
     if args.tol is not None and not args.report:
         raise ValueError("gmpmat ortho build: argument --tol: not allowed without --report")
     measure = ortho.DiscreteMeasure.from_csv(args.measure)
-    poles = tuple(float(v) for v in args.poles.split(",")) if args.poles else ()
-    fam = ortho.RationalFamily(args.family, poles)
+    fam = ortho.RationalFamily(args.family, _parse_floats("poles", args.poles))
     M = ortho.multiplication_matrix(measure, fam, args.n)
     if not args.report:
         return serialize.lower_triangle_csv(M)
-    rep = ortho.structure_report(M, fam, tol=1e-8 if args.tol is None else args.tol)
-    rep["violations"] = [list(v) for v in rep["violations"]]
-    return rep
+    return ortho.structure_report(M, fam, tol=1e-8 if args.tol is None else args.tol)
 
 
 def _cmd_jacobi_transfer(args):
-    a = [float(v) for v in args.a.split(",")]
-    b = [float(v) for v in args.b.split(",")]
+    a, b = _parse_floats("a", args.a), _parse_floats("b", args.b)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
         return np.column_stack([xs, isospectral.jacobi_transfer(a, b, xs)[0]])
     if args.bands:
         return isospectral.jacobi_band_edges(a, b)
     return _complex(isospectral.jacobi_transfer(a, b, _parse_complex(args.z))[0])
+
+
+def _all_finite(result):
+    """False if a float or array in a command's result holds NaN or an infinity."""
+    if isinstance(result, dict):
+        result = list(result.values())
+    if isinstance(result, (list, tuple)):
+        return all(map(_all_finite, result))
+    return not isinstance(result, (float, np.ndarray)) or bool(np.isfinite(result).all())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -331,7 +342,11 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(_join_signed_values(argv))
-        result = args.func(args)
+        with np.errstate(all="ignore"):  # a non-finite result is refused below instead
+            result = args.func(args)
+        if not _all_finite(result):
+            raise DomainError("the result overflows float64 (it holds NaN or infinity): "
+                              "the input is out of range")
         if isinstance(result, np.ndarray):
             result = serialize.rows_csv(result)
         elif not isinstance(result, str):

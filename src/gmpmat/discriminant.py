@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, finite
+from .errors import DomainError, finite, sequence
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,8 @@ class FiniteGapSet:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["b0"], d["a0"], tuple(tuple(gp) for gp in d.get("gaps", [])))
+        gaps = sequence("gaps", d.get("gaps", []))
+        return cls(d["b0"], d["a0"], tuple(sequence("each gap", gp, 2) for gp in gaps))
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,8 @@ class RationalDiscriminant:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["lambda0"], d["c0"], tuple(tuple(t) for t in d.get("terms", [])))
+        terms = sequence("terms", d.get("terms", []))
+        return cls(d["lambda0"], d["c0"], tuple(sequence("each term", t, 2) for t in terms))
 
 
 def eval_discriminant(delta, z):
@@ -133,8 +135,9 @@ def eval_discriminant(delta, z):
 def eval_discriminant_deriv(delta, x):
     """Delta'(x); positive on the real line away from the poles."""
     d = delta.lambda0
-    for lam, c in delta.terms:
-        d = d + lam / (c - x) ** 2
+    with np.errstate(over="ignore"):  # a term whose (c - x)^2 overflows has the value 0
+        for lam, c in delta.terms:
+            d = d + lam / (c - x) ** 2
     return d
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the finiteness rule for inputs."""
+"""Exception types shared across the package, and the rules for input values."""
 
 import math
 
@@ -19,8 +19,19 @@ class ConvergenceError(RuntimeError):
 
 
 def finite(field, value):
-    """``value`` as a float; DomainError naming ``field`` if it is NaN or infinite."""
-    x = float(value)
+    """``value`` as a float; DomainError naming ``field`` if it is no number, NaN or infinite."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{field} must be a number") from None
     if not math.isfinite(x):
         raise DomainError(f"{field} must be finite")
     return x
+
+
+def sequence(field, value, length=None):
+    """``value`` as a tuple; DomainError naming ``field`` unless it is a list
+    (of ``length`` entries, when given)."""
+    if not isinstance(value, (list, tuple)) or length is not None and len(value) != length:
+        raise DomainError(f"{field} must be a list" + (f" of {length} numbers" if length else ""))
+    return tuple(value)

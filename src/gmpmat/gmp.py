@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, finite
+from .errors import DomainError, finite, sequence
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,8 @@ class GmpCoefficients:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(tuple(d.get("poles", [])), tuple(d["p"]), tuple(d["q"]))
+        return cls(sequence("poles", d.get("poles", [])), sequence("p", d["p"]),
+                   sequence("q", d["q"]))
 
 
 @dataclass(frozen=True)
@@ -114,15 +115,24 @@ class BandedOperator:
 
 
 def build_blocks(coeffs):
-    """The (g+1) x (g+1) blocks (A, B) of the periodic operator."""
+    """The (g+1) x (g+1) blocks (A, B) of the periodic operator; DomainError
+    if an entry of B overflows float64."""
     p = np.asarray(coeffs.p)
     q = np.asarray(coeffs.q)
     g = coeffs.g
     A = np.zeros((g + 1, g + 1))
     A[g, :] = p
-    B = np.triu(np.outer(q, p), 1) + np.tril(np.outer(p, q))
-    B += np.diag(list(coeffs.poles) + [0.0])
-    return A, B
+    with np.errstate(over="ignore"):
+        B = np.triu(np.outer(q, p), 1) + np.tril(np.outer(p, q))
+        B += np.diag(list(coeffs.poles) + [0.0])
+    return A, _check_finite("the block B", B)
+
+
+def _check_finite(what, a):
+    """a, or DomainError if an entry overflowed to inf or became NaN."""
+    if not np.isfinite(a).all():
+        raise DomainError(f"{what} overflows float64: the input is out of range")
+    return a
 
 
 def assemble(coeffs, n_periods):

@@ -12,7 +12,7 @@ import numpy as np
 
 from ._kernels import _factor_product
 from .errors import ConvergenceError, DomainError, finite
-from .gmp import _pole_weights, assemble, build_blocks, GmpCoefficients
+from .gmp import _check_finite, _pole_weights, assemble, build_blocks, GmpCoefficients
 
 
 def _damped_newton(residual, jacobian, x, tol, max_iter=100):
@@ -327,13 +327,6 @@ def _transfer_phase(coeffs, eig_b, n_periods, x):
     return phi, psi, j
 
 
-def _check_finite(what, a):
-    """a, or DomainError if an entry overflowed to inf or became NaN."""
-    if not np.isfinite(a).all():
-        raise DomainError(f"{what} overflows float64: the coefficients are out of range")
-    return a
-
-
 def _hyperbolic_phase(n_periods, tau, w, t11, t12, t21, t22):
     """(phi, psi, low) of ``_transfer_phase`` where |tr T| > 2.
 
@@ -400,8 +393,8 @@ def spectrum_truncation(coeffs, n_periods):
     if n_periods < 1:
         raise DomainError("n_periods must be >= 1")
     N = n_periods
+    B = build_blocks(coeffs)[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        B = _check_finite("the block B", build_blocks(coeffs)[1])
         pts = _check_finite("a Floquet point", _floquet_points(B, np.asarray(coeffs.p), N))
     eig_b = np.linalg.eigvalsh(B)
 

@@ -5,7 +5,8 @@ measure and writing the multiplication-by-x operator in the resulting
 basis reproduces the characteristic matrix shapes: tridiagonal for
 monomials, five-diagonal with an alternating outer diagonal for the
 Laurent family, and the banded class-A block pattern for the rational
-family with poles C.
+family with poles C.  All three are one family, the GMP family of their
+poles: (), (0) and C.
 """
 
 import warnings
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, finite
-from .gmp import _class_a_violations
+from .gmp import _check_finite, _class_a_violations
 
-_KINDS = ("monomial", "smp", "gmp")
+# kind -> the pattern name of structure_report
+_PATTERNS = {"monomial": "jacobi", "smp": "smp", "gmp": "class-A"}
 
 
 @dataclass(frozen=True)
@@ -50,18 +52,20 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class RationalFamily:
-    """Basis family: monomials, the Laurent (SMP) family, or the GMP family.
+    """Basis family: the GMP family of ``poles``.
 
-    A GMP super-block descends from (c_g - x)^-m to (c_1 - x)^-m, so the
-    order of ``poles`` fixes the order of its reciprocal functions.
+    ``kind`` "monomial" is the family with no poles and "smp" the Laurent
+    family, the single pole 0.  A super-block descends from (c_g - x)^-m
+    to (c_1 - x)^-m, so the order of ``poles`` fixes the order of its
+    reciprocal functions.
     """
 
     kind: str
     poles: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"kind must be one of {_KINDS}")
+        if self.kind not in _PATTERNS:
+            raise DomainError(f"kind must be one of {tuple(_PATTERNS)}")
         poles = tuple(finite("poles", c) for c in self.poles)
         object.__setattr__(self, "poles", poles)
         if self.kind == "monomial" and poles:
@@ -73,28 +77,17 @@ class RationalFamily:
 
     @property
     def block_size(self):
-        if self.kind == "monomial":
-            return 1
-        if self.kind == "smp":
-            return 2
         return len(self.poles) + 1
 
 
 def family_function(fam, n, x):
-    """Value of the n-th family function at x (x must avoid the poles)."""
+    """Value of the n-th family function at x (x must avoid the poles).
+
+    The order is 1, then the super-blocks (c_g-x)^-m .. (c_1-x)^-m, x^m for
+    m = 1, 2, ...: monomials are the case of no poles, and the Laurent family
+    the case of the single pole 0.
+    """
     x = np.asarray(x, dtype=float)
-    if fam.kind == "monomial":
-        return x**n
-    if fam.kind == "smp":
-        if n == 0:
-            return np.ones_like(x)
-        if n % 2 == 0:
-            return x ** (n // 2)
-        m = (n + 1) // 2
-        if np.any(x == 0):
-            raise DomainError("evaluation at the pole 0")
-        return (-1.0) ** m / x**m
-    # gmp: 1, then super-blocks (c_g-x)^-m .. (c_1-x)^-m, x^m
     g = len(fam.poles)
     if n == 0:
         return np.ones_like(x)
@@ -112,15 +105,18 @@ def multiplication_matrix(measure, fam, n_funcs):
     """Matrix of multiplication by x in the orthonormalized family basis.
 
     QR with one reorthogonalization pass orthonormalizes the first
-    n_funcs family functions in L2 of the measure.  Raises on rank
-    deficiency (reporting the failing index) and warns when the
-    conditioning of the raw family exceeds 1e12.
+    n_funcs family functions in L2 of the measure.  Raises on a family
+    value that overflows float64 and on rank deficiency (reporting the
+    failing index), and warns when the conditioning of the raw family
+    exceeds 1e12.
     """
     xs, ws = measure.support, measure.weights
     if n_funcs > len(xs):
         raise DomainError("n_funcs exceeds the number of atoms")
     sw = np.sqrt(ws)
-    F = np.column_stack([sw * family_function(fam, n, xs) for n in range(n_funcs)])
+    with np.errstate(over="ignore"):
+        F = np.column_stack([sw * family_function(fam, n, xs) for n in range(n_funcs)])
+    _check_finite("a family function", F)
     Q1, R1 = np.linalg.qr(F)
     Q, R2 = np.linalg.qr(Q1)  # one reorthogonalization pass
     R = R2 @ R1
@@ -155,16 +151,10 @@ def structure_report(M, fam, tol=1e-8):
     scale = tol * (1.0 + np.max(np.abs(M)))
     w = fam.block_size
     outer = np.diagonal(M, w)
-    if fam.kind == "monomial":
-        pattern, live = "jacobi", 0
-    else:
-        pattern = "smp" if fam.kind == "smp" else "class-A"
-        # nonzero outer entries live on a single residue class mod the
-        # block size; detect the class, then enforce it
-        classes = [
-            np.max(np.abs(outer[r::w])) if outer[r::w].size else 0.0 for r in range(w)
-        ]
-        live = int(np.argmax(classes))
+    # nonzero outer entries live on a single residue class mod the block
+    # size; detect the class, then enforce it (for w = 1 it is 0)
+    classes = [np.max(np.abs(outer[r::w])) if outer[r::w].size else 0.0 for r in range(w)]
+    live = int(np.argmax(classes))
     bad = _class_a_violations(M, w, live, scale)
     violations = [(i, j, float(M[i, j]), "outside bandwidth")
                   for i, j in np.argwhere(np.triu(bad, w + 1)).tolist()]
@@ -174,4 +164,4 @@ def structure_report(M, fam, tol=1e-8):
         else:
             reason = "outer entry not positive" if i % w == live else "outer entry not zero"
         violations.append((i, i + w, float(outer[i]), reason))
-    return {"pattern": pattern, "bandwidth": w, "violations": violations}
+    return {"pattern": _PATTERNS[fam.kind], "bandwidth": w, "violations": violations}

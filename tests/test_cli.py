@@ -457,6 +457,21 @@ NON_FINITE = {
                           "overflows float64"),
     "spectrum underflow": (["spectrum", "eig", "--coeffs", "tiny.json", "--periods", "3"],
                            "overflows float64"),
+    "section overflow": (["gmp", "build", "--coeffs", "huge.json", "--periods", "3"],
+                         "overflows float64"),
+    "check overflow": (["gmp", "check", "--coeffs", "huge.json"], "overflows float64"),
+    "transfer z overflow": (["transfer", "eval", "--coeffs", "huge.json", "--z", "0.5"],
+                            "overflows float64"),
+    "transfer grid overflow": (["transfer", "eval", "--coeffs", "huge.json", "--grid=-1:1:3"],
+                               "overflows float64"),
+    "lambdas overflow": (["transfer", "lambdas", "--coeffs", "huge.json"], "overflows float64"),
+    "coeffs overflow": (["transfer", "coeffs", "--coeffs", "huge.json"], "overflows float64"),
+    "resolvent z overflow": (["resolvent", "eval", "--coeffs", "huge.json", "--z", "0.5,1"],
+                             "overflows float64"),
+    "resolvent grid overflow": (["resolvent", "eval", "--coeffs", "huge.json", "--grid=-1:1:3"],
+                                "overflows float64"),
+    "ortho overflow": (["ortho", "build", "--measure", "far.csv", "--family", "monomial",
+                        "--n", "3"], "overflows float64"),
     "jacobi b nan": (["jacobi", "transfer", "--a", "1,1", "--b", "nan,0", "--bands"],
                      "b must be finite"),
     "z nan": (["delta", "eval", "--delta", "delta.json", "--z", "nan"], "z must be finite"),
@@ -474,12 +489,55 @@ def test_non_finite_input_exits_1_with_one_json_line(workdir, case):
     (workdir / "nan_coeffs.json").write_text('{"poles": [2.0], "p": [1.0, NaN], "q": [1.0, 0.0]}')
     (workdir / "huge.json").write_text(json.dumps({"poles": [2.0], "p": [1e200, 1.0],
                                                    "q": [1e200, 0.0]}))
+    (workdir / "far.csv").write_text("1e160,1\n2,1\n3,1\n4,1\n")
     (workdir / "tiny.json").write_text(json.dumps({"poles": [2.0], "p": [1.0, 1e-300],
                                                    "q": [1.0, 0.0]}))
     argv, message = NON_FINITE[case]
     proc = _child(["-m", "gmpmat.cli", *argv], cwd=workdir)
     assert (proc.returncode, proc.stdout) == (1, "")
     lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and message in json.loads(lines[0])["error"]
+
+
+# Input files of the wrong shape, and empty comma lists: before they were refused
+# with one JSON line, the files gave a traceback or a bare "'q'", and "--a=" failed
+# on float('').
+MALFORMED = {
+    "null in a list": (["gmp", "check", "--coeffs", "{bad}"],
+                       '{"poles": [2.0], "p": [null, 1.0], "q": [1.0, 0.0]}', "p must be a number"),
+    "number for a list": (["transfer", "lambdas", "--coeffs", "{bad}"],
+                          '{"poles": 2.0, "p": [1.0, 1.0], "q": [1.0, 0.0]}',
+                          "poles must be a list"),
+    "top-level list": (["delta", "bands", "--delta", "{bad}"], "[1.0, 2.0]",
+                       "the top level must be a JSON object"),
+    "missing field": (["transfer", "coeffs", "--coeffs", "{bad}"],
+                      '{"poles": [2.0], "p": [1.0, 1.0]}', "missing field 'q'"),
+    "gap not a pair": (["delta", "solve", "--set", "{bad}"],
+                       '{"b0": -2.0, "a0": 2.0, "gaps": [[1.0]]}',
+                       "each gap must be a list of 2 numbers"),
+    "term not a list": (["delta", "bands", "--delta", "{bad}"],
+                        '{"lambda0": 1.0, "c0": 0.0, "terms": [1.0]}',
+                        "each term must be a list of 2 numbers"),
+    "not JSON": (["ahlfors", "eval", "--delta", "{bad}", "--z", "0.5"], '{"lambda0": ',
+                 "Expecting value"),
+    "empty --a": (["jacobi", "transfer", "--a=", "--b=", "--bands"], None,
+                  "a and b must be nonempty"),
+    "empty item in --b": (["jacobi", "transfer", "--a=1,1", "--b=0,,1", "--bands"], None,
+                          "b must be a number"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_exits_1_with_one_json_line(workdir, capsys, case):
+    argv, text, message = MALFORMED[case]
+    bad = workdir / "bad.json"
+    if text is not None:
+        bad.write_text(text)
+        message = f"{bad}: {message}"
+    assert main([a.format(bad=bad) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
     assert len(lines) == 1 and message in json.loads(lines[0])["error"]
 
 

@@ -551,6 +551,13 @@ def test_bands_newton_step_never_reaches_a_pole():
     assert E.gaps[0][1] == np.nextafter(1.0, np.inf)
 
 
+def test_bands_of_far_out_edges_warns_nothing():
+    # the edges lie near +-2e300, where (c - x)^2 in Delta' overflows; the
+    # term's limit there, 0, is its value, with no RuntimeWarning (an error
+    # under this suite's warning filter)
+    E = bands(RationalDiscriminant(1e-300, 0.0, ((1.0, 1.0),)))
+    assert E == FiniteGapSet(-1.9999999999999998e300, 1.9999999999999998e300, ((0.5, 1.5),))
+
 
 @pytest.mark.parametrize("hi", ["1.0000000000000002", "1.0000000000000004"])
 def test_bands_rejects_poles_too_close_for_a_band(hi):

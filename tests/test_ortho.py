@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gmpmat import ortho
 from gmpmat import (
     DiscreteMeasure,
     DomainError,
@@ -64,6 +65,60 @@ def test_pole_evaluation_rejected():
     fam = RationalFamily("gmp", (1.0,))
     with pytest.raises(DomainError):
         family_function(fam, 1, np.array([1.0]))
+    with pytest.raises(DomainError, match="evaluation at the pole 0.0"):
+        family_function(RationalFamily("smp", (0.0,)), 3, np.array([0.0, 1.0]))
+
+
+def _family_function_per_kind(fam, n, x):
+    """The per-kind formulas that the GMP formula replaces, kept as its oracle."""
+    x = np.asarray(x, dtype=float)
+    if fam.kind == "monomial":
+        return x**n
+    if fam.kind == "smp":
+        if n == 0:
+            return np.ones_like(x)
+        if n % 2 == 0:
+            return x ** (n // 2)
+        m = (n + 1) // 2
+        return (-1.0) ** m / x**m
+    g = len(fam.poles)
+    if n == 0:
+        return np.ones_like(x)
+    m = (n - 1) // (g + 1) + 1
+    r = (n - 1) % (g + 1)
+    return x**m if r == g else (fam.poles[g - 1 - r] - x) ** (-m)
+
+
+def test_family_fold_matches_per_kind_formulas(monkeypatch):
+    # monomial and GMP: the same operations, so the same bits.  Laurent:
+    # (0 - x)^-m against (-1)^m / x^m differ by rounding (at most 2 ulp),
+    # which the QR carries into M with the conditioning kappa(F) of the
+    # weighted family: both matrices are within about kappa eps |M| of exact.
+    eps = np.finfo(float).eps
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        lo, hi = rng.uniform(0.5, 1.5, 2)
+        xs = np.concatenate([np.linspace(-lo - rng.uniform(0.5, 1.5), -lo, 20),
+                             np.linspace(hi, hi + rng.uniform(0.5, 1.5), 20)])
+        mu = DiscreteMeasure(tuple(zip(xs, rng.uniform(0.5, 1.5, xs.size))))
+        n = int(rng.integers(4, 21))
+        gap_pole = float(rng.uniform(-lo, hi))
+        for fam in (RationalFamily("monomial"), RationalFamily("smp", (0.0,)),
+                    RationalFamily("gmp", (gap_pole,))):
+            F = np.column_stack([_family_function_per_kind(fam, k, xs) for k in range(n)])
+            got = np.column_stack([family_function(fam, k, xs) for k in range(n)])
+            M = multiplication_matrix(mu, fam, n)
+            with monkeypatch.context() as m:
+                m.setattr(ortho, "family_function", _family_function_per_kind)
+                want = multiplication_matrix(mu, fam, n)
+            if fam.kind == "smp":
+                assert np.all(np.abs(got - F) <= 2 * np.spacing(np.abs(F)))
+                kappa = np.linalg.cond(np.sqrt(mu.weights)[:, None] * F)
+                assert np.max(np.abs(M - want)) <= kappa * eps * np.max(np.abs(want))
+            else:
+                assert np.array_equal(got.view(np.int64), F.view(np.int64))
+                assert np.array_equal(M.view(np.int64), want.view(np.int64))
+            assert repr(structure_report(M, fam)) == repr(structure_report(want, fam))
 
 
 def test_two_atom_multiplication_matrix():
