@@ -7,8 +7,7 @@ array allocation) and an ndarray of z (elementwise numpy arithmetic over
 the whole grid, looping only over the factors).
 """
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DomainError
 
 
@@ -22,12 +21,12 @@ def _factor_product(z, poles, p, q, mirror=False, rank_one=None):
     ``mirror`` multiplies the factors in reverse order, each replaced by
     its mirror S F^T S with S = diag(1, -1); for a pole factor that swaps
     the roles of p and q.  ``rank_one = k`` replaces factor k by the
-    rank-one matrix [p_k; q_k][p_k q_k] j.  A scalar z stays a scalar;
-    an ndarray z gives entries of its shape.  Raises DomainError when z
-    hits a pole of a pole factor.
+    rank-one matrix [p_k; q_k][p_k q_k] j.  A Python (or numpy) scalar z
+    stays a scalar and needs no numpy; an ndarray z gives entries of its
+    shape.  Raises DomainError when z hits a pole of a pole factor.
     """
     g = len(poles)
-    array = isinstance(z, np.ndarray)
+    array = not isinstance(z, (int, float, complex))
     zero = 0.0 * z
     m11, m12, m21, m22 = 1.0 + zero, zero, zero, 1.0 + zero
     for j, (pj, qj) in enumerate(zip(p, q)):

@@ -2,29 +2,25 @@
 
 Thin adapters over the library modules with deterministic, file-based
 I/O: JSON for structured data, CSV for matrices, traces and grids.
-Each command returns its result and ``main`` writes it: a 2-D ndarray as
-CSV rows, a str as it is, any other value as JSON.
+Each command imports the library modules it runs when it runs, so a
+point evaluation loads neither numpy nor the modules it does not use.
+Each command returns its result and ``main`` writes it: a str as it is,
+a dict or list as JSON, a 2-D ndarray as CSV rows.
 Exit codes: 0 success, 1 domain/input/usage error, 2 convergence failure.
 A grid that hits a pole is a domain error: no partial output is written.
 """
 
 import argparse
+import math
 import sys
+import warnings
 
-import numpy as np
-
-from . import _kernels, isospectral, ortho, resolvent, serialize
-from .transfer import discriminant_coeffs, lambda_k, transfer as eval_transfer
-from .discriminant import (
-    FiniteGapSet,
-    RationalDiscriminant,
-    ahlfors_eval,
-    bands,
-    eval_discriminant,
-    solve_discriminant,
-)
+from . import serialize
+from ._lazy import np
 from .errors import ConvergenceError, DomainError, finite
-from .gmp import assemble, check_shifted_inverse_structure, GmpCoefficients, lambda_positivity_test
+
+# numpy's floating-point warnings; a non-finite result is refused instead
+_FP_WARNINGS = r"(divide by zero|overflow|underflow|invalid value) encountered"
 
 
 def _parse_complex(text):
@@ -69,10 +65,14 @@ def _complex(value):
 
 
 def _cmd_delta_solve(args):
+    from .discriminant import FiniteGapSet, solve_discriminant
+
     return solve_discriminant(_load(FiniteGapSet, args.set)).to_dict()
 
 
 def _cmd_delta_eval(args):
+    from .discriminant import RationalDiscriminant, eval_discriminant
+
     delta = _load(RationalDiscriminant, args.delta)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
@@ -81,19 +81,27 @@ def _cmd_delta_eval(args):
 
 
 def _cmd_delta_bands(args):
+    from .discriminant import RationalDiscriminant, bands
+
     return bands(_load(RationalDiscriminant, args.delta)).to_dict()
 
 
 def _cmd_ahlfors_eval(args):
+    from .discriminant import RationalDiscriminant, ahlfors_eval
+
     return _complex(ahlfors_eval(_load(RationalDiscriminant, args.delta), _parse_complex(args.z)))
 
 
 def _cmd_gmp_build(args):
+    from .gmp import GmpCoefficients, assemble
+
     op = assemble(_load(GmpCoefficients, args.coeffs), args.periods)
     return serialize.lower_triangle_csv(op, tol=args.tol)
 
 
 def _cmd_gmp_check(args):
+    from .gmp import GmpCoefficients, check_shifted_inverse_structure, lambda_positivity_test
+
     coeffs = _load(GmpCoefficients, args.coeffs)
     is_gmp, lambdas = lambda_positivity_test(coeffs)
     structural = [
@@ -104,34 +112,46 @@ def _cmd_gmp_check(args):
 
 
 def _cmd_transfer_eval(args):
+    from ._kernels import _factor_product, discriminant_grid
+    from .gmp import GmpCoefficients
+
     coeffs = _load(GmpCoefficients, args.coeffs)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
-        return np.column_stack([xs, _kernels.discriminant_grid(coeffs, xs).real])
-    M = eval_transfer(coeffs, _parse_complex(args.z))
-    return {f"m{i + 1}{j + 1}": [M[i, j].real, M[i, j].imag] for i in (0, 1) for j in (0, 1)}
+        return np.column_stack([xs, discriminant_grid(coeffs, xs).real])
+    M = _factor_product(_parse_complex(args.z), coeffs.poles, coeffs.p, coeffs.q)
+    return {f"m{k // 2 + 1}{k % 2 + 1}": [m.real, m.imag] for k, m in enumerate(M)}
 
 
 def _cmd_transfer_coeffs(args):
+    from .gmp import GmpCoefficients
+    from .transfer import discriminant_coeffs
+
     return discriminant_coeffs(_load(GmpCoefficients, args.coeffs)).to_dict()
 
 
 def _cmd_transfer_lambdas(args):
+    from .gmp import GmpCoefficients
+    from .transfer import lambda_k
+
     coeffs = _load(GmpCoefficients, args.coeffs)
     return [lambda_k(coeffs, k) for k in range(1, coeffs.g + 1)]
 
 
 def _cmd_resolvent_eval(args):
+    from .gmp import GmpCoefficients
+    from .resolvent import resolvent_pair
+
     if args.z is not None and args.imag is not None:
         raise ValueError("gmpmat resolvent eval: argument --imag: not allowed with argument --z")
     coeffs = _load(GmpCoefficients, args.coeffs)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
         imag = 1.0 if args.imag is None else finite("imag", args.imag)
-        rv = resolvent.resolvent_pair(coeffs, xs + 1j * imag)
+        rv = resolvent_pair(coeffs, xs + 1j * imag)
         cols = [xs, rv.r_plus.real, rv.r_plus.imag, rv.r_minus_inv.real, rv.r_minus_inv.imag]
         return np.column_stack(cols)
-    rv = resolvent.resolvent_pair(coeffs, _parse_complex(args.z))
+    rv = resolvent_pair(coeffs, _parse_complex(args.z))
     return {
         "r_plus": [rv.r_plus.real, rv.r_plus.imag],
         "r_minus_inv": [rv.r_minus_inv.real, rv.r_minus_inv.imag],
@@ -140,27 +160,37 @@ def _cmd_resolvent_eval(args):
 
 
 def _cmd_resolvent_reflectionless(args):
+    from .gmp import GmpCoefficients
+    from .resolvent import reflectionless_check
+
     coeffs = _load(GmpCoefficients, args.coeffs)
-    return {"defect": resolvent.reflectionless_check(coeffs, args.x, args.eps)}
+    return {"defect": reflectionless_check(coeffs, args.x, args.eps)}
 
 
 def _cmd_iso_project(args):
+    from .discriminant import RationalDiscriminant
+    from .isospectral import project_to_manifold
+
     delta = _load(RationalDiscriminant, args.delta)
     if args.init is not None:
         head = _parse_floats("init_head", args.init)
     else:
         head = np.random.default_rng(args.seed).normal(size=2 * delta.g)
-    return isospectral.project_to_manifold(head, delta, tol=args.tol).to_dict()
+    return project_to_manifold(head, delta, tol=args.tol).to_dict()
 
 
 def _cmd_iso_trace(args):
+    from .discriminant import RationalDiscriminant
+    from .gmp import GmpCoefficients
+    from .isospectral import manifold_residual, trace_torus
+
     delta = _load(RationalDiscriminant, args.delta)
     start = _load(GmpCoefficients, args.coeffs)
-    points = isospectral.trace_torus(start, delta, args.steps, args.step_len, args.tol)
+    points = trace_torus(start, delta, args.steps, args.step_len, args.tol)
     P = np.array([pt.p for pt in points])
     Q = np.array([pt.q for pt in points])
     defects = [
-        np.max(np.abs(isospectral.manifold_residual(pt, delta))) if delta.g else 0.0
+        np.max(np.abs(manifold_residual(pt, delta))) if delta.g else 0.0
         for pt in points
     ]
     return np.column_stack([np.arange(len(points)), P[:, :-1], Q[:, :-1], P[:, -1], Q[:, -1],
@@ -168,12 +198,14 @@ def _cmd_iso_trace(args):
 
 
 def _cmd_iso_verify(args):
+    from .discriminant import RationalDiscriminant
+    from .gmp import GmpCoefficients
+    from .isospectral import forced_tail, manifold_residual
+
     delta = _load(RationalDiscriminant, args.delta)
     coeffs = _load(GmpCoefficients, args.coeffs)
-    res = isospectral.manifold_residual(coeffs, delta)
-    p_g, q_g = isospectral.forced_tail(
-        delta, list(coeffs.p[:-1]) + list(coeffs.q[:-1])
-    )
+    res = manifold_residual(coeffs, delta)
+    p_g, q_g = forced_tail(delta, list(coeffs.p[:-1]) + list(coeffs.q[:-1]))
     tail_defect = max(abs(coeffs.p[-1] - p_g), abs(coeffs.q[-1] - q_g))
     return {
         "residual": list(res),
@@ -185,36 +217,48 @@ def _cmd_iso_verify(args):
 
 
 def _cmd_magic_verify(args):
-    defect = isospectral.magic_verify(
+    from .discriminant import RationalDiscriminant
+    from .gmp import GmpCoefficients
+    from .isospectral import magic_verify
+
+    defect = magic_verify(
         _load(GmpCoefficients, args.coeffs), _load(RationalDiscriminant, args.delta), args.periods
     )
     return {"defect": defect}
 
 
 def _cmd_spectrum_eig(args):
+    from .gmp import GmpCoefficients
+    from .isospectral import spectrum_truncation
+
     coeffs = _load(GmpCoefficients, args.coeffs)
-    return isospectral.spectrum_truncation(coeffs, args.periods)[:, None]
+    return spectrum_truncation(coeffs, args.periods)[:, None]
 
 
 def _cmd_ortho_build(args):
+    from .ortho import DiscreteMeasure, RationalFamily, multiplication_matrix, structure_report
+
     if args.tol is not None and not args.report:
         raise ValueError("gmpmat ortho build: argument --tol: not allowed without --report")
-    measure = ortho.DiscreteMeasure.from_csv(args.measure)
-    fam = ortho.RationalFamily(args.family, _parse_floats("poles", args.poles))
-    M = ortho.multiplication_matrix(measure, fam, args.n)
+    measure = DiscreteMeasure.from_csv(args.measure)
+    fam = RationalFamily(args.family, _parse_floats("poles", args.poles))
+    M = multiplication_matrix(measure, fam, args.n)
     if not args.report:
         return serialize.lower_triangle_csv(M)
-    return ortho.structure_report(M, fam, tol=1e-8 if args.tol is None else args.tol)
+    return structure_report(M, fam, tol=1e-8 if args.tol is None else args.tol)
 
 
 def _cmd_jacobi_transfer(args):
+    from .isospectral import _jacobi_product, jacobi_band_edges, jacobi_transfer
+
     a, b = _parse_floats("a", args.a), _parse_floats("b", args.b)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
-        return np.column_stack([xs, isospectral.jacobi_transfer(a, b, xs)[0]])
+        return np.column_stack([xs, jacobi_transfer(a, b, xs)[0]])
     if args.bands:
-        return isospectral.jacobi_band_edges(a, b)
-    return _complex(isospectral.jacobi_transfer(a, b, _parse_complex(args.z))[0])
+        return jacobi_band_edges(a, b)
+    m11, _, _, m22 = _jacobi_product(a, b, _parse_complex(args.z))
+    return _complex(m11 + m22)
 
 
 def _all_finite(result):
@@ -223,7 +267,9 @@ def _all_finite(result):
         result = list(result.values())
     if isinstance(result, (list, tuple)):
         return all(map(_all_finite, result))
-    return not isinstance(result, (float, np.ndarray)) or bool(np.isfinite(result).all())
+    if isinstance(result, float):
+        return math.isfinite(result)
+    return not isinstance(result, np.ndarray) or bool(np.isfinite(result).all())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -338,29 +384,41 @@ def build_parser():
     return parser
 
 
+def _report(payload):
+    print(serialize.dumps(payload), end="", file=sys.stderr)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(_join_signed_values(argv))
-        with np.errstate(all="ignore"):  # a non-finite result is refused below instead
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _FP_WARNINGS, RuntimeWarning)
             result = args.func(args)
         if not _all_finite(result):
-            raise DomainError("the result overflows float64 (it holds NaN or infinity): "
-                              "the input is out of range")
-        if isinstance(result, np.ndarray):
-            result = serialize.rows_csv(result)
-        elif not isinstance(result, str):
+            raise OverflowError  # reported below
+        if isinstance(result, (dict, list)):
             result = serialize.dumps(result)
+        elif not isinstance(result, str):
+            result = serialize.rows_csv(result)
         serialize.write_text(args.out, result)
     except ConvergenceError as exc:
         payload = {"error": str(exc)}
         if exc.residual is not None:
             payload["residual"] = float(exc.residual)
-        print(serialize.dumps(payload), end="", file=sys.stderr)
+        _report(payload)
         return 2
     except (ValueError, OSError, KeyError) as exc:
         # DomainError, JSON decode and usage errors all derive from ValueError
-        print(serialize.dumps({"error": str(exc)}), end="", file=sys.stderr)
+        _report({"error": str(exc)})
+        return 1
+    except (OverflowError, ZeroDivisionError):
+        # Python float arithmetic raises these where numpy gives inf or NaN
+        _report({"error": "the result overflows float64 (it holds NaN or infinity): "
+                          "the input is out of range"})
+        return 1
+    except MemoryError as exc:
+        _report({"error": f"out of memory: {exc}" if str(exc) else "out of memory"})
         return 1
     return 0
 

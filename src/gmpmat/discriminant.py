@@ -12,12 +12,12 @@ guarded Newton step (no iteration), and evaluates the associated
 unimodular-bounded function by Joukowski inversion.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DomainError, finite, sequence
+from ._lazy import np
+from .errors import DomainError, finite, number, numbers, sequence
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,9 @@ class FiniteGapSet:
 
     @classmethod
     def from_dict(cls, d):
-        gaps = sequence("gaps", d.get("gaps", []))
-        return cls(d["b0"], d["a0"], tuple(sequence("each gap", gp, 2) for gp in gaps))
+        gaps = tuple(numbers("gaps", sequence("each gap", gp, 2))
+                     for gp in sequence("gaps", d.get("gaps", [])))
+        return cls(number("b0", d["b0"]), number("a0", d["a0"]), gaps)
 
 
 @dataclass(frozen=True)
@@ -116,13 +117,17 @@ class RationalDiscriminant:
 
     @classmethod
     def from_dict(cls, d):
-        terms = sequence("terms", d.get("terms", []))
-        return cls(d["lambda0"], d["c0"], tuple(sequence("each term", t, 2) for t in terms))
+        terms = tuple(numbers("terms", sequence("each term", t, 2))
+                      for t in sequence("terms", d.get("terms", [])))
+        return cls(number("lambda0", d["lambda0"]), number("c0", d["c0"]), terms)
 
 
 def eval_discriminant(delta, z):
-    """Evaluate Delta at a real or complex z (not a pole); z may be an ndarray."""
-    array = isinstance(z, np.ndarray)
+    """Evaluate Delta at a real or complex z (not a pole); z may be an ndarray.
+
+    A scalar z is evaluated in Python arithmetic, without numpy.
+    """
+    array = not isinstance(z, (int, float, complex))
     for _, c in delta.terms:
         if (z == c).any() if array else z == c:
             raise DomainError(f"evaluation at pole c = {c}")
@@ -242,6 +247,21 @@ def _level_roots(delta, lams, cs, t):
                    lambda x: (eval_discriminant(delta, x) - t, eval_discriminant_deriv(delta, x)))
 
 
+def _sqrt(x):
+    """Principal square root of the complex x, without numpy, as np.sqrt gives it.
+
+    cmath.sqrt rounds the two equal parts of sqrt(iy) = sqrt(|y|/2)(1 +/- i)
+    one at a time, at times one ulp apart, and the real part of Delta^2 - 4
+    is exactly 0 at Delta = +/-2 + i eps for every |eps| below ~2e-8.
+    Elsewhere the two roots agree bit for bit, unless a part of x or of the
+    root is below ~2e-307 (near or in the subnormal range).
+    """
+    if x.real == 0.0 and x.imag != 0.0:
+        t = math.sqrt(0.5 * abs(x.imag))
+        return complex(t, math.copysign(t, x.imag))
+    return cmath.sqrt(x)
+
+
 def ahlfors_eval(delta, z):
     """Small Joukowski root: Psi with Psi + 1/Psi = Delta(z), |Psi| < 1.
 
@@ -253,7 +273,7 @@ def ahlfors_eval(delta, z):
         if z == c:
             return 0.0 + 0.0j
     d = complex(eval_discriminant(delta, z))
-    s = np.sqrt(d * d - 4.0 + 0.0j)
+    s = _sqrt(d * d - 4.0 + 0.0j)
     w1 = (d - s) / 2.0
     w2 = (d + s) / 2.0
     m1, m2 = abs(w1), abs(w2)

@@ -24,6 +24,8 @@ def finite(field, value):
         x = float(value)
     except (TypeError, ValueError):
         raise DomainError(f"{field} must be a number") from None
+    except OverflowError:  # an int beyond the float range
+        raise DomainError(f"{field} must be finite") from None
     if not math.isfinite(x):
         raise DomainError(f"{field} must be finite")
     return x
@@ -35,3 +37,19 @@ def sequence(field, value, length=None):
     if not isinstance(value, (list, tuple)) or length is not None and len(value) != length:
         raise DomainError(f"{field} must be a list" + (f" of {length} numbers" if length else ""))
     return tuple(value)
+
+
+def number(field, value):
+    """``value``, or DomainError naming ``field`` unless it is a JSON number.
+
+    json reads every number as an int or a float; a string, a boolean or
+    null is no number, although ``float`` would take the first two.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"{field} must be a number")
+    return value
+
+
+def numbers(field, value):
+    """``sequence(field, value)`` whose entries are JSON numbers."""
+    return tuple(number(field, v) for v in sequence(field, value))

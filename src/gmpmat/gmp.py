@@ -11,9 +11,8 @@ one-block-periodic case is generated by a single coefficient pair
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DomainError, finite, sequence
+from ._lazy import np
+from .errors import DomainError, finite, numbers
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,8 @@ class GmpCoefficients:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(sequence("poles", d.get("poles", [])), sequence("p", d["p"]),
-                   sequence("q", d["q"]))
+        return cls(numbers("poles", d.get("poles", [])), numbers("p", d["p"]),
+                   numbers("q", d["q"]))
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ class BandedOperator:
 
     n: int
     half_bandwidth: int
-    lower: np.ndarray
+    lower: "np.ndarray"
 
     def to_dense(self):
         """The full matrix: the lower triangle of ``row_block`` mirrored."""

@@ -8,9 +8,8 @@ on truncations, computes the spectrum of a truncation from the one-period
 transfer matrix, and extracts the induced Jacobi coefficients.
 """
 
-import numpy as np
-
 from ._kernels import _factor_product
+from ._lazy import np
 from .errors import ConvergenceError, DomainError, finite
 from .gmp import _check_finite, _pole_weights, assemble, build_blocks, GmpCoefficients
 
@@ -24,14 +23,18 @@ def _damped_newton(residual, jacobian, x, tol, max_iter=100):
     finite and lowers the max-norm residual or reaches ``tol``.
 
     Raises ConvergenceError (carrying the last residual) if no halving is
-    accepted, or if the residual is above ``tol`` after ``max_iter`` steps.
+    accepted, or if the residual is above ``tol`` after ``max_iter`` steps,
+    and DomainError if the residual or the Jacobian overflows.
     """
-    res = residual(x)
+    # LAPACK prints to stdout when lstsq gets a non-finite system; an accepted
+    # step lowers a finite residual, so only the first one needs the check
+    res = _check_finite("the Newton system", residual(x))
     rnorm = np.max(np.abs(res))
     for _ in range(max_iter):
         if rnorm <= tol:
             break
-        step, *_ = np.linalg.lstsq(jacobian(x), -res, rcond=None)
+        J = _check_finite("the Newton system", jacobian(x))
+        step, *_ = np.linalg.lstsq(J, -res, rcond=None)
         scale = 1.0
         for _ in range(40):
             trial = x + scale * step
@@ -450,25 +453,34 @@ def jacobi_coeffs(coeffs):
 
 
 def _jacobi_ab(a, b):
-    a = np.array([finite("a", v) for v in a])
-    b = np.array([finite("b", v) for v in b])
-    if a.shape != b.shape or a.size == 0:
+    """(a, b) as tuples of finite floats, a_j > 0, checked in Python."""
+    a = tuple(finite("a", v) for v in a)
+    b = tuple(finite("b", v) for v in b)
+    if len(a) != len(b) or not a:
         raise DomainError("a and b must be nonempty and of equal length")
-    if np.any(a <= 0):
+    if any(v <= 0 for v in a):
         raise DomainError("all a_j must be positive")
     return a, b
 
 
-def jacobi_transfer(a, b, z):
-    """Periodic Jacobi transfer matrix and its trace.
+def _jacobi_product(a, b, z):
+    """Entries (m11, m12, m21, m22) of the periodic Jacobi transfer matrix.
 
     The factors are the infinity-type factors with (p, q) = (a_j,
-    b_{j-1}/a_j); the spectrum of the period-p operator is the preimage
-    of [-2, 2] under the trace.  For an ndarray z the trace has the shape
-    of z and the matrix has shape (2, 2) + z.shape.
+    b_{j-1}/a_j); a scalar z needs no numpy.
     """
     a, b = _jacobi_ab(a, b)
-    m11, m12, m21, m22 = _factor_product(z, (), a.tolist(), (b / a).tolist())
+    return _factor_product(z, (), a, tuple(bj / aj for aj, bj in zip(a, b)))
+
+
+def jacobi_transfer(a, b, z):
+    """Periodic Jacobi transfer matrix and its trace (see ``_jacobi_product``).
+
+    The spectrum of the period-p operator is the preimage of [-2, 2]
+    under the trace.  For an ndarray z the trace has the shape of z and
+    the matrix has shape (2, 2) + z.shape.
+    """
+    m11, m12, m21, m22 = _jacobi_product(a, b, z)
     return m11 + m22, np.array([[m11, m12], [m21, m22]])
 
 
@@ -480,7 +492,7 @@ def jacobi_band_edges(a, b):
     +a[0] (periodic) or -a[0] (antiperiodic); for N = 1 these are
     b +/- 2a.  A closed gap appears as an equal pair.
     """
-    a, b = _jacobi_ab(a, b)
+    a, b = map(np.array, _jacobi_ab(a, b))
     M = np.diag(b) + np.diag(a[1:], 1) + np.diag(a[1:], -1)
     corners = np.zeros_like(M)
     corners[0, -1] += a[0]

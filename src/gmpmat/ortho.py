@@ -12,8 +12,7 @@ poles: (), (0) and C.
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DomainError, finite
 from .gmp import _check_finite, _class_a_violations
 

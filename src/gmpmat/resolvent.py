@@ -10,8 +10,7 @@ positive imaginary part on the upper half plane and x = 1/r_- the other.
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DomainError, finite
 from .gmp import assemble
 from .transfer import transfer

@@ -3,7 +3,7 @@
 import json
 import math
 
-import numpy as np
+from ._lazy import np
 
 
 def fmt(x):
@@ -14,19 +14,26 @@ def fmt(x):
 def _render(obj):
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return fmt(obj)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(k)}: {_render(v)}" for k, v in obj.items())
         return "{" + items + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_render(v) for v in obj) + "]"
     if obj is None:
         return "null"
+    # numpy types last: a result made without numpy must not load it here
+    if isinstance(obj, np.floating):
+        return fmt(obj)
+    if isinstance(obj, np.integer):
+        return str(int(obj))
+    if isinstance(obj, np.ndarray):
+        return _render(list(obj))
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -64,9 +71,12 @@ _BLOCK_ROWS = 1 << 14
 # A cell: sign, at most 23 characters ("1.2345678901234567e-308"), separator.
 _WIDTH = 25
 _UNDECIDED = 2.0**-30
-_POW10 = 10 ** np.arange(18, dtype=np.int64)
 _ZERO, _POINT = ord("0"), ord(".")
-_U = np.uint64
+
+
+def _U(v):
+    """v as a numpy uint64 (numpy is not needed before the first CSV cell)."""
+    return np.uint64(v)
 
 
 def _pow10_entry(s):
@@ -170,6 +180,7 @@ def _cells(x):
     separator.  Columns no row uses are cut off the end.
     """
     x = np.asarray(x, dtype=float)
+    pow10 = 10 ** np.arange(18, dtype=np.int64)
     m = x.size
     out = np.zeros((m, _WIDTH), dtype=np.uint8)
     with np.errstate(invalid="ignore"):  # signaling nan bit patterns
@@ -180,20 +191,20 @@ def _cells(x):
     X = np.zeros(m, dtype=np.int64)
     # small integers: their own digits, shifted to 17
     iv = ax[ints].astype(np.int64)
-    ix = np.maximum(np.searchsorted(_POW10, iv, side="right") - 1, 0)
-    n[ints], X[ints] = iv * _POW10[16 - ix], ix
+    ix = np.maximum(np.searchsorted(pow10, iv, side="right") - 1, 0)
+    n[ints], X[ints] = iv * pow10[16 - ix], ix
     # the rest: the scaled product, once more where the estimate of k was off
     lanes = np.flatnonzero(finite & ~ints)
     a = ax[lanes]
     k = np.floor(np.log10(a)).astype(np.int64)
     n0, f = _scaled(a, k)
-    off = (n0 >= _POW10[17]).astype(np.int64) - (n0 < _POW10[16])
+    off = (n0 >= pow10[17]).astype(np.int64) - (n0 < pow10[16])
     redo = np.flatnonzero(off)
     k[redo] += off[redo]
     n0[redo], f[redo] = _scaled(a[redo], k[redo])
     n0 += f > 0.5  # exact ties are undecided below, so this is half-even
-    carry = n0 == _POW10[17]
-    n[lanes] = np.where(carry, _POW10[16], n0)
+    carry = n0 == pow10[17]
+    n[lanes] = np.where(carry, pow10[16], n0)
     X[lanes] = k + carry
 
     out[:, 1] = _ZERO  # a zero prints "0"; every other row overwrites it

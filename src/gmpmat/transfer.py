@@ -9,9 +9,8 @@ diagonal block, which must agree identically.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._kernels import _factor_product
+from ._lazy import np
 from .errors import DomainError
 from .gmp import build_blocks
 

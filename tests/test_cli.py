@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -501,7 +502,8 @@ def test_non_finite_input_exits_1_with_one_json_line(workdir, case):
 
 # Input files of the wrong shape, and empty comma lists: before they were refused
 # with one JSON line, the files gave a traceback or a bare "'q'", and "--a=" failed
-# on float('').
+# on float('').  Strings and booleans where a number belongs were read as numbers
+# ("1" as 1, true as 1), and an integer beyond the float range gave a traceback.
 MALFORMED = {
     "null in a list": (["gmp", "check", "--coeffs", "{bad}"],
                        '{"poles": [2.0], "p": [null, 1.0], "q": [1.0, 0.0]}', "p must be a number"),
@@ -520,6 +522,22 @@ MALFORMED = {
                         "each term must be a list of 2 numbers"),
     "not JSON": (["ahlfors", "eval", "--delta", "{bad}", "--z", "0.5"], '{"lambda0": ',
                  "Expecting value"),
+    "string in a list": (["transfer", "coeffs", "--coeffs", "{bad}"],
+                         '{"poles": [2], "p": ["1", true], "q": [1, false]}',
+                         "p must be a number"),
+    "boolean in a list": (["transfer", "coeffs", "--coeffs", "{bad}"],
+                          '{"poles": [2], "p": [1, 1], "q": [1, false]}', "q must be a number"),
+    "string lambda0": (["delta", "bands", "--delta", "{bad}"],
+                       '{"lambda0": "1", "c0": 0.0, "terms": [[1.0, 1.0]]}',
+                       "lambda0 must be a number"),
+    "string a0": (["delta", "solve", "--set", "{bad}"],
+                  '{"b0": -2.0, "a0": "2", "gaps": [[-1.0, 1.0]]}', "a0 must be a number"),
+    "boolean in a term": (["ahlfors", "eval", "--delta", "{bad}", "--z", "0.5"],
+                          '{"lambda0": 1.0, "c0": 0.0, "terms": [[true, 1.0]]}',
+                          "terms must be a number"),
+    "integer beyond float": (["transfer", "lambdas", "--coeffs", "{bad}"],
+                             '{"poles": [], "p": [1%s], "q": [0]}' % ("0" * 400),
+                             "p must be finite"),
     "empty --a": (["jacobi", "transfer", "--a=", "--b=", "--bands"], None,
                   "a and b must be nonempty"),
     "empty item in --b": (["jacobi", "transfer", "--a=1,1", "--b=0,,1", "--bands"], None,
@@ -539,6 +557,57 @@ def test_malformed_input_exits_1_with_one_json_line(workdir, capsys, case):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and message in json.loads(lines[0])["error"]
+
+
+def _one_error_line(out, err, message):
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and message in json.loads(lines[0])["error"]
+
+
+def test_newton_overflow_writes_only_its_json_line(workdir, capfd):
+    # LAPACK's "** On entry to DLASCL parameter number 4 ..." went to file
+    # descriptor 1, past sys.stdout, before the JSON error; capfd sees it
+    argv = ["iso", "project", "--delta", str(workdir / "delta.json"), "--init", "1e300,1"]
+    assert main(argv) == 1
+    _one_error_line(*capfd.readouterr(), "the Newton system overflows float64")
+
+
+@pytest.mark.parametrize("exc", [OverflowError("absolute value too large"),
+                                 ZeroDivisionError("complex division by zero")])
+def test_python_float_errors_exit_1_as_overflow(workdir, capsys, monkeypatch, exc):
+    # a point command computes in Python floats, which raise where numpy gave inf
+    def raising(delta, z):
+        raise exc
+
+    monkeypatch.setattr(importlib.import_module("gmpmat.discriminant"), "ahlfors_eval", raising)
+    assert main(["ahlfors", "eval", "--delta", str(workdir / "delta.json"), "--z", "0.5"]) == 1
+    _one_error_line(*capsys.readouterr(), "overflows float64")
+
+
+# Limits this interpreter's address space to what it maps after importing
+# numpy and gmpmat.cli, plus 1 GiB, then runs gmpmat.cli.main(argv).
+MEMORY_PROBE = """
+import resource, sys
+import numpy
+from gmpmat.cli import main
+numpy.zeros(1)
+with open("/proc/self/status") as fh:
+    mapped = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:")) * 1024
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+soft = mapped + 2**30 if hard == resource.RLIM_INFINITY else min(mapped + 2**30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_out_of_memory_exits_1_with_one_json_line(workdir):
+    # an 8 GB grid gave numpy's _ArrayMemoryError traceback
+    argv = ["transfer", "eval", "--coeffs", "good.json", "--grid", "0:1:1000000000"]
+    proc = _child(["-c", MEMORY_PROBE, *argv], cwd=workdir)
+    assert proc.returncode == 1
+    _one_error_line(proc.stdout, proc.stderr, "out of memory")
 
 
 def _readme_cli_lines():
@@ -587,6 +656,86 @@ def test_cold_start_leaves_scipy_unloaded(workdir):
     seen = _fresh(STARTUP_PROBE, json.dumps(lines), cwd=workdir)
     assert len(seen) == 2 + sum(line.startswith("gmpmat ") for line in lines)
     assert {step: got for step, got in seen.items() if got != [0, False]} == {}
+
+
+# README's point evaluations: they run without numpy
+POINT_LINES = [
+    "gmpmat delta eval --delta delta.json --z 0.5,1.0",
+    "gmpmat ahlfors eval --delta delta.json --z 0.5,1.0",
+    "gmpmat transfer eval --coeffs coeffs.json --z 0.3,0.7",
+    "gmpmat transfer lambdas --coeffs coeffs.json",
+]
+
+# Runs each line in order in one interpreter and records its exit code,
+# whether numpy has been executed by then (a lazily bound numpy sits in
+# sys.modules unexecuted, numpy._core does not) and the gmpmat modules loaded.
+NUMPY_PROBE = """
+import contextlib, io, json, shlex, sys
+def modules():
+    return sorted(m for m in sys.modules if m.startswith("gmpmat."))
+import gmpmat
+seen = {"import gmpmat": modules()}
+import gmpmat.cli
+for line in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = gmpmat.cli.main(shlex.split(line)[1:])
+        except SystemExit as exc:  # --help
+            code = exc.code
+    seen[line] = [code, "numpy._core" in sys.modules, modules()]
+print(json.dumps(seen))
+"""
+
+
+def test_point_commands_leave_numpy_unexecuted(workdir):
+    assert set(POINT_LINES) <= set(_readme_cli_lines())
+    (workdir / "coeffs.json").write_text(json.dumps(GOOD))
+    transfer_z = POINT_LINES[2]
+    lines = POINT_LINES + [
+        "gmpmat jacobi transfer --a 1,2 --b 0,0 --z 0.3",  # after transfer_z: loads isospectral
+        "gmpmat --help",
+        "gmpmat transfer eval --coeffs coeffs.json",  # usage error: no --z or --grid
+        "gmpmat delta eval --delta missing.json --z 0.5",
+    ]
+    seen = _fresh(NUMPY_PROBE, json.dumps(lines), cwd=workdir)
+    assert seen.pop("import gmpmat") == []
+    codes = {line: got[:2] for line, got in seen.items()}
+    assert codes == {line: [1 if i >= len(lines) - 2 else 0, False] for i, line in enumerate(lines)}
+    assert not {"gmpmat.isospectral", "gmpmat.ortho", "gmpmat.resolvent"} & set(seen[transfer_z][2])
+
+
+# Every name ``gmpmat`` exported while its __init__ imported all submodules.
+EXPORTS = """
+BandedOperator ConvergenceError DiscreteMeasure DiscriminantCoefficients DomainError
+FiniteGapSet GmpCoefficients RationalDiscriminant RationalFamily ResolventValue ahlfors_eval
+assemble bands build_blocks check_shifted_inverse_structure discriminant_coeffs
+discriminant_of eval_discriminant factor_infinity factor_pole family_function forced_tail
+jacobi_band_edges jacobi_coeffs jacobi_transfer lambda_k lambda_k_residue
+lambda_positivity_test magic_verify manifold_residual mirror_transfer multiplication_matrix
+project_to_manifold reflectionless_check resolvent_matrix resolvent_pair solve_discriminant
+spectrum_truncation structure_report trace_torus transfer transfer_from_resolvent
+truncation_resolvent_oracle
+""".split()
+
+EXPORT_PROBE = """
+import json, sys, types
+import gmpmat
+import gmpmat.resolvent  # imports the submodule gmpmat.transfer, which would rebind the name
+names = json.loads(sys.argv[1])
+star = {}
+exec("from gmpmat import *", star)
+print(json.dumps({
+    "missing": [n for n in names if not hasattr(gmpmat, n)],
+    "not_starred": [n for n in names if n not in star],
+    "transfer": gmpmat.transfer is sys.modules["gmpmat.transfer"].transfer,
+    "function": isinstance(gmpmat.transfer, types.FunctionType),
+}))
+"""
+
+
+def test_lazy_package_exports_every_name():
+    got = _fresh(EXPORT_PROBE, json.dumps(EXPORTS))
+    assert got == {"missing": [], "not_starred": [], "transfer": True, "function": True}
 
 
 SPECTRUM_PROBE = """

@@ -128,6 +128,54 @@ def test_ahlfors_rejects_band_points():
         ahlfors_eval(delta, 0.25)
 
 
+def _ahlfors_numpy(delta, z):
+    """ahlfors_eval as it was written with np.sqrt: the oracle of its cmath form."""
+    for _, c in delta.terms:
+        if z == c:
+            return 0.0 + 0.0j
+    d = complex(eval_discriminant(delta, z))
+    s = np.sqrt(d * d - 4.0 + 0.0j)
+    w1 = (d - s) / 2.0
+    w2 = (d + s) / 2.0
+    m1, m2 = abs(w1), abs(w2)
+    if abs(m1 - 1.0) < 1e-8 and abs(m2 - 1.0) < 1e-8:
+        raise DomainError("z lies on the band set: both roots unimodular")
+    return w1 if m1 < m2 else w2
+
+
+def test_ahlfors_matches_its_numpy_form_bit_for_bit():
+    # Delta(z) = z: the points put Delta within 1e-16..1e-1 of +-2 (both
+    # roots near the unit circle), at +-2 + i eps with eps down to 1e-300
+    # (Delta^2 - 4 purely imaginary, where cmath.sqrt alone is one ulp off),
+    # on the real band (refused by both), and at moduli up to 1e150 in every
+    # direction; a g = 2 discriminant adds points near its poles
+    rng = np.random.default_rng(16)
+    n = 4000
+    sign = rng.choice([-1.0, 1.0], n)
+    near = 2.0 * sign + 10.0 ** rng.uniform(-16, -1, n) * np.exp(
+        2j * np.pi * rng.uniform(size=n))
+    edge = 2.0 * sign + 1j * sign[::-1] * 10.0 ** rng.uniform(-300, -1, n)
+    far = 10.0 ** rng.uniform(0, 150, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    band = rng.uniform(-2.0, 2.0, 200) + 0j
+    zs = np.concatenate([near, edge, far, band, near.real + 0j])
+    deltas = [RationalDiscriminant(1.0, 0.0),
+              RationalDiscriminant(1.5, -0.3, ((0.7, -1.0), (0.4, 1.0)))]
+    poles = np.array([-1.0, 1.0]).repeat(n // 2) + 10.0 ** rng.uniform(-12, 0, n)
+    checked = 0
+    for delta, points in zip(deltas, [zs, np.concatenate([poles, zs[:n]])]):
+        for z in points.tolist():
+            outcome = []
+            for f in (ahlfors_eval, _ahlfors_numpy):
+                try:
+                    w = complex(f(delta, z))
+                    outcome.append(np.array([w.real, w.imag]).view(np.int64).tolist())
+                except DomainError as exc:
+                    outcome.append(str(exc))
+            assert outcome[0] == outcome[1], z
+            checked += isinstance(outcome[0], list)
+    assert checked > 3 * n
+
+
 def test_serialization_roundtrip():
     E = FiniteGapSet(-2.0, 2.0, ((-1.0, 1.0),))
     assert FiniteGapSet.from_dict(E.to_dict()) == E
