@@ -22,16 +22,16 @@ _MODULES = {
     "errors": ("ConvergenceError", "DomainError"),
     "gmp": ("BandedOperator", "GmpCoefficients", "assemble", "build_blocks",
             "check_shifted_inverse_structure", "lambda_positivity_test"),
-    "isospectral": ("forced_tail", "jacobi_band_edges", "jacobi_coeffs", "jacobi_transfer",
-                    "magic_verify", "manifold_residual", "project_to_manifold",
-                    "spectrum_truncation", "trace_torus"),
+    "isospectral": ("forced_tail", "jacobi_band_edges", "jacobi_transfer", "magic_verify",
+                    "manifold_residual", "project_to_manifold", "spectrum_truncation",
+                    "trace_torus"),
     "ortho": ("DiscreteMeasure", "RationalFamily", "family_function", "multiplication_matrix",
               "structure_report"),
-    "resolvent": ("ResolventValue", "reflectionless_check", "resolvent_matrix",
-                  "resolvent_pair", "truncation_resolvent_oracle"),
+    "resolvent": ("ResolventValue", "reflectionless_check", "resolvent_pair",
+                  "truncation_resolvent_oracle"),
     "transfer": ("DiscriminantCoefficients", "discriminant_coeffs", "discriminant_of",
-                 "factor_infinity", "factor_pole", "lambda_k", "lambda_k_residue",
-                 "mirror_transfer", "transfer", "transfer_from_resolvent"),
+                 "lambda_k", "lambda_k_residue", "mirror_transfer", "transfer",
+                 "transfer_from_resolvent"),
 }
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
 __all__ = sorted(_EXPORTS)

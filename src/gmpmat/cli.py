@@ -41,6 +41,17 @@ def _parse_grid(text):
     return np.linspace(lo, hi, count)
 
 
+def _tol(text):
+    """The value of --tol: a finite float >= 0."""
+    try:
+        tol = finite("tol", text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if tol < 0:
+        raise argparse.ArgumentTypeError("tol must be >= 0")
+    return tol
+
+
 def _parse_floats(field, text):
     """'v1,v2,...' -> tuple of finite floats, errors naming ``field``; '' -> ()."""
     return tuple(finite(field, v) for v in text.split(",")) if text else ()
@@ -331,12 +342,12 @@ def build_parser():
     gmp = group("gmp")
     p = _command(gmp, "build", _cmd_gmp_build, "--coeffs")
     p.add_argument("--periods", type=int, default=60)
-    p.add_argument("--tol", type=float, default=0.0)
+    p.add_argument("--tol", type=_tol, default=0.0)
     p = _command(gmp, "check", _cmd_gmp_check, "--coeffs")
     p.add_argument("--periods", type=int, default=40, help="periods of the finite section; "
                    "the structural check exits 1 unless at least 2(g+1) rows lie "
                    "2(g+1)^2 or more rows from both ends")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tol, default=1e-8)
 
     tr = group("transfer")
     _add_points(_command(tr, "eval", _cmd_transfer_eval, "--coeffs"))
@@ -357,13 +368,13 @@ def build_parser():
     start = p.add_mutually_exclusive_group()
     start.add_argument("--init")
     start.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tol, default=1e-10)
     p = _command(iso, "trace", _cmd_iso_trace, "--delta", "--coeffs")
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--step-len", type=float, default=0.05)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tol, default=1e-10)
     p = _command(iso, "verify", _cmd_iso_verify, "--delta", "--coeffs")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tol, default=1e-8)
 
     p = _command(group("magic"), "verify", _cmd_magic_verify, "--delta", "--coeffs")
     p.add_argument("--periods", type=int, default=60)
@@ -376,7 +387,7 @@ def build_parser():
     p.add_argument("--poles", default="")
     p.add_argument("--n", type=int, default=12)
     p.add_argument("--report", action="store_true")
-    p.add_argument("--tol", type=float, help="violation threshold of --report (default 1e-8)")
+    p.add_argument("--tol", type=_tol, help="violation threshold of --report (default 1e-8)")
 
     p = _command(group("jacobi"), "transfer", _cmd_jacobi_transfer, "--a", "--b")
     _add_points(p).add_argument("--bands", action="store_true")

@@ -59,15 +59,6 @@ class FiniteGapSet:
         his = [a for a, _ in self.gaps] + [self.a0]
         return list(zip(los, his))
 
-    @property
-    def edges(self):
-        """All 2g+2 band edges with their target values: Delta(a)=2, Delta(b)=-2."""
-        pts = [(self.b0, -2.0), (self.a0, 2.0)]
-        for a, b in self.gaps:
-            pts.append((a, 2.0))
-            pts.append((b, -2.0))
-        return pts
-
     def to_dict(self):
         return {"b0": self.b0, "a0": self.a0, "gaps": [list(gp) for gp in self.gaps]}
 

@@ -9,6 +9,7 @@ one-block-periodic case is generated by a single coefficient pair
 (p, q) in R^{g+1} together with the ordered pole list C.
 """
 
+import sys
 from dataclasses import dataclass
 
 from ._lazy import np
@@ -92,14 +93,6 @@ class BandedOperator:
             )
         return M
 
-    def full_band(self):
-        """(2*hb+1, n) band storage for scipy.linalg.solve_banded."""
-        hb = self.half_bandwidth
-        ab = np.zeros((2 * hb + 1, self.n))
-        for d in range(hb + 1):
-            ab[hb + d, : self.n - d] = ab[hb - d, d:] = self.lower[d, : self.n - d]
-        return ab
-
     def eigenvalues(self):
         """All eigenvalues, from LAPACK's banded solver (scipy.linalg.eig_banded).
 
@@ -134,10 +127,21 @@ def _check_finite(what, a):
     return a
 
 
-def assemble(coeffs, n_periods):
-    """Finite section with n_periods blocks and open (zero) boundary."""
+def _check_periods(coeffs, n_periods):
+    """DomainError unless 1 <= n_periods and the band storage of the section,
+    (g+2) (g+1) n_periods floats, has fewer bytes than an index can count."""
+    w = coeffs.g + 1
     if n_periods < 1:
         raise DomainError("n_periods must be >= 1")
+    most = sys.maxsize // (8 * (w + 1) * w)
+    if n_periods > most:
+        raise DomainError(f"n_periods must be <= {most}: a larger section has more "
+                          "bytes than an index can count")
+
+
+def assemble(coeffs, n_periods):
+    """Finite section with n_periods blocks and open (zero) boundary."""
+    _check_periods(coeffs, n_periods)
     g = coeffs.g
     w = g + 1
     n = w * n_periods

@@ -5,13 +5,15 @@ p_g = 1/lambda0, q_g = -c0 - lambda0 * sum_{j<g} p_j q_j and the residue
 equations Lambda_k = lambda_k.  This module projects onto the manifold,
 traces it, verifies the operator identity Delta(A) = S^{g+1} + S^{-(g+1)}
 on truncations, computes the spectrum of a truncation from the one-period
-transfer matrix, and extracts the induced Jacobi coefficients.
+transfer matrix, and gives the transfer matrix and band edges of a
+periodic Jacobi operator for comparison.
 """
 
 from ._kernels import _factor_product
 from ._lazy import np
 from .errors import ConvergenceError, DomainError, finite
-from .gmp import _check_finite, _pole_weights, assemble, build_blocks, GmpCoefficients
+from .gmp import (_check_finite, _check_periods, _pole_weights, assemble, build_blocks,
+                  GmpCoefficients)
 
 
 def _damped_newton(residual, jacobian, x, tol, max_iter=100):
@@ -222,6 +224,8 @@ def trace_torus(start, delta, steps, step_len, tol=1e-10):
     to ``tol`` and carries the exact forced tail.
     """
     _check_poles(start, delta)
+    if steps < 0:
+        raise DomainError("steps must be >= 0")
     g = delta.g
     if g == 0:
         return [start] * (steps + 1)
@@ -393,8 +397,7 @@ def spectrum_truncation(coeffs, n_periods):
     exactly.  ``assemble(coeffs, n_periods).eigenvalues()``, the LAPACK
     banded solver, is the oracle the tests compare against.
     """
-    if n_periods < 1:
-        raise DomainError("n_periods must be >= 1")
+    _check_periods(coeffs, n_periods)
     N = n_periods
     B = build_blocks(coeffs)[1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -444,12 +447,6 @@ def spectrum_truncation(coeffs, n_periods):
         hi, fhi = np.where(left, hi, x), np.where(left, fhi, f)
         lo = np.where(f == 0.0, x, lo)  # on target: x is the eigenvalue
         xb, fb, xa, fa = xa, fa, x, f
-
-
-def jacobi_coeffs(coeffs):
-    """Jacobi coefficients induced at the origin: (||p||, p_g * q_g)."""
-    p = np.asarray(coeffs.p)
-    return float(np.linalg.norm(p)), float(coeffs.p[-1] * coeffs.q[-1])
 
 
 def _jacobi_ab(a, b):

@@ -45,8 +45,19 @@ class DiscreteMeasure:
 
     @classmethod
     def from_csv(cls, path):
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-        return cls(tuple((row[0], row[1]) for row in data))
+        """The measure of a CSV file of ``x,weight`` rows; DomainError naming the file."""
+        try:
+            with warnings.catch_warnings():
+                # an empty file is refused below, not warned about
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(path, delimiter=",", ndmin=2)
+            if not data.size:
+                raise DomainError("the file holds no atoms")
+            if data.shape[1] != 2:
+                raise DomainError("each row must hold a point and a weight")
+            return cls(tuple((row[0], row[1]) for row in data))
+        except ValueError as exc:  # DomainError and loadtxt's parse errors
+            raise DomainError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -110,6 +121,8 @@ def multiplication_matrix(measure, fam, n_funcs):
     exceeds 1e12.
     """
     xs, ws = measure.support, measure.weights
+    if n_funcs < 1:
+        raise DomainError("n_funcs must be >= 1")
     if n_funcs > len(xs):
         raise DomainError("n_funcs exceeds the number of atoms")
     sw = np.sqrt(ws)

@@ -28,21 +28,6 @@ class ResolventValue:
     a0: float
 
 
-def _herglotz_roots(coeffs, z):
-    """(a0^2 r_+, 1/r_-, T) at a complex z or complex ndarray z, with T the
-    transfer matrix the roots are read from; see ``resolvent_pair``."""
-    M = transfer(coeffs, z)
-    tr, V, a21 = M[0, 0] + M[1, 1], M[0, 0] - M[1, 1], M[1, 0]
-    s = np.sqrt(tr * tr - 4.0 + 0.0j)
-    if (np.abs(a21) < 1e-14 * (1.0 + np.abs(V))).any():
-        raise DomainError("transfer entry m21 vanishes; retry at a perturbed z")
-    c0, c1 = (V + s) / (2.0 * a21), (V - s) / (2.0 * a21)
-    gap = c0.imag == c1.imag
-    plus_first = np.where(gap, tr.real > 0, c0.imag > c1.imag)
-    plus_first = plus_first != (z.imag < 0)
-    return np.where(plus_first, c0, c1), np.where(plus_first, c1, c0), M
-
-
 def resolvent_pair(coeffs, z):
     """Both resolvent roots at z with the Herglotz branch selected.
 
@@ -56,34 +41,20 @@ def resolvent_pair(coeffs, z):
     """
     scalar = not isinstance(z, np.ndarray)
     z = complex(z) if scalar else z.astype(complex, copy=False)
-    r_plus, r_minus_inv, _ = _herglotz_roots(coeffs, z)
+    M = transfer(coeffs, z)
+    tr, V, a21 = M[0, 0] + M[1, 1], M[0, 0] - M[1, 1], M[1, 0]
+    s = np.sqrt(tr * tr - 4.0 + 0.0j)
+    if (np.abs(a21) < 1e-14 * (1.0 + np.abs(V))).any():
+        raise DomainError("transfer entry m21 vanishes; retry at a perturbed z")
+    c0, c1 = (V + s) / (2.0 * a21), (V - s) / (2.0 * a21)
+    gap = c0.imag == c1.imag
+    plus_first = np.where(gap, tr.real > 0, c0.imag > c1.imag)
+    plus_first = plus_first != (z.imag < 0)
+    r_plus, r_minus_inv = np.where(plus_first, c0, c1), np.where(plus_first, c1, c0)
     if scalar:
         r_plus, r_minus_inv = complex(r_plus), complex(r_minus_inv)
     a0 = float(np.linalg.norm(coeffs.p))
     return ResolventValue(r_plus, r_minus_inv, a0)
-
-
-def resolvent_matrix(coeffs, z):
-    """2x2 matrix resolvent at z from the closed-form representation.
-
-    Defined on the upper half plane and extended by symmetry
-    R(conj(z)) = conj(R(z)).  Its inverse is [[1/r_-, a0], [a0, 1/r_+]].
-    """
-    z = complex(z)
-    if z.imag < 0:
-        return np.conj(resolvent_matrix(coeffs, z.conjugate()))
-    r_plus, _, M = _herglotz_roots(coeffs, z)
-    V = M[0, 0] - M[1, 1]
-    a21 = M[1, 0]
-    a12 = M[0, 1]
-    s = 2.0 * a21 * complex(r_plus) - V  # branch consistent with the r_+ selection
-    if abs(s) < 1e-13:
-        raise DomainError("branch degenerate: z lies on the band set")
-    a0 = float(np.linalg.norm(coeffs.p))
-    core = np.array(
-        [[-2.0 * a0 * a0 * a21, a0 * V], [a0 * V, 2.0 * a12]], dtype=complex
-    ) / (2.0 * a0 * a0 * s)
-    return core + np.array([[0.0, 1.0], [1.0, 0.0]]) / (2.0 * a0)
 
 
 def reflectionless_check(coeffs, x, eps=1e-6):
@@ -111,8 +82,10 @@ def truncation_resolvent_oracle(coeffs, z):
     if z.imag == 0:
         raise DomainError("oracle needs z off the real axis")
     op = assemble(coeffs, 400)
-    ab = op.full_band().astype(complex)
     hb = op.half_bandwidth
+    ab = np.zeros((2 * hb + 1, op.n), dtype=complex)  # solve_banded's full band storage
+    for d in range(hb + 1):
+        ab[hb + d, : op.n - d] = ab[hb - d, d:] = op.lower[d, : op.n - d]
     ab[hb, :] -= z
     p = np.asarray(coeffs.p)
     a0 = float(np.linalg.norm(p))

@@ -27,26 +27,6 @@ class DiscriminantCoefficients:
         return {"nu0": self.nu0, "d0": self.d0, "nus": list(self.nus)}
 
 
-def factor_infinity(z, p, q):
-    """Elementary factor for the pole at infinity: [[0, -p], [1/p, (z-pq)/p]]."""
-    if p == 0:
-        raise DomainError("factor_infinity requires p != 0")
-    dtype = complex if np.iscomplexobj(z) else float
-    return np.array([[0.0, -p], [1.0 / p, (z - p * q) / p]], dtype=dtype)
-
-
-def _rank_one_j(p, q):
-    # [p; q] [p q] j with j = [[0,-1],[1,0]]
-    return np.array([[p * q, -p * p], [q * q, -p * q]])
-
-
-def factor_pole(z, c, p, q):
-    """Elementary factor for a finite pole: I - (1/(c-z)) [p;q][p q] j."""
-    if z == c:
-        raise DomainError(f"factor evaluated at its pole c = {c}")
-    return np.eye(2) - _rank_one_j(p, q) / (c - z)
-
-
 def transfer(coeffs, z):
     """Ordered one-period product; unimodular (det = 1) by construction.
 

@@ -1,8 +1,10 @@
-"""Shared generators for randomized suites (all seeded, deterministic)."""
+"""Shared generators for randomized suites (all seeded, deterministic),
+and the elementary transfer factors as 2x2 matrices, the oracle of
+``_kernels._factor_product``."""
 
 import numpy as np
 
-from gmpmat import FiniteGapSet, GmpCoefficients
+from gmpmat import DomainError, FiniteGapSet, GmpCoefficients
 
 
 def random_gap_set(rng, g):
@@ -28,3 +30,23 @@ def random_coeffs(rng, g=None, g_max=3):
 def random_point(rng, box=3.0, min_imag=1e-3):
     """A random point of the open upper half plane."""
     return complex(rng.uniform(-box, box), rng.uniform(min_imag, box))
+
+
+def factor_infinity(z, p, q):
+    """Elementary factor for the pole at infinity: [[0, -p], [1/p, (z-pq)/p]]."""
+    if p == 0:
+        raise DomainError("factor_infinity requires p != 0")
+    dtype = complex if np.iscomplexobj(z) else float
+    return np.array([[0.0, -p], [1.0 / p, (z - p * q) / p]], dtype=dtype)
+
+
+def _rank_one_j(p, q):
+    # [p; q] [p q] j with j = [[0,-1],[1,0]]
+    return np.array([[p * q, -p * p], [q * q, -p * q]])
+
+
+def factor_pole(z, c, p, q):
+    """Elementary factor for a finite pole: I - (1/(c-z)) [p;q][p q] j."""
+    if z == c:
+        raise DomainError(f"factor evaluated at its pole c = {c}")
+    return np.eye(2) - _rank_one_j(p, q) / (c - z)

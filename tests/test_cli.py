@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gmpmat
 from gmpmat import GmpCoefficients, assemble
 from gmpmat.cli import build_parser, main
 
@@ -559,6 +560,78 @@ def test_malformed_input_exits_1_with_one_json_line(workdir, capsys, case):
     assert len(lines) == 1 and message in json.loads(lines[0])["error"]
 
 
+# Option values out of range.  Before they were refused, a NaN --tol gave exit 0
+# with a wrong answer ("structural_ok": true on a non-GMP input, an empty matrix, no
+# violations), and a count gave a traceback, numpy's message or one row with exit 0.
+HUGE = "99999999999999999999"
+OUT_OF_RANGE = {
+    "gmp build tol": (["gmp", "build", "--coeffs", "{}/non_gmp.json", "--tol", "nan"],
+                      "tol must be finite"),
+    "gmp check tol": (["gmp", "check", "--coeffs", "{}/non_gmp.json", "--tol", "nan"],
+                      "tol must be finite"),
+    "iso project tol": (["iso", "project", "--delta", "{}/delta.json", "--init", "1.2,0.1",
+                         "--tol", "-1"], "tol must be >= 0"),
+    "iso trace tol": (["iso", "trace", "--delta", "{}/delta.json", "--coeffs", "{}/pt.json",
+                       "--tol", "inf"], "tol must be finite"),
+    "iso verify tol": (["iso", "verify", "--delta", "{}/delta.json", "--coeffs", "{}/pt.json",
+                        "--tol", "nan"], "tol must be finite"),
+    "ortho build tol": (["ortho", "build", "--measure", "{}/measure.csv", "--family", "monomial",
+                         "--n", "2", "--report", "--tol", "nan"], "tol must be finite"),
+    "gmp build periods": (["gmp", "build", "--coeffs", "{}/pt.json", "--periods", HUGE],
+                          "n_periods must be <= "),
+    "gmp check periods": (["gmp", "check", "--coeffs", "{}/pt.json", "--periods", HUGE],
+                          "n_periods must be <= "),
+    "magic verify periods": (["magic", "verify", "--delta", "{}/delta.json", "--coeffs",
+                              "{}/pt.json", "--periods", HUGE], "n_periods must be <= "),
+    "spectrum eig periods": (["spectrum", "eig", "--coeffs", "{}/pt.json", "--periods", HUGE],
+                             "n_periods must be <= "),
+    "iso trace steps g=0": (["iso", "trace", "--delta", "{}/delta0.json", "--coeffs",
+                             "{}/coeffs0.json", "--steps", "-1"], "steps must be >= 0"),
+    "iso trace steps": (["iso", "trace", "--delta", "{}/delta.json", "--coeffs", "{}/pt.json",
+                         "--steps", "-1"], "steps must be >= 0"),
+    "ortho build n": (["ortho", "build", "--measure", "{}/measure.csv", "--family", "monomial",
+                       "--n", "0"], "n_funcs must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE))
+def test_option_out_of_range_exits_1_with_one_json_line(workdir, capsys, case):
+    (workdir / "non_gmp.json").write_text('{"poles": [5], "p": [1, 1], "q": [-1, 0]}')
+    (workdir / "delta0.json").write_text('{"lambda0": 1.0, "c0": 0.0, "terms": []}')
+    (workdir / "coeffs0.json").write_text('{"poles": [], "p": [1.0], "q": [0.0]}')
+    (workdir / "measure.csv").write_text("1,1\n2,1\n3,1\n")
+    argv, message = OUT_OF_RANGE[case]
+    assert main([a.format(workdir) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and message in json.loads(lines[0])["error"]
+
+
+def test_empty_measure_writes_only_its_json_line(workdir):
+    # numpy's "UserWarning: loadtxt: input contained no data" came before the JSON
+    # error.  pytest records a warning raised in process, so capfd would not see it:
+    # the command runs in a child, whose stderr is read at the descriptor
+    (workdir / "empty.csv").write_text("")
+    proc = _child(["-m", "gmpmat.cli", "ortho", "build", "--measure", "empty.csv",
+                   "--family", "monomial"], cwd=workdir)
+    assert proc.returncode == 1
+    _one_error_line(proc.stdout, proc.stderr, "empty.csv: the file holds no atoms")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1\n2\n", "each row must hold a point and a weight"),
+    ("1,1\nx,1\n", "could not convert string 'x'"),
+    ("1,1\n1,2\n", "support points must be distinct"),
+], ids=["one column", "not a number", "repeated point"])
+def test_bad_measure_names_its_file(workdir, capsys, text, message):
+    # a one-column file gave an IndexError traceback
+    (workdir / "bad.csv").write_text(text)
+    argv = ["ortho", "build", "--measure", str(workdir / "bad.csv"), "--family", "monomial"]
+    assert main(argv) == 1
+    _one_error_line(*capsys.readouterr(), f"{workdir / 'bad.csv'}: {message}")
+
+
 def _one_error_line(out, err, message):
     assert out == ""
     lines = err.splitlines()
@@ -704,18 +777,20 @@ def test_point_commands_leave_numpy_unexecuted(workdir):
     assert not {"gmpmat.isospectral", "gmpmat.ortho", "gmpmat.resolvent"} & set(seen[transfer_z][2])
 
 
-# Every name ``gmpmat`` exported while its __init__ imported all submodules.
+# Every name ``gmpmat`` exports.
 EXPORTS = """
 BandedOperator ConvergenceError DiscreteMeasure DiscriminantCoefficients DomainError
 FiniteGapSet GmpCoefficients RationalDiscriminant RationalFamily ResolventValue ahlfors_eval
 assemble bands build_blocks check_shifted_inverse_structure discriminant_coeffs
-discriminant_of eval_discriminant factor_infinity factor_pole family_function forced_tail
-jacobi_band_edges jacobi_coeffs jacobi_transfer lambda_k lambda_k_residue
-lambda_positivity_test magic_verify manifold_residual mirror_transfer multiplication_matrix
-project_to_manifold reflectionless_check resolvent_matrix resolvent_pair solve_discriminant
-spectrum_truncation structure_report trace_torus transfer transfer_from_resolvent
-truncation_resolvent_oracle
+discriminant_of eval_discriminant family_function forced_tail jacobi_band_edges
+jacobi_transfer lambda_k lambda_k_residue lambda_positivity_test magic_verify
+manifold_residual mirror_transfer multiplication_matrix project_to_manifold
+reflectionless_check resolvent_pair solve_discriminant spectrum_truncation structure_report
+trace_torus transfer transfer_from_resolvent truncation_resolvent_oracle
 """.split()
+
+# Names only unit tests called; the elementary factors are test oracles in conftest.
+REMOVED = ["factor_infinity", "factor_pole", "jacobi_coeffs", "resolvent_matrix"]
 
 EXPORT_PROBE = """
 import json, sys, types
@@ -736,6 +811,13 @@ print(json.dumps({
 def test_lazy_package_exports_every_name():
     got = _fresh(EXPORT_PROBE, json.dumps(EXPORTS))
     assert got == {"missing": [], "not_starred": [], "transfer": True, "function": True}
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_is_not_exported(name):
+    assert name not in gmpmat.__all__
+    with pytest.raises(AttributeError):
+        getattr(gmpmat, name)
 
 
 SPECTRUM_PROBE = """

@@ -68,18 +68,6 @@ def test_assemble_symmetric_banded():
                 assert op.lower[abs(i - j), min(i, j)] == M[i, j]
 
 
-def test_band_storage_roundtrip():
-    rng = np.random.default_rng(4)
-    c = random_coeffs(rng, g=1)
-    op = assemble(c, 6)
-    ab = op.full_band()
-    hb = op.half_bandwidth
-    M = op.to_dense()
-    for i in range(op.n):
-        for j in range(max(0, i - hb), min(op.n, i + hb + 1)):
-            assert ab[hb + i - j, j] == M[i, j]
-
-
 def test_eigenvalues_match_dense():
     rng = np.random.default_rng(9)
     c = random_coeffs(rng, g=2)

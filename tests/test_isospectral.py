@@ -13,7 +13,6 @@ from gmpmat import (
     bands,
     forced_tail,
     jacobi_band_edges,
-    jacobi_coeffs,
     jacobi_transfer,
     magic_verify,
     manifold_residual,
@@ -184,12 +183,6 @@ def test_sturm_count_matches_dense_count(g, n_periods):
     # a mismatch is allowed only within rounding of an eigenvalue
     gap = np.min(np.abs(xs[off, None] - eigs), axis=1, initial=np.inf)
     assert np.all(gap <= 1e-13 * max(1.0, np.max(np.abs(eigs))))
-
-
-def test_jacobi_coeffs_at_origin():
-    a, b = jacobi_coeffs(POINT1)
-    assert abs(a - np.sqrt(2.0)) < 1e-14
-    assert b == 0.0
 
 
 def test_jacobi_period2_trace():

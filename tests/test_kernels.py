@@ -3,9 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from gmpmat import DomainError, _kernels, factor_infinity, factor_pole, transfer
+from gmpmat import DomainError, _kernels, transfer
 from gmpmat.transfer import discriminant_of
-from conftest import random_coeffs
+from conftest import factor_infinity, factor_pole, random_coeffs
 
 
 def _grid(rng, n=64):

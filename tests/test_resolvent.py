@@ -7,13 +7,11 @@ from gmpmat import (
     GmpCoefficients,
     bands,
     reflectionless_check,
-    resolvent_matrix,
     resolvent_pair,
     solve_discriminant,
     transfer,
     truncation_resolvent_oracle,
 )
-from gmpmat import resolvent
 from gmpmat.transfer import discriminant_coeffs
 from gmpmat.discriminant import RationalDiscriminant
 from conftest import random_coeffs, random_point
@@ -65,61 +63,6 @@ def test_matches_truncation_oracle():
         rp_num, rm_num = truncation_resolvent_oracle(c, z)
         assert abs(rv.r_plus / rv.a0**2 - rp_num) < 1e-6
         assert abs(1.0 / rv.r_minus_inv - rm_num) < 1e-6
-
-
-def test_resolvent_matrix_inverse_form():
-    c = _gmp_point()
-    z = -0.3 + 0.9j
-    rv = resolvent_pair(c, z)
-    R = resolvent_matrix(c, z)
-    want_inv = np.array(
-        [[rv.r_minus_inv, rv.a0], [rv.a0, 1.0 / rv.r_plus * rv.a0**2]]
-    )
-    # R^{-1} = [[1/r_-, a0], [a0, 1/r_+]] with r_+ = r_plus / a0^2
-    assert np.max(np.abs(np.linalg.inv(R) - want_inv)) < 1e-10
-
-
-
-def test_resolvent_matrix_forms_transfer_once(monkeypatch):
-    calls = []
-    monkeypatch.setattr(resolvent, "transfer", lambda c, z: calls.append(z) or transfer(c, z))
-    for z in (-0.3 + 0.9j, -0.3 - 0.9j):
-        calls.clear()
-        resolvent_matrix(_gmp_point(), z)
-        assert len(calls) == 1
-
-
-def _resolvent_matrix_two_transfers(coeffs, z):
-    """The former resolvent_matrix: forms T(z) again after resolvent_pair."""
-    z = complex(z)
-    if z.imag < 0:
-        return np.conj(_resolvent_matrix_two_transfers(coeffs, z.conjugate()))
-    rv = resolvent_pair(coeffs, z)
-    M = transfer(coeffs, z)
-    V, a21, a12, a0 = M[0, 0] - M[1, 1], M[1, 0], M[0, 1], rv.a0
-    s = 2.0 * a21 * rv.r_plus - V
-    core = np.array(
-        [[-2.0 * a0 * a0 * a21, a0 * V], [a0 * V, 2.0 * a12]], dtype=complex
-    ) / (2.0 * a0 * a0 * s)
-    return core + np.array([[0.0, 1.0], [1.0, 0.0]]) / (2.0 * a0)
-
-
-def test_resolvent_matrix_matches_two_transfer_oracle():
-    rng = np.random.default_rng(2026)
-    for seed in range(100):
-        c = random_coeffs(np.random.default_rng(seed), g_max=4)
-        for scale in (1.0, 1e-3, 1e-9, -1e-3, -1.0):
-            z = complex(rng.uniform(-4.0, 4.0), scale * rng.uniform(0.0, 3.0))
-            got = resolvent_matrix(c, z)
-            want = _resolvent_matrix_two_transfers(c, z)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (seed, z)
-
-def test_resolvent_matrix_herglotz():
-    c = _gmp_point()
-    for z in (0.1 + 0.7j, -1.5 + 0.2j, 3.0 + 1.0j):
-        R = resolvent_matrix(c, z)
-        imag_part = (R - R.conj().T) / 2j
-        assert np.all(np.linalg.eigvalsh(imag_part) > 0)
 
 
 def test_reflectionless_on_bands_not_in_gaps():

@@ -7,15 +7,13 @@ from gmpmat import (
     GmpCoefficients,
     discriminant_coeffs,
     discriminant_of,
-    factor_infinity,
-    factor_pole,
     lambda_k,
     lambda_k_residue,
     mirror_transfer,
     transfer,
     transfer_from_resolvent,
 )
-from conftest import random_coeffs, random_point
+from conftest import factor_infinity, factor_pole, random_coeffs, random_point
 
 
 def test_factor_determinants():
