@@ -17,7 +17,7 @@ import warnings
 
 from . import serialize
 from ._lazy import np
-from .errors import ConvergenceError, DomainError, finite
+from .errors import ConvergenceError, DomainError, count, finite
 
 # numpy's floating-point warnings; a non-finite result is refused instead
 _FP_WARNINGS = r"(divide by zero|overflow|underflow|invalid value) encountered"
@@ -35,10 +35,14 @@ def _parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError("grid must be lo:hi:count")
-    lo, hi, count = finite("grid", parts[0]), finite("grid", parts[1]), int(parts[2])
-    if count < 2 or not lo < hi:
+    lo, hi = finite("grid", parts[0]), finite("grid", parts[1])
+    try:
+        n = int(parts[2])
+    except ValueError:
+        raise DomainError("grid count must be an integer") from None
+    if n < 2 or not lo < hi:
         raise DomainError("grid needs lo < hi and count >= 2")
-    return np.linspace(lo, hi, count)
+    return np.linspace(lo, hi, count("grid count", n, 2, sys.maxsize // 8, "grid"))
 
 
 def _tol(text):
@@ -185,6 +189,8 @@ def _cmd_iso_project(args):
     delta = _load(RationalDiscriminant, args.delta)
     if args.init is not None:
         head = _parse_floats("init_head", args.init)
+    elif args.seed < 0:
+        raise DomainError("seed must be >= 0")
     else:
         head = np.random.default_rng(args.seed).normal(size=2 * delta.g)
     return project_to_manifold(head, delta, tol=args.tol).to_dict()
@@ -200,10 +206,7 @@ def _cmd_iso_trace(args):
     points = trace_torus(start, delta, args.steps, args.step_len, args.tol)
     P = np.array([pt.p for pt in points])
     Q = np.array([pt.q for pt in points])
-    defects = [
-        np.max(np.abs(manifold_residual(pt, delta))) if delta.g else 0.0
-        for pt in points
-    ]
+    defects = [np.max(np.abs(manifold_residual(pt, delta)), initial=0.0) for pt in points]
     return np.column_stack([np.arange(len(points)), P[:, :-1], Q[:, :-1], P[:, -1], Q[:, -1],
                             defects])
 
@@ -222,7 +225,7 @@ def _cmd_iso_verify(args):
         "residual": list(res),
         "tail_defect": tail_defect,
         "on_manifold": bool(
-            tail_defect <= args.tol and (res.size == 0 or np.max(np.abs(res)) <= args.tol)
+            tail_defect <= args.tol and np.max(np.abs(res), initial=0.0) <= args.tol
         ),
     }
 

@@ -31,6 +31,17 @@ def finite(field, value):
     return x
 
 
+def count(field, n, low, most, what):
+    """``n``, or DomainError naming ``field`` unless low <= n <= most; ``most``
+    is the largest n whose ``what`` has fewer bytes than an index can count."""
+    if n < low:
+        raise DomainError(f"{field} must be >= {low}")
+    if n > most:
+        raise DomainError(f"{field} must be <= {most}: a larger {what} has more bytes "
+                          "than an index can count")
+    return n
+
+
 def sequence(field, value, length=None):
     """``value`` as a tuple; DomainError naming ``field`` unless it is a list
     (of ``length`` entries, when given)."""

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 
 from ._lazy import np
-from .errors import DomainError, finite, numbers
+from .errors import DomainError, count, finite, numbers
 
 
 @dataclass(frozen=True)
@@ -131,12 +131,7 @@ def _check_periods(coeffs, n_periods):
     """DomainError unless 1 <= n_periods and the band storage of the section,
     (g+2) (g+1) n_periods floats, has fewer bytes than an index can count."""
     w = coeffs.g + 1
-    if n_periods < 1:
-        raise DomainError("n_periods must be >= 1")
-    most = sys.maxsize // (8 * (w + 1) * w)
-    if n_periods > most:
-        raise DomainError(f"n_periods must be <= {most}: a larger section has more "
-                          "bytes than an index can count")
+    count("n_periods", n_periods, 1, sys.maxsize // (8 * (w + 1) * w), "section")
 
 
 def assemble(coeffs, n_periods):

@@ -9,20 +9,24 @@ transfer matrix, and gives the transfer matrix and band edges of a
 periodic Jacobi operator for comparison.
 """
 
+import sys
+
 from ._kernels import _factor_product
 from ._lazy import np
-from .errors import ConvergenceError, DomainError, finite
+from .errors import ConvergenceError, DomainError, count, finite
 from .gmp import (_check_finite, _check_periods, _pole_weights, assemble, build_blocks,
                   GmpCoefficients)
 
 
-def _damped_newton(residual, jacobian, x, tol, max_iter=100):
-    """Damped Newton iteration on residual(x) = 0; returns x.
+def _damped_newton(evaluate, x, tol, max_iter=100):
+    """Damped Newton iteration on res(x) = 0; returns x and its ``jacobian``.
 
-    The step is the minimum-norm least-squares solution of
-    J step = -res with J = jacobian(x) (the Newton step for a square,
-    nonsingular J); it is halved up to 40 times until the trial point is
-    finite and lowers the max-norm residual or reaches ``tol``.
+    ``evaluate(x)`` gives (res, jacobian) at x, one call per point, and
+    ``jacobian()`` forms J from that evaluation when a step needs it.  The
+    step is the minimum-norm least-squares solution of J step = -res (the
+    Newton step for a square, nonsingular J); it is halved up to 40 times
+    until the trial point is finite and lowers the max-norm residual or
+    reaches ``tol``.  An empty residual (g = 0) is solved at once.
 
     Raises ConvergenceError (carrying the last residual) if no halving is
     accepted, or if the residual is above ``tol`` after ``max_iter`` steps,
@@ -30,27 +34,27 @@ def _damped_newton(residual, jacobian, x, tol, max_iter=100):
     """
     # LAPACK prints to stdout when lstsq gets a non-finite system; an accepted
     # step lowers a finite residual, so only the first one needs the check
-    res = _check_finite("the Newton system", residual(x))
-    rnorm = np.max(np.abs(res))
+    res, jacobian = evaluate(x)
+    rnorm = np.max(np.abs(_check_finite("the Newton system", res)), initial=0.0)
     for _ in range(max_iter):
         if rnorm <= tol:
             break
-        J = _check_finite("the Newton system", jacobian(x))
+        J = _check_finite("the Newton system", jacobian())
         step, *_ = np.linalg.lstsq(J, -res, rcond=None)
         scale = 1.0
         for _ in range(40):
             trial = x + scale * step
             if np.all(np.isfinite(trial)):
-                tres = residual(trial)
+                tres, tjac = evaluate(trial)
                 tnorm = np.max(np.abs(tres))
                 if tnorm < rnorm or tnorm <= tol:
-                    x, res, rnorm = trial, tres, tnorm
+                    x, res, jacobian, rnorm = trial, tres, tjac, tnorm
                     break
             scale *= 0.5
         else:
             raise ConvergenceError(f"Newton stalled at residual {rnorm:.3e}", residual=rnorm)
     if rnorm <= tol:
-        return x
+        return x, jacobian
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations, residual {rnorm:.3e}",
         residual=rnorm,
@@ -141,15 +145,13 @@ def _lane_lambdas(pm, p, q):
 def manifold_residual(coeffs, delta):
     """Vector of defects Lambda_k - lambda_k, k = 1..g."""
     _check_poles(coeffs, delta)
-    return _residual(delta, _pole_matrices(delta.poles), np.array(coeffs.p), np.array(coeffs.q))
+    lams = _lane_lambdas(_pole_matrices(delta.poles), np.array(coeffs.p), np.array(coeffs.q))
+    return lams - np.array([lam for lam, _ in delta.terms])
 
 
-def _residual(delta, pm, p, q):
-    return _lane_lambdas(pm, p, q) - np.array([lam for lam, _ in delta.terms])
-
-
-def _head_jacobian(delta, pm, head):
-    """Exact Jacobian of the head residual, shape (g, 2g).
+def _head_system(delta, pm, head):
+    """(res, jacobian): the head residual Lambda_k - lambda_k and a function
+    giving its exact Jacobian, shape (g, 2g), from the same lane products.
 
     With prefix P_j and suffix S_j of factor j in lane k,
     dLambda_k/dx = -tr(dF_j/dx S_j P_j).  The pole and rank-one factors
@@ -160,30 +162,30 @@ def _head_jacobian(delta, pm, head):
     dq_g/dq_j = -lambda0 p_j.
     """
     g = delta.g
-    W = pm[1]
     p, q = _head_pq(delta, head)
     F = _lane_factors(pm, p, q)
     P = _prefix_products(F)
-    S = np.empty_like(F)  # S[:, j] = F[:, j+1] .. F[:, g]
-    S[:, g] = np.eye(2)
-    for j in range(g, 0, -1):
-        S[:, j - 1] = F[:, j] @ S[:, j]
-    M = S @ P[:, :-1]
-    diag = M[:, :g, 0, 0] - M[:, :g, 1, 1]
-    tail = delta.lambda0 * M[:, g, 1, 1, None]  # dLambda_k/dq_g = M_g11, times lambda0
-    pj, qj = p[:g], q[:g]
-    Jp = -W * (qj * diag - 2.0 * pj * M[:, :g, 1, 0]) - tail * qj
-    Jq = -W * (pj * diag + 2.0 * qj * M[:, :g, 0, 1]) - tail * pj
-    return np.hstack([Jp, Jq])
+    res = -(P[:, -1, 0, 0] + P[:, -1, 1, 1]) - np.array([lam for lam, _ in delta.terms])
+
+    def jacobian():
+        S = np.empty_like(F)  # S[:, j] = F[:, j+1] .. F[:, g]
+        S[:, g] = np.eye(2)
+        for j in range(g, 0, -1):
+            S[:, j - 1] = F[:, j] @ S[:, j]
+        M = S @ P[:, :-1]
+        diag = M[:, :g, 0, 0] - M[:, :g, 1, 1]
+        tail = delta.lambda0 * M[:, g, 1, 1, None]  # dLambda_k/dq_g = M_g11, times lambda0
+        pj, qj = p[:g], q[:g]
+        Jp = -pm[1] * (qj * diag - 2.0 * pj * M[:, :g, 1, 0]) - tail * qj
+        Jq = -pm[1] * (pj * diag + 2.0 * qj * M[:, :g, 0, 1]) - tail * pj
+        return np.hstack([Jp, Jq])
+
+    return res, jacobian
 
 
 def _gauss_newton(delta, pm, head, tol):
-    """Damped Gauss-Newton projection of a head onto the manifold."""
-    return _damped_newton(
-        lambda x: _residual(delta, pm, *_head_pq(delta, x)),
-        lambda x: _head_jacobian(delta, pm, x),
-        np.asarray(head, dtype=float), tol,
-    )
+    """Damped Gauss-Newton projection of a head onto the manifold; (head, jacobian)."""
+    return _damped_newton(lambda x: _head_system(delta, pm, x), np.asarray(head, dtype=float), tol)
 
 
 def project_to_manifold(init_head, delta, tol=1e-10):
@@ -194,8 +196,6 @@ def project_to_manifold(init_head, delta, tol=1e-10):
     are rejected and retried from up to 8 seeded perturbed starts.
     """
     g = delta.g
-    if g == 0:
-        return _coeffs_from_head(delta, np.empty(0))
     init_head = np.array([finite("init_head", v) for v in init_head])
     pm = _pole_matrices(delta.poles)
     rng = np.random.default_rng(0)
@@ -205,7 +205,7 @@ def project_to_manifold(init_head, delta, tol=1e-10):
             scale=0.3 * (1.0 + np.abs(init_head)), size=2 * g
         )
         try:
-            head = _gauss_newton(delta, pm, start, tol)
+            head, _ = _gauss_newton(delta, pm, start, tol)
         except ConvergenceError as exc:
             last_exc = exc
             continue
@@ -220,29 +220,30 @@ def trace_torus(start, delta, steps, step_len, tol=1e-10):
 
     Each step moves the head along a unit null vector of the residual
     Jacobian (its sign kept consistent with the previous step) and
-    re-projects.  Every returned point satisfies the manifold equations
-    to ``tol`` and carries the exact forced tail.
+    re-projects.  Every returned point, the first included, satisfies the
+    manifold equations to ``tol`` and carries the exact forced tail, at
+    every g (at g = 0 it is the one point p_0 = 1/lambda0, q_0 = -c0).
+    The steps + 1 rows of 2g + 3 floats of the CLI's table must have
+    fewer bytes than an index can count.
     """
     _check_poles(start, delta)
-    if steps < 0:
-        raise DomainError("steps must be >= 0")
     g = delta.g
-    if g == 0:
-        return [start] * (steps + 1)
+    count("steps", steps, 0, sys.maxsize // (8 * (2 * g + 3)) - 1, "trace")
+    step_len = finite("step_len", step_len)
     head = np.concatenate([np.asarray(start.p[:g]), np.asarray(start.q[:g])])
     pm = _pole_matrices(delta.poles)
-    head = _gauss_newton(delta, pm, head, tol)
+    head, jacobian = _gauss_newton(delta, pm, head, tol)
     points = [_coeffs_from_head(delta, head)]
     prev_t = None
     for i in range(steps):
-        _, svals, vh = np.linalg.svd(_head_jacobian(delta, pm, head))
+        _, svals, vh = np.linalg.svd(jacobian())
         if svals.size and svals[-1] < 1e-10 * max(1.0, svals[0]):
             raise ConvergenceError(f"residual Jacobian rank-deficient at step {i}")
-        t = vh[-1]  # null direction of the g x 2g Jacobian
+        t = vh[-1:].reshape(-1)  # null direction of the g x 2g Jacobian; empty at g = 0
         if prev_t is not None and np.dot(t, prev_t) < 0:
             t = -t
         prev_t = t
-        head = _gauss_newton(delta, pm, head + finite("step_len", step_len) * t, tol)
+        head, jacobian = _gauss_newton(delta, pm, head + step_len * t, tol)
         points.append(_coeffs_from_head(delta, head))
     return points
 

@@ -233,6 +233,18 @@ def test_iso_trace_honours_tol(workdir, capsys):
                        "residual": 1.1102230246251565e-16}
 
 
+def test_iso_trace_at_g0_prints_the_projected_point(workdir):
+    # the trace printed its start, 0,2,5,0, which iso verify found off the manifold
+    (workdir / "d0.json").write_text('{"lambda0": 1, "c0": 0, "terms": []}')
+    (workdir / "c0.json").write_text('{"poles": [], "p": [2], "q": [5]}')
+    files = ["--delta", str(workdir / "d0.json"), "--coeffs", str(workdir / "c0.json")]
+    rows = _run(["iso", "trace", "--steps", "2"] + files, workdir / "trace.csv")
+    assert rows.splitlines() == ["0,1,-0,0", "1,1,-0,0", "2,1,-0,0"]
+    projected = _run(["iso", "project", "--delta", str(workdir / "d0.json")],
+                     workdir / "proj.json")
+    assert projected == {"poles": [], "p": [1.0], "q": [-0.0]}
+
+
 @pytest.mark.parametrize(
     "args",
     [["magic", "verify", "--periods", "30"], ["iso", "trace", "--steps", "2"]],
@@ -591,6 +603,30 @@ OUT_OF_RANGE = {
                          "--steps", "-1"], "steps must be >= 0"),
     "ortho build n": (["ortho", "build", "--measure", "{}/measure.csv", "--family", "monomial",
                        "--n", "0"], "n_funcs must be >= 1"),
+    # --step-len was checked inside the step loop, so --steps 0 took any value;
+    # a huge --steps ran until killed at g >= 1 and overflowed at g = 0
+    "iso trace step_len nan": (["iso", "trace", "--delta", "{}/delta.json", "--coeffs",
+                                "{}/pt.json", "--steps", "0", "--step-len", "nan"],
+                               "step_len must be finite"),
+    "iso trace step_len inf": (["iso", "trace", "--delta", "{}/delta.json", "--coeffs",
+                                "{}/pt.json", "--steps", "0", "--step-len", "inf"],
+                               "step_len must be finite"),
+    "iso trace huge steps g=0": (["iso", "trace", "--delta", "{}/delta0.json", "--coeffs",
+                                  "{}/coeffs0.json", "--steps", HUGE], "steps must be <= "),
+    "iso trace huge steps": (["iso", "trace", "--delta", "{}/delta.json", "--coeffs",
+                              "{}/pt.json", "--steps", HUGE], "steps must be <= "),
+    # the grid count went to a bare int() and then to numpy
+    "grid count text": (["transfer", "eval", "--coeffs", "{}/pt.json", "--grid", "0:1:abc"],
+                        "grid count must be an integer"),
+    "grid count float": (["transfer", "eval", "--coeffs", "{}/pt.json", "--grid", "0:1:1e3"],
+                         "grid count must be an integer"),
+    "grid count huge": (["transfer", "eval", "--coeffs", "{}/pt.json", "--grid", "0:1:" + HUGE],
+                        "grid count must be <= "),
+    "iso project seed": (["iso", "project", "--delta", "{}/delta.json", "--seed", "-1"],
+                         "seed must be >= 0"),
+    # a g = 0 projection ignored --init; it has 2g = 0 head entries
+    "iso project init g=0": (["iso", "project", "--delta", "{}/delta0.json", "--init", "1.0"],
+                             "head must have length 2g = 0"),
 }
 
 

@@ -90,6 +90,36 @@ def test_torus_trace_stays_on_manifold():
     assert np.max(np.abs(np.diff(heads))) > 1e-4
 
 
+def test_torus_trace_at_g0_is_the_one_manifold_point():
+    # the trace returned its unprojected start, p_0 = 2, q_0 = 5, at every step
+    delta = RationalDiscriminant(2.0, 0.5, ())
+    points = trace_torus(GmpCoefficients((), (2.0,), (5.0,)), delta, steps=3, step_len=0.05)
+    assert points == [GmpCoefficients((), (0.5,), (-0.5,))] * 4
+    assert points[0] == project_to_manifold([], delta)
+
+
+def test_projection_forms_the_lane_product_once_per_point(monkeypatch):
+    # the residual and the Jacobian at a point share one lane product (it was
+    # formed twice); the Lambda_k > 0 check of the converged point forms one more
+    evaluated, lanes = [], []
+    head_system, lane_factors = iso._head_system, iso._lane_factors
+
+    def counted_system(delta, pm, head):
+        evaluated.append(head)
+        return head_system(delta, pm, head)
+
+    def counted_lanes(*args):
+        lanes.append(args)
+        return lane_factors(*args)
+
+    monkeypatch.setattr(iso, "_head_system", counted_system)
+    monkeypatch.setattr(iso, "_lane_factors", counted_lanes)
+    project_to_manifold([1.0, 1.0, 0.1, -0.1],
+                        RationalDiscriminant(1.0, 0.0, ((1.0, -2.0), (1.5, 2.0))))
+    assert len(evaluated) > 2
+    assert len(lanes) == len(evaluated) + 1
+
+
 def test_truncation_spectrum_concentrates_on_bands():
     E = bands(DELTA1)
     eigs = spectrum_truncation(POINT1, 100)
@@ -287,13 +317,15 @@ def test_head_jacobian_matches_central_difference(g, seed):
     delta = _random_delta(rng, g)
     head = rng.normal(size=2 * g)
     pm = iso._pole_matrices(delta.poles)
-    J = iso._head_jacobian(delta, pm, head)
+    res, jacobian = iso._head_system(delta, pm, head)
+    J = jacobian()
+    lams = iso._lane_lambdas(pm, *iso._head_pq(delta, head))
+    assert np.array_equal(res, lams - np.array([lam for lam, _ in delta.terms]))
     Jc = np.empty_like(J)
     for i in range(2 * g):
         step = np.zeros(2 * g)
         step[i] = 1e-5 * (1.0 + abs(head[i]))
-        up, down = (iso._residual(delta, pm, *iso._head_pq(delta, head + s))
-                    for s in (step, -step))
+        up, down = (iso._head_system(delta, pm, head + s)[0] for s in (step, -step))
         Jc[:, i] = (up - down) / (2.0 * step[i])
     assert J.shape == (g, 2 * g)
     assert np.max(np.abs(J - Jc)) <= 1e-6 * np.max(np.abs(Jc))
