@@ -179,23 +179,42 @@ def check_shifted_inverse_structure(coeffs, k, n_periods=40, tol=1e-8):
     Raises DomainError if the window holds fewer than 2(g+1) rows, which
     could miss every outermost-diagonal entry and so pass vacuously.
     """
+    if not 1 <= k <= coeffs.g:
+        raise DomainError(f"k must be in 1..{coeffs.g}")
+    return _structure_ok(coeffs, (k,), n_periods, tol)
+
+
+def _structure_ok(coeffs, ks, n_periods, tol):
+    """``check_shifted_inverse_structure`` for every pole index in ks, from
+    one eigendecomposition of the section; True for an empty ks, with no
+    section built.
+
+    Every k is evaluated in order, so a DomainError of a later pole is
+    raised even when an earlier one already fails the check.
+    """
+    if not ks:
+        return True
     g = coeffs.g
-    if not 1 <= k <= g:
-        raise DomainError(f"k must be in 1..{g}")
     w = g + 1
-    ck = coeffs.poles[k - 1]
     margin = 2 * w * w
-    rows = w * n_periods - k - 2 * margin  # window rows after the index shift by k
+    # window rows after the index shift by k.  rows >= 2w reads
+    # w (N - 4w - 2) >= k, a multiple of w against 1 <= k <= g < w: it
+    # holds for every k or for none, so ks[0] gives the message of each
+    rows = w * n_periods - ks[0] - 2 * margin
     if rows < 2 * w:
         raise DomainError(f"window of {max(rows, 0)} rows, need {2 * w}: raise n_periods")
     M = assemble(coeffs, n_periods).to_dense()
     evals, evecs = np.linalg.eigh(M)
-    weights = _pole_weights(evals, evecs, ck, 1.0, slice(margin, M.shape[0] - margin))
-    R = ((evecs * weights) @ evecs.T)[k:, k:]  # index shift by k
-    m = R.shape[0]
-    t = tol * (1.0 + np.max(np.abs(R)))
-    # margin is a multiple of w, so window row r carries p_g where r % w == g
-    return not _class_a_violations(R[margin : m - margin, margin : m - margin], w, g, t).any()
+    inner = slice(margin, M.shape[0] - margin)
+    ok = True
+    for k in ks:
+        weights = _pole_weights(evals, evecs, coeffs.poles[k - 1], 1.0, inner)
+        R = ((evecs * weights) @ evecs.T)[k:, k:]  # index shift by k
+        m = R.shape[0]
+        t = tol * (1.0 + np.max(np.abs(R)))
+        # margin is a multiple of w, so window row r carries p_g where r % w == g
+        ok &= not _class_a_violations(R[margin : m - margin, margin : m - margin], w, g, t).any()
+    return ok
 
 
 def _class_a_violations(M, w, live, scale):

@@ -104,6 +104,26 @@ def test_gmp_check_command(workdir):
     assert got["structural_ok"] is True
 
 
+@pytest.mark.parametrize("g", [0, 1, 2, 3, 4])
+def test_gmp_check_decomposes_the_section_once(workdir, monkeypatch, g):
+    # the g shifted resolvents (c_k - A)^-1 share one eigendecomposition
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rng = np.random.default_rng(g)
+    coeffs = {"poles": list(np.cumsum(rng.uniform(0.5, 2.0, g))),
+              "p": list(rng.uniform(0.2, 1.5, g + 1)), "q": list(rng.uniform(-1.2, 1.2, g + 1))}
+    (workdir / "c.json").write_text(json.dumps(coeffs))
+    got = _run(["gmp", "check", "--coeffs", str(workdir / "c.json")], workdir / "check.json")
+    assert isinstance(got["structural_ok"], bool)
+    assert len(calls) == (1 if g else 0)
+
+
 def test_iso_project_and_verify(workdir):
     got = _run(
         ["iso", "project", "--delta", str(workdir / "delta.json"), "--init", "1.2,0.1"],
@@ -680,6 +700,15 @@ def test_newton_overflow_writes_only_its_json_line(workdir, capfd):
     argv = ["iso", "project", "--delta", str(workdir / "delta.json"), "--init", "1e300,1"]
     assert main(argv) == 1
     _one_error_line(*capfd.readouterr(), "the Newton system overflows float64")
+
+
+@pytest.mark.parametrize("e", [8, 10, 20, 80])
+def test_badly_scaled_spectrum_writes_only_its_json_line(workdir, capfd, e):
+    # the transfer matrix cancels near 10^(3e) and the spectrum erred
+    # 1.2e-8 to 0.38 of max|lambda| with exit 0
+    (workdir / "c.json").write_text(json.dumps({"poles": [2.0], "p": [10.0**e, 1.0], "q": [1.0, 0.0]}))
+    assert main(["spectrum", "eig", "--coeffs", str(workdir / "c.json"), "--periods", "3"]) == 1
+    _one_error_line(*capfd.readouterr(), "the spectrum lost accuracy")
 
 
 @pytest.mark.parametrize("exc", [OverflowError("absolute value too large"),

@@ -12,6 +12,7 @@ from gmpmat import (
     lambda_positivity_test,
 )
 from gmpmat import serialize
+from gmpmat.gmp import _structure_ok
 from gmpmat.serialize import lower_triangle_csv
 from conftest import random_coeffs
 
@@ -225,7 +226,7 @@ def _check_shifted_oracle(coeffs, k, n_periods, tol):
     evals, evecs = np.linalg.eigh(M)
     hit = np.abs(ck - evals) < 1e-9 * (1.0 + abs(ck))
     if np.any(hit) and np.max(np.abs(evecs[margin : M.shape[0] - margin, hit])) > 1e-8:
-        raise DomainError(f"c_k - A numerically singular at pole {ck}")
+        raise DomainError(f"pole {ck} hits the truncation spectrum")
     weights = np.where(hit, 0.0, 1.0 / np.where(hit, 1.0, ck - evals))
     R = ((evecs * weights) @ evecs.T)[k:, k:]
     m = R.shape[0]
@@ -245,14 +246,22 @@ def _check_shifted_oracle(coeffs, k, n_periods, tol):
 
 
 def _verdict(fn, *args):
+    """fn(*args), or the message of the DomainError it raises."""
     try:
         return fn(*args)
-    except DomainError:
-        return DomainError
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def _all_poles_oracle(coeffs, n_periods, tol):
+    return all([_check_shifted_oracle(coeffs, k, n_periods, tol) for k in range(1, coeffs.g + 1)])
 
 
 _NOT_GMP = GmpCoefficients((5.0,), (1.0, 1.0), (-1.0, 0.0))  # Lambda_1 = -3
 _PINNED = GmpCoefficients((1.0,), (1.0, 1.0), (0.0, 0.0))  # an eigenvalue on c_1
+# index 1 of each period is uncoupled with eigenvalue c_2 = 0: k = 1 gives
+# False, then k = 2 raises, and the DomainError wins
+_LATE_HIT = GmpCoefficients((5.0, 0.0), (1.0, 0.0, 1.0), (-1.0, 0.0, 0.0))
 
 
 @st.composite
@@ -271,10 +280,15 @@ def coeffs_and_k(draw):
 )
 @example(case=(_NOT_GMP, 1), n_periods=30, tol=1e-8)  # False
 @example(case=(_PINNED, 1), n_periods=30, tol=1e-8)  # deflates a boundary state
+@example(case=(_LATE_HIT, 1), n_periods=30, tol=1e-8)  # False for k = 1, then a pole hit
 def test_structure_check_matches_per_entry_loop(case, n_periods, tol):
     coeffs, k = case
     got = _verdict(check_shifted_inverse_structure, coeffs, k, n_periods, tol)
-    assert got is _verdict(_check_shifted_oracle, coeffs, k, n_periods, tol)
+    assert got == _verdict(_check_shifted_oracle, coeffs, k, n_periods, tol)
+    # all poles from one decomposition: the per-k verdicts in order, and the
+    # first DomainError of any k, even after a False
+    got = _verdict(_structure_ok, coeffs, range(1, coeffs.g + 1), n_periods, tol)
+    assert got == _verdict(_all_poles_oracle, coeffs, n_periods, tol)
 
 
 def test_structure_check_rejects_short_window():

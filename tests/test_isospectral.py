@@ -168,6 +168,8 @@ def test_spectrum_truncation_matches_lapack_oracle():
     (GmpCoefficients((0.0, 3.0), (0.0, 1.0, 1.0), (0.0, -1.0, 1.0)), (1, 2, 5, 33)),
     # free case, odd N: 0 is an eigenvalue and the eigenvalue of B
     (GmpCoefficients((), (1.0,), (0.0,)), (1, 2, 51, 301)),
+    # entries near 1e160, whose squares the accuracy check must not overflow
+    (GmpCoefficients((), (1.0,), (1e160,)), (1, 3)),
 ])
 def test_spectrum_truncation_pinned_cases(c, periods):
     for n_periods in periods:
@@ -181,6 +183,17 @@ def test_spectrum_truncation_long_section():
 def test_spectrum_truncation_rejects_empty_section():
     with pytest.raises(DomainError):
         spectrum_truncation(POINT1, 0)
+
+
+@pytest.mark.parametrize("c, periods", [
+    # the transfer matrix cancels near 1e15: an error of 2.6e-12 of max|lambda|
+    (GmpCoefficients((2.0,), (1e5, 1.0), (1.0, 0.0)), 3),
+    # A_1 = B = (1e-20) beside p = 1: the eigenvalue came out as 5e-324
+    (GmpCoefficients((), (1.0,), (1e-20,)), 1),
+])
+def test_spectrum_truncation_refuses_lost_digits(c, periods):
+    with pytest.raises(DomainError, match="the spectrum lost accuracy"):
+        spectrum_truncation(c, periods)
 
 
 @pytest.mark.parametrize("p, q", [
