@@ -243,3 +243,89 @@ def _pole_weights(evals, evecs, c, num, rows):
     if np.any(hit) and np.max(np.abs(evecs[rows, hit])) > 1e-8:
         raise DomainError(f"pole {c} hits the truncation spectrum")
     return np.where(hit, 0.0, num / np.where(hit, 1.0, c - evals))
+
+
+def _hit_counts(B, p, poles, n_periods):
+    """Eigenvalues of the section within ``_pole_weights``' hit threshold of
+    each pole, from the block LDL^T inertia of x - A_N at x = c -+ eps.
+
+    The pivots of x - A_N are Z - a_k p p^T with Z = x - B, a_0 = 0 and
+    a_{k+1} = [(Z - a_k p p^T)^{-1}]_gg (Sherman-Morrison), and Haynsworth's
+    identity gives neg(Z - a p p^T) = neg(Z) + [1/a - p^T Z^-1 p < 0] - [1/a < 0].
+    A pole whose recursion leaves the floats gets the count -1.
+    """
+    c = np.asarray(poles, dtype=float)
+    eps = 1e-9 * (1.0 + np.abs(c))
+    x = np.concatenate([c - eps, c + eps])
+    g = len(p) - 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        Z = x[:, None, None] * np.eye(g + 1) - B
+        y = np.linalg.solve(Z, np.column_stack([p, np.eye(g + 1)[g]]))
+        zgg, zgp, pzp = y[:, g, 1], y[:, g, 0], y[..., 0] @ p
+        a = np.zeros((n_periods, len(x)))  # a_0 .. a_{N-1}
+        for k in range(1, n_periods):
+            a[k] = zgg + a[k - 1] * zgp**2 / (1.0 - a[k - 1] * pzp)
+        inv = 1.0 / a
+        neg = (n_periods * np.sum(np.linalg.eigvalsh(B) > x[:, None], axis=1)
+               + np.sum(inv - pzp < 0.0, axis=0) - np.sum(inv < 0.0, axis=0))
+        bad = ~np.isfinite(a).all(axis=0)
+    counts = neg[: len(c)] - neg[len(c) :]
+    return np.where(bad[: len(c)] | bad[len(c) :], -1, counts)
+
+
+def _window_resolvent(coeffs, terms, n_periods, start, stop):
+    """Rows and columns start..stop-1 of the sum of lam (c - A_N)^{-1} over
+    the (lam, c) in terms, every c a pole of coeffs, from the block
+    structure of c - A_N; None if an eigenvalue of the section lies within
+    ``_pole_weights``' hit threshold of some c, whose deflation needs the
+    eigenvectors.
+
+    c - A_N is block tridiagonal with Z = c - B on the diagonal and
+    -p e_g^T below it, so every block of its inverse G below the diagonal
+    is rank one: G_kj = a_k (e_g^T G_{k-1,j}) with a_k = (Z - beta_k e_g e_g^T)^{-1} p
+    (Meurant, SIAM J. Matrix Anal. Appl. 13, 1992).  The left Schur
+    complements are Z - alpha_k p p^T, alpha_0 = 0 and
+    alpha_{k+1} = [(Z - alpha_k p p^T)^{-1}]_gg; the right ones are
+    Z - beta_k e_g e_g^T, beta_{N-1} = 0 and beta_{k-1} = p^T a_k; and
+    G_kk = (Z - alpha_k p p^T - beta_k e_g e_g^T)^{-1}.
+
+    At a pole, e_g^T Z^{-1} p = 0.  For c on diagonal index i < g, every
+    row j >= i of Z v = p with v supported on 0..i reads
+    q_0 v_0 + ... + q_i v_i = -1, leaving i + 1 equations for i + 1
+    unknowns.  By Sherman-Morrison both recursions are then constant after
+    one step, alpha_k = [Z^{-1}]_gg and beta_k = p^T Z^{-1} p, and
+    a_k = Z^{-1} p has a zero g-th entry, so G is block tridiagonal.
+    Each pole is a lane of the batched solves, LU with pivoting.
+    """
+    _, B = build_blocks(coeffs)
+    p = np.asarray(coeffs.p)
+    lam, c = np.array(terms, dtype=float).reshape(-1, 2).T
+    g = coeffs.g
+    w = g + 1
+    first, last = start // w, (stop - 1) // w
+    Z = c[:, None, None] * np.eye(w) - B
+    E = np.zeros((w, w))
+    E[g, g] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            if _hit_counts(B, p, c, n_periods).any():
+                return None
+            y = np.linalg.solve(Z, np.column_stack([p, E[g]]))  # Z^-1 p and Z^-1 e_g
+            alpha = y[:, g, 1, None, None]
+            beta = (y[..., 0] @ p)[:, None, None]
+            k = np.arange(first, last + 1)[:, None, None, None]  # block, then lane
+            M = (Z - np.where(k > 0, alpha, 0.0) * np.outer(p, p)
+                 - np.where(k < n_periods - 1, beta, 0.0) * E)
+            G = np.linalg.inv(M)  # (block, lane, w, w)
+        except np.linalg.LinAlgError:  # an exactly singular Z or Schur complement
+            return None
+        nb = last - first + 1
+        t = np.arange(nb)
+        W = np.zeros((nb, w, nb, w))
+        W[t, :, t, :] = np.einsum("l,tlij->tij", lam, G)
+        below = np.einsum("l,li,tlj->tij", lam, y[..., 0], G[:-1, :, g])  # G_{k,k-1}
+        W[t[1:], :, t[:-1], :] = below
+        W[t[:-1], :, t[1:], :] = below.transpose(0, 2, 1)
+    o = first * w
+    W = W.reshape(nb * w, nb * w)[start - o : stop - o, start - o : stop - o]
+    return W if np.isfinite(W).all() else None

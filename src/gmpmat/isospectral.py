@@ -14,8 +14,8 @@ import sys
 from ._kernels import _factor_product
 from ._lazy import np
 from .errors import ConvergenceError, DomainError, count, finite
-from .gmp import (_check_finite, _check_periods, _pole_weights, assemble, build_blocks,
-                  GmpCoefficients)
+from .gmp import (_check_finite, _check_periods, _pole_weights, _window_resolvent, assemble,
+                  build_blocks, GmpCoefficients)
 
 
 def _damped_newton(evaluate, x, tol, max_iter=100):
@@ -253,19 +253,27 @@ def magic_verify(coeffs, delta, n_periods=60):
 
     Returns the maximum absolute entry over the middle-third row and
     column range; small (and shrinking with N) exactly at manifold points.
-    Only that window block is formed: the pole terms share the
-    eigenvectors, so their weights add up to one vector before the
-    (window x n)(n x window) product.
+    Only that window block is formed: the pole terms come from the block
+    recursions of ``_window_resolvent``, in O(N (g+1)^2) per pole.  Where
+    an eigenvalue of the section lies on a pole, they come from one
+    eigendecomposition, whose pole-deflated weights (``_pole_weights``)
+    add up to one vector before the (window x n)(n x window) product.
     """
     _check_poles(coeffs, delta)
-    dense = assemble(coeffs, n_periods).to_dense()
-    n = dense.shape[0]
-    window = slice(n // 3, 2 * n // 3)
-    evals, evecs = np.linalg.eigh(dense)
-    weights = sum(_pole_weights(evals, evecs, c, lam, window) for lam, c in delta.terms)
-    V = evecs[window]
-    m = V.shape[0]
-    D = (V * weights) @ V.T + delta.lambda0 * dense[window, window] + delta.c0 * np.eye(m)
+    op = assemble(coeffs, n_periods)
+    lo, hi = op.n // 3, 2 * op.n // 3
+    if hi == lo:
+        raise DomainError("window of 0 rows, need 1: raise n_periods")
+    D = _window_resolvent(coeffs, delta.terms, n_periods, lo, hi)
+    if D is None:
+        window = slice(lo, hi)
+        evals, evecs = np.linalg.eigh(op.to_dense())
+        weights = sum(_pole_weights(evals, evecs, c, lam, window) for lam, c in delta.terms)
+        V = evecs[window]
+        D = (V * weights) @ V.T
+    low = op.row_block(lo, hi)[:, lo:]  # the window's lower triangle
+    m = hi - lo
+    D = D + delta.lambda0 * (low + np.tril(low, -1).T) + delta.c0 * np.eye(m)
     w = coeffs.g + 1
     idx = np.arange(m - w)
     D[idx, idx + w] -= 1.0

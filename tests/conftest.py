@@ -1,10 +1,15 @@
-"""Shared generators for randomized suites (all seeded, deterministic),
-and the elementary transfer factors as 2x2 matrices, the oracle of
-``_kernels._factor_product``."""
+"""Shared generators for randomized suites (all seeded, deterministic), a
+pinned set whose poles hit the section's spectrum, and the elementary
+transfer factors as 2x2 matrices, the oracle of ``_kernels._factor_product``."""
 
 import numpy as np
 
 from gmpmat import DomainError, FiniteGapSet, GmpCoefficients
+
+
+# index 1 of each period is uncoupled with eigenvalue c_2 = 0: every period
+# puts an eigenvalue on that pole, with amplitude away from the boundary
+LATE_HIT = GmpCoefficients((5.0, 0.0), (1.0, 0.0, 1.0), (-1.0, 0.0, 0.0))
 
 
 def random_gap_set(rng, g):

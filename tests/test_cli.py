@@ -711,6 +711,17 @@ def test_badly_scaled_spectrum_writes_only_its_json_line(workdir, capfd, e):
     _one_error_line(*capfd.readouterr(), "the spectrum lost accuracy")
 
 
+def test_magic_verify_refuses_an_empty_window(workdir, capfd):
+    # one row at g = 0 and one period: the middle third holds none, and
+    # numpy's "zero-size array to reduction operation maximum" named no field
+    (workdir / "g0.json").write_text(json.dumps({"poles": [], "p": [1.0], "q": [0.0]}))
+    (workdir / "d0.json").write_text(json.dumps({"lambda0": 1.0, "c0": 0.0, "terms": []}))
+    argv = ["magic", "verify", "--delta", str(workdir / "d0.json"), "--coeffs",
+            str(workdir / "g0.json"), "--periods", "1"]
+    assert main(argv) == 1
+    _one_error_line(*capfd.readouterr(), "window of 0 rows, need 1: raise n_periods")
+
+
 @pytest.mark.parametrize("exc", [OverflowError("absolute value too large"),
                                  ZeroDivisionError("complex division by zero")])
 def test_python_float_errors_exit_1_as_overflow(workdir, capsys, monkeypatch, exc):

@@ -14,7 +14,7 @@ from gmpmat import (
 from gmpmat import serialize
 from gmpmat.gmp import _structure_ok
 from gmpmat.serialize import lower_triangle_csv
-from conftest import random_coeffs
+from conftest import LATE_HIT, random_coeffs
 
 
 def test_coefficient_validation():
@@ -89,6 +89,20 @@ def test_diagonal_blocks_symmetric(p, q):
     c = GmpCoefficients(tuple(range(n - 1)), tuple(p), tuple(q))
     _, B = build_blocks(c)
     assert np.array_equal(B, B.T)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 8])
+def test_pole_leaves_no_coupling_in_the_last_slot(g):
+    # e_g^T (c_k - B)^{-1} p = 0 at every pole, within the rounding of the
+    # solve: the Schur recursions of _window_resolvent rest on it
+    rng = np.random.default_rng(g)
+    for _ in range(50):
+        coeffs = random_coeffs(rng, g=g)
+        B = build_blocks(coeffs)[1]
+        for c in coeffs.poles:
+            Z = c * np.eye(g + 1) - B
+            y = np.linalg.solve(Z, coeffs.p)
+            assert abs(y[g]) <= 4 * np.finfo(float).eps * np.linalg.cond(Z) * np.max(np.abs(y))
 
 
 def test_positivity_and_structure_agree_on_examples():
@@ -259,9 +273,7 @@ def _all_poles_oracle(coeffs, n_periods, tol):
 
 _NOT_GMP = GmpCoefficients((5.0,), (1.0, 1.0), (-1.0, 0.0))  # Lambda_1 = -3
 _PINNED = GmpCoefficients((1.0,), (1.0, 1.0), (0.0, 0.0))  # an eigenvalue on c_1
-# index 1 of each period is uncoupled with eigenvalue c_2 = 0: k = 1 gives
-# False, then k = 2 raises, and the DomainError wins
-_LATE_HIT = GmpCoefficients((5.0, 0.0), (1.0, 0.0, 1.0), (-1.0, 0.0, 0.0))
+# LATE_HIT: k = 1 gives False, then k = 2 raises, and the DomainError wins
 
 
 @st.composite
@@ -280,7 +292,7 @@ def coeffs_and_k(draw):
 )
 @example(case=(_NOT_GMP, 1), n_periods=30, tol=1e-8)  # False
 @example(case=(_PINNED, 1), n_periods=30, tol=1e-8)  # deflates a boundary state
-@example(case=(_LATE_HIT, 1), n_periods=30, tol=1e-8)  # False for k = 1, then a pole hit
+@example(case=(LATE_HIT, 1), n_periods=30, tol=1e-8)  # False for k = 1, then a pole hit
 def test_structure_check_matches_per_entry_loop(case, n_periods, tol):
     coeffs, k = case
     got = _verdict(check_shifted_inverse_structure, coeffs, k, n_periods, tol)

@@ -20,9 +20,9 @@ from gmpmat import (
     spectrum_truncation,
     trace_torus,
 )
-from gmpmat.gmp import _pole_weights, assemble
+from gmpmat.gmp import _hit_counts, _pole_weights, assemble, build_blocks
 from gmpmat.transfer import discriminant_coeffs, lambda_k
-from conftest import random_coeffs
+from conftest import LATE_HIT, random_coeffs
 
 
 DELTA1 = RationalDiscriminant(1.0, 0.0, ((1.0, 1.0),))
@@ -363,18 +363,88 @@ def _magic_verify_oracle(coeffs, delta, n_periods):
     return float(np.max(np.abs((D - shift)[window, window])))
 
 
-@pytest.mark.parametrize("g", [0, 1, 2, 4])
-def test_windowed_magic_matches_full_matrix_oracle(g):
+def _magic_lu_oracle(coeffs, delta, n_periods):
+    # every pole term from a dense LU inverse: the reference where no pole
+    # hits the section's spectrum, and the tighter one at g = 8
+    dense = assemble(coeffs, n_periods).to_dense()
+    n = dense.shape[0]
+    D = delta.lambda0 * dense + delta.c0 * np.eye(n)
+    for lam, c in delta.terms:
+        D += lam * np.linalg.inv(c * np.eye(n) - dense)
+    w = coeffs.g + 1
+    idx = np.arange(n - w)
+    D[idx, idx + w] -= 1.0
+    D[idx + w, idx] -= 1.0
+    return float(np.max(np.abs(D[n // 3 : 2 * n // 3, n // 3 : 2 * n // 3])))
+
+
+def _on_and_off(g):
     rng = np.random.default_rng(g)
     delta = _random_delta(rng, g)
     on = project_to_manifold(rng.normal(size=2 * g), delta)
-    off = GmpCoefficients(on.poles, on.p, np.array(on.q) + 0.1)
+    return delta, on, GmpCoefficients(on.poles, on.p, np.array(on.q) + 0.1)
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 4, 8])
+def test_windowed_magic_matches_full_matrix_oracle(g):
+    # at 1, 2, 3 and 5 periods the window covers part of a block
+    delta, on, off = _on_and_off(g)
     for coeffs in (on, off):
-        for periods in (30, 61):
+        for periods in (1, 2, 3, 5, 30, 61) if g else (2, 3, 5, 30, 61):
             got = magic_verify(coeffs, delta, periods)
-            want = _magic_verify_oracle(coeffs, delta, periods)
+            if g <= 4:  # the eigh path erred 1.7e-13 at g = 8
+                want = _magic_verify_oracle(coeffs, delta, periods)
+                assert abs(got - want) <= 1e-13 * (1.0 + want)
+            want = _magic_lu_oracle(coeffs, delta, periods)
             assert abs(got - want) <= 1e-13 * (1.0 + want)
     assert magic_verify(on, delta, 30) < 1e-6 < magic_verify(off, delta, 30)
+
+
+_LATE_HIT_DELTA = RationalDiscriminant(1.0, 0.0, ((1.0, 5.0), (1.0, 0.0)))
+
+
+@pytest.mark.parametrize("g", [1, 2, 4, 8])
+def test_magic_verify_decomposes_only_where_a_pole_hits(monkeypatch, g):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    delta, on, off = _on_and_off(g)
+    for coeffs in (on, off):
+        magic_verify(coeffs, delta, 60)
+    assert calls == []
+    # an eigenvalue on c_1, localized at the boundary and deflated: the
+    # value of the eigendecomposition path, bit for bit
+    assert magic_verify(POINT1, DELTA1, 60) == 5.329070518200751e-15
+    assert len(calls) == 1
+    with pytest.raises(DomainError, match="^pole 0.0 hits the truncation spectrum$"):
+        magic_verify(LATE_HIT, _LATE_HIT_DELTA, 30)
+    assert len(calls) == 2
+
+
+def test_hit_counts_match_eigenvalue_threshold():
+    # the inertia counts at c -+ eps against the eigenvalues _pole_weights
+    # marks as hit
+    rng = np.random.default_rng(20)
+    sets = [(POINT1, 30), (LATE_HIT, 30)]
+    for g in (1, 2, 3, 4, 8):
+        for _ in range(3):
+            delta = _random_delta(rng, g)
+            on = project_to_manifold(rng.normal(size=2 * g), delta)
+            off = GmpCoefficients(on.poles, on.p, np.array(on.q) + rng.uniform(-0.5, 0.5, g + 1))
+            sets += [(on, int(rng.integers(1, 40))), (off, int(rng.integers(1, 40)))]
+    hits = 0
+    for coeffs, periods in sets:
+        evals = np.linalg.eigvalsh(assemble(coeffs, periods).to_dense())
+        want = [np.sum(np.abs(c - evals) < 1e-9 * (1.0 + abs(c))) for c in coeffs.poles]
+        got = _hit_counts(build_blocks(coeffs)[1], np.asarray(coeffs.p), coeffs.poles, periods)
+        assert list(got) == want
+        hits += sum(want)
+    assert hits == 1 + 30
 
 
 def test_projection_and_trace_make_no_scalar_transfer_product(monkeypatch):
