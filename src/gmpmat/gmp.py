@@ -289,10 +289,10 @@ def _window_resolvent(coeffs, terms, n_periods, start, stop):
     Z - beta_k e_g e_g^T, beta_{N-1} = 0 and beta_{k-1} = p^T a_k; and
     G_kk = (Z - alpha_k p p^T - beta_k e_g e_g^T)^{-1}.
 
-    At a pole, e_g^T Z^{-1} p = 0.  For c on diagonal index i < g, every
-    row j >= i of Z v = p with v supported on 0..i reads
-    q_0 v_0 + ... + q_i v_i = -1, leaving i + 1 equations for i + 1
-    unknowns.  By Sherman-Morrison both recursions are then constant after
+    At a pole, e_g^T Z^{-1} p = 0.  For c on diagonal index i < g, take v
+    supported on 0..i: row j >= i of Z v = p reads
+    -p_j (q_0 v_0 + ... + q_i v_i) = p_j, one condition for all of them,
+    which with rows 0..i-1 makes i + 1 equations for i + 1 unknowns.  By Sherman-Morrison both recursions are then constant after
     one step, alpha_k = [Z^{-1}]_gg and beta_k = p^T Z^{-1} p, and
     a_k = Z^{-1} p has a zero g-th entry, so G is block tridiagonal.
     Each pole is a lane of the batched solves, LU with pivoting.

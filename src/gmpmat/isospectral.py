@@ -254,8 +254,9 @@ def magic_verify(coeffs, delta, n_periods=60):
     Returns the maximum absolute entry over the middle-third row and
     column range; small (and shrinking with N) exactly at manifold points.
     Only that window block is formed: the pole terms come from the block
-    recursions of ``_window_resolvent``, in O(N (g+1)^2) per pole.  Where
-    an eigenvalue of the section lies on a pole, they come from one
+    structure of c_k - A_N (``_window_resolvent``), one (g+1) x (g+1)
+    solve per pole and one inverse per pole and window block.  Where an
+    eigenvalue of the section lies on a pole, they come from one
     eigendecomposition, whose pole-deflated weights (``_pole_weights``)
     add up to one vector before the (window x n)(n x window) product.
     """

@@ -92,7 +92,7 @@ def test_diagonal_blocks_symmetric(p, q):
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 8])
-def test_pole_leaves_no_coupling_in_the_last_slot(g):
+def test_pole_solve_of_p_has_zero_last_entry(g):
     # e_g^T (c_k - B)^{-1} p = 0 at every pole, within the rounding of the
     # solve: the Schur recursions of _window_resolvent rest on it
     rng = np.random.default_rng(g)
@@ -273,7 +273,6 @@ def _all_poles_oracle(coeffs, n_periods, tol):
 
 _NOT_GMP = GmpCoefficients((5.0,), (1.0, 1.0), (-1.0, 0.0))  # Lambda_1 = -3
 _PINNED = GmpCoefficients((1.0,), (1.0, 1.0), (0.0, 0.0))  # an eigenvalue on c_1
-# LATE_HIT: k = 1 gives False, then k = 2 raises, and the DomainError wins
 
 
 @st.composite
