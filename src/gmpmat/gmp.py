@@ -245,40 +245,13 @@ def _pole_weights(evals, evecs, c, num, rows):
     return np.where(hit, 0.0, num / np.where(hit, 1.0, c - evals))
 
 
-def _hit_counts(B, p, poles, n_periods):
-    """Eigenvalues of the section within ``_pole_weights``' hit threshold of
-    each pole, from the block LDL^T inertia of x - A_N at x = c -+ eps.
-
-    The pivots of x - A_N are Z - a_k p p^T with Z = x - B, a_0 = 0 and
-    a_{k+1} = [(Z - a_k p p^T)^{-1}]_gg (Sherman-Morrison), and Haynsworth's
-    identity gives neg(Z - a p p^T) = neg(Z) + [1/a - p^T Z^-1 p < 0] - [1/a < 0].
-    A pole whose recursion leaves the floats gets the count -1.
-    """
-    c = np.asarray(poles, dtype=float)
-    eps = 1e-9 * (1.0 + np.abs(c))
-    x = np.concatenate([c - eps, c + eps])
-    g = len(p) - 1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        Z = x[:, None, None] * np.eye(g + 1) - B
-        y = np.linalg.solve(Z, np.column_stack([p, np.eye(g + 1)[g]]))
-        zgg, zgp, pzp = y[:, g, 1], y[:, g, 0], y[..., 0] @ p
-        a = np.zeros((n_periods, len(x)))  # a_0 .. a_{N-1}
-        for k in range(1, n_periods):
-            a[k] = zgg + a[k - 1] * zgp**2 / (1.0 - a[k - 1] * pzp)
-        inv = 1.0 / a
-        neg = (n_periods * np.sum(np.linalg.eigvalsh(B) > x[:, None], axis=1)
-               + np.sum(inv - pzp < 0.0, axis=0) - np.sum(inv < 0.0, axis=0))
-        bad = ~np.isfinite(a).all(axis=0)
-    counts = neg[: len(c)] - neg[len(c) :]
-    return np.where(bad[: len(c)] | bad[len(c) :], -1, counts)
-
-
 def _window_resolvent(coeffs, terms, n_periods, start, stop):
     """Rows and columns start..stop-1 of the sum of lam (c - A_N)^{-1} over
     the (lam, c) in terms, every c a pole of coeffs, from the block
-    structure of c - A_N; None if an eigenvalue of the section lies within
-    ``_pole_weights``' hit threshold of some c, whose deflation needs the
-    eigenvectors.
+    structure of c - A_N; None if a solve is exactly singular or a block
+    is not finite.  The caller checks first that no eigenvalue of the
+    section lies within ``_pole_weights``' hit threshold of some c, whose
+    deflation needs the eigenvectors.
 
     c - A_N is block tridiagonal with Z = c - B on the diagonal and
     -p e_g^T below it, so every block of its inverse G below the diagonal
@@ -308,8 +281,6 @@ def _window_resolvent(coeffs, terms, n_periods, start, stop):
     E[g, g] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            if _hit_counts(B, p, c, n_periods).any():
-                return None
             y = np.linalg.solve(Z, np.column_stack([p, E[g]]))  # Z^-1 p and Z^-1 e_g
             alpha = y[:, g, 1, None, None]
             beta = (y[..., 0] @ p)[:, None, None]

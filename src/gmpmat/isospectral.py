@@ -256,7 +256,8 @@ def magic_verify(coeffs, delta, n_periods=60):
     Only that window block is formed: the pole terms come from the block
     structure of c_k - A_N (``_window_resolvent``), one (g+1) x (g+1)
     solve per pole and one inverse per pole and window block.  Where an
-    eigenvalue of the section lies on a pole, they come from one
+    eigenvalue of the section lies on a pole (``_near_pole_counts``, O(g)
+    work per pole) or the transfer matrix overflows, they come from one
     eigendecomposition, whose pole-deflated weights (``_pole_weights``)
     add up to one vector before the (window x n)(n x window) product.
     """
@@ -265,7 +266,11 @@ def magic_verify(coeffs, delta, n_periods=60):
     lo, hi = op.n // 3, 2 * op.n // 3
     if hi == lo:
         raise DomainError("window of 0 rows, need 1: raise n_periods")
-    D = _window_resolvent(coeffs, delta.terms, n_periods, lo, hi)
+    try:
+        hit = _near_pole_counts(coeffs, n_periods).any()
+    except DomainError:  # the transfer matrix overflows
+        hit = True
+    D = None if hit else _window_resolvent(coeffs, delta.terms, n_periods, lo, hi)
     if D is None:
         window = slice(lo, hi)
         evals, evecs = np.linalg.eigh(op.to_dense())
@@ -368,6 +373,18 @@ def _hyperbolic_phase(n_periods, tau, w, t11, t12, t21, t22):
     phi = np.arctan2(mu * np.sin(phi0), np.cos(phi0)) - zeta
     psi = phi0 - np.arctan2(np.sin(zeta), mu * np.cos(zeta))
     return phi, psi, zeta < -0.5 * np.pi
+
+
+def _near_pole_counts(coeffs, n_periods):
+    """Eigenvalues of the N-period section within ``_pole_weights``' hit
+    threshold eps = 1e-9 (1 + |c|) of each pole c: the counts of
+    ``_transfer_phase`` below c + eps and below c - eps, differenced."""
+    c = np.asarray(coeffs.poles, dtype=float)
+    eps = 1e-9 * (1.0 + np.abs(c))
+    eig_b = np.linalg.eigvalsh(build_blocks(coeffs)[1])
+    phi, _, j = _transfer_phase(coeffs, eig_b, n_periods, np.concatenate([c - eps, c + eps]))
+    below = np.floor(phi / np.pi).astype(int) + n_periods * j
+    return below[c.size :] - below[: c.size]
 
 
 def _floquet_points(B, p, n_periods):
