@@ -12,6 +12,7 @@ one-block-periodic case is generated by a single coefficient pair
 import sys
 from dataclasses import dataclass
 
+from ._kernels import _factor_product
 from ._lazy import np
 from .errors import DomainError, count, finite, numbers
 
@@ -156,6 +157,106 @@ def assemble(coeffs, n_periods):
     return BandedOperator(n=n, half_bandwidth=w, lower=lower)
 
 
+def _transfer_phase(coeffs, eig_b, n_periods, x):
+    """Sturm count of the N-period open section at every point of x.
+
+    Returns (phi, psi, j): #{eigenvalues < x} = floor(phi/pi) + N j, and
+    psi - k pi has the sign of phi - k pi for every integer k.  The block
+    LDL^T recursion sigma_k = [(B - x - sigma_{k-1} p p^T)^{-1}]_gg is the
+    Moebius map of the transposed transfer matrix K = T(x)^T acting on
+    the angle w, sigma = -cot w, and the count is floor(K~^N(pi/2)/pi)
+    for the lift K~ of K with K~(0) in ((m-1)pi, m pi], where
+    m = #{eig B < x} + [R_pp >= 0] and R_pp = T12/T22.  The Nth power is
+    taken in closed form by conjugation: to a rotation by beta where
+    |tr T| < 2, with phi = psi = phi0 + N beta, and to diag(lam, 1/lam)
+    where |tr T| > 2.  There phi is the forward image of the angle pi/2
+    and psi the backward image of 0 compared with pi/2: each is a step
+    function of x at states localized at one end of the section and
+    smooth at those at the other.  Where the conjugation degenerates, at
+    |tr T| = 2 exactly and within one float spacing of a pole (at the
+    scale of max(|x|, ||p||)), the count is taken one such spacing above.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.linalg.norm(coeffs.p)  # never 0, since p_g > 0
+        while True:
+            for c in coeffs.poles:
+                step = np.spacing(max(abs(c), scale))
+                on = np.abs(x - c) < step
+                if on.any():
+                    x = np.where(on, c + step, x)
+            t11, t12, t21, t22 = _factor_product(x, coeffs.poles, coeffs.p, coeffs.q)
+            tau = 0.5 * (t11 + t22)
+            w = np.sqrt(np.abs((1.0 - tau) * (1.0 + tau)))
+            _check_finite("the transfer matrix", w)
+            flat = w == 0.0
+            if not flat.any():
+                break
+            x = np.where(flat, x + np.spacing(np.maximum(np.abs(x), scale)), x)
+    # #{eig B < x}: T22 = -1/R_pg vanishes at eig B and changes sign at the
+    # poles, so T22 > 0 iff an even number of both lie above x; a count
+    # that disagrees (x within rounding of an eigenvalue) moves across the
+    # nearest one
+    k = np.searchsorted(eig_b, x)
+    above = len(eig_b) - k + np.sum(np.asarray(coeffs.poles)[:, None] > x, axis=0)
+    off = (t22 != 0.0) & ((t22 < 0.0) != (above % 2 == 1))
+    if off.any():
+        near = np.concatenate([[-np.inf], eig_b, [np.inf]])
+        k = np.where(off, np.where(x - near[k] < near[k + 1] - x, k - 1, k + 1), k)
+    j = k - 1 + (t12 * t22 >= 0.0)
+    # elliptic: K = P R(beta) P^-1 with P = [[1, A], [0, C]], C > 0, fixing the angle 0
+    up = t12 > 0.0
+    beta = np.arctan2(w, tau)
+    beta = np.where(up, beta, np.pi - beta)
+    phi = np.arctan2(2.0 * w, np.where(up, t22 - t11, t11 - t22)) + n_periods * beta
+    psi = phi
+    hyp = np.abs(tau) >= 1.0
+    if hyp.any():
+        phi, psi = phi.copy(), psi.copy()
+        phi[hyp], psi[hyp], low = _hyperbolic_phase(
+            n_periods, tau[hyp], w[hyp], t11[hyp], t12[hyp], t21[hyp], t22[hyp]
+        )
+        j[hyp] += low
+    return phi, psi, j
+
+
+def _hyperbolic_phase(n_periods, tau, w, t11, t12, t21, t22):
+    """(phi, psi, low) of ``_transfer_phase`` where |tr T| > 2.
+
+    sign(tau) K = P diag(lam, 1/lam) P^-1 with P = [u, v], det P > 0.
+    zeta and phi0 are the preimages under P of the angles 0 and pi/2;
+    the lift of K is P~ D~ P~^-1 + (m - 1 + low) pi, with low = 1 when
+    P~ D~ P~^-1 maps the angle 0 below 0.
+    """
+    sg = np.where(tau > 0.0, 1.0, -1.0)
+    a, b, c, d = sg * t11, sg * t21, sg * t12, sg * t22
+    lam, inv = np.abs(tau) + w, np.abs(tau) - w
+    ua = np.abs(lam - a) > np.abs(lam - d)
+    u1, u2 = np.where(ua, b, lam - d), np.where(ua, lam - a, c)
+    va = np.abs(inv - a) > np.abs(inv - d)
+    v1, v2 = np.where(va, b, inv - d), np.where(va, inv - a, c)
+    det = u1 * v2 - u2 * v1
+    v1, v2 = np.where(det < 0.0, -v1, v1), np.where(det < 0.0, -v2, v2)
+    zeta = np.arctan2(-u2, v2)  # taken in (-pi, 0]
+    zeta = np.where(zeta > 0.0, zeta - np.pi, zeta)
+    phi0 = zeta + np.arctan2(np.abs(det), -(u1 * u2 + v1 * v2))
+    mu = np.exp(-2.0 * n_periods * np.arcsinh(w))  # lam^(-2N)
+    phi = np.arctan2(mu * np.sin(phi0), np.cos(phi0)) - zeta
+    psi = phi0 - np.arctan2(np.sin(zeta), mu * np.cos(zeta))
+    return phi, psi, zeta < -0.5 * np.pi
+
+
+def _near_pole_counts(coeffs, n_periods):
+    """Eigenvalues of the N-period section within ``_pole_weights``' hit
+    threshold eps = 1e-9 (1 + |c|) of each pole c: the counts of
+    ``_transfer_phase`` below c + eps and below c - eps, differenced."""
+    c = np.asarray(coeffs.poles, dtype=float)
+    eps = 1e-9 * (1.0 + np.abs(c))
+    eig_b = np.linalg.eigvalsh(build_blocks(coeffs)[1])
+    phi, _, j = _transfer_phase(coeffs, eig_b, n_periods, np.concatenate([c - eps, c + eps]))
+    below = np.floor(phi / np.pi).astype(int) + n_periods * j
+    return below[c.size :] - below[: c.size]
+
+
 def lambda_positivity_test(coeffs):
     """GMP membership via positivity of all residues Lambda_k.
 
@@ -170,11 +271,11 @@ def lambda_positivity_test(coeffs):
 def check_shifted_inverse_structure(coeffs, k, n_periods=40, tol=1e-8):
     """Numerical check that S^{-k} (c_k - A)^{-1} S^k is again of class A.
 
-    Inverts the finite section, shifts indices by k and verifies the
-    class-A sparsity and sign pattern on rows at least 2(g+1) blocks away
-    from the truncation boundary: zero beyond bandwidth g+1, and on the
-    outermost diagonal zero except at the p_g positions (row index g
-    modulo g+1), which must be positive.
+    Forms the resolvent at c_k of the finite section (``_window_resolvent``),
+    shifts indices by k and verifies the class-A sparsity and sign pattern
+    on rows at least 2(g+1) blocks away from the truncation boundary: zero
+    beyond bandwidth g+1, and on the outermost diagonal zero except at the
+    p_g positions (row index g modulo g+1), which must be positive.
 
     Raises DomainError if the window holds fewer than 2(g+1) rows, which
     could miss every outermost-diagonal entry and so pass vacuously.
@@ -185,9 +286,8 @@ def check_shifted_inverse_structure(coeffs, k, n_periods=40, tol=1e-8):
 
 
 def _structure_ok(coeffs, ks, n_periods, tol):
-    """``check_shifted_inverse_structure`` for every pole index in ks, from
-    one eigendecomposition of the section; True for an empty ks, with no
-    section built.
+    """``check_shifted_inverse_structure`` for every pole index in ks
+    (``_window_resolvent``); True for an empty ks, with no section built.
 
     Every k is evaluated in order, so a DomainError of a later pole is
     raised even when an earlier one already fails the check.
@@ -203,13 +303,12 @@ def _structure_ok(coeffs, ks, n_periods, tol):
     rows = w * n_periods - ks[0] - 2 * margin
     if rows < 2 * w:
         raise DomainError(f"window of {max(rows, 0)} rows, need {2 * w}: raise n_periods")
-    M = assemble(coeffs, n_periods).to_dense()
-    evals, evecs = np.linalg.eigh(M)
-    inner = slice(margin, M.shape[0] - margin)
+    _check_periods(coeffs, n_periods)  # before the hit count, which overflows first
+    n = w * n_periods
+    inner = slice(margin, n - margin)
     ok = True
-    for k in ks:
-        weights = _pole_weights(evals, evecs, coeffs.poles[k - 1], 1.0, inner)
-        R = ((evecs * weights) @ evecs.T)[k:, k:]  # index shift by k
+    for k in ks:  # rows and columns k..n-1: the index shift by k
+        R = _window_resolvent(coeffs, ((1.0, coeffs.poles[k - 1]),), n_periods, k, n, inner)
         m = R.shape[0]
         t = tol * (1.0 + np.max(np.abs(R)))
         # margin is a multiple of w, so window row r carries p_g where r % w == g
@@ -224,11 +323,12 @@ def _class_a_violations(M, w, live, scale):
     the outermost diagonal (i, i + w) it must exceed ``scale`` in rows
     i = live (mod w) and be at most ``scale`` in modulus in the others.
     """
-    i, j = np.indices(M.shape)
+    i = np.arange(M.shape[0])[:, None]
+    d = np.arange(M.shape[1]) - i  # column minus row
     big = np.abs(M) > scale
-    outer = j - i == w
+    outer = d == w
     live_row = i % w == live
-    return (big & (np.abs(j - i) > w)) | (outer & ~live_row & big) | (outer & live_row & (M <= scale))
+    return (big & (np.abs(d) > w)) | (outer & ~live_row & big) | (outer & live_row & (M <= scale))
 
 
 def _pole_weights(evals, evecs, c, num, rows):
@@ -245,13 +345,29 @@ def _pole_weights(evals, evecs, c, num, rows):
     return np.where(hit, 0.0, num / np.where(hit, 1.0, c - evals))
 
 
-def _window_resolvent(coeffs, terms, n_periods, start, stop):
+def _window_resolvent(coeffs, terms, n_periods, start, stop, rows):
     """Rows and columns start..stop-1 of the sum of lam (c - A_N)^{-1} over
-    the (lam, c) in terms, every c a pole of coeffs, from the block
-    structure of c - A_N; None if a solve is exactly singular or a block
-    is not finite.  The caller checks first that no eigenvalue of the
-    section lies within ``_pole_weights``' hit threshold of some c, whose
-    deflation needs the eigenvectors.
+    the (lam, c) in terms, every c a pole of coeffs: from the block structure
+    (``_block_resolvent``), unless an eigenvalue lies on a c (``_near_pole_counts``),
+    the transfer matrix overflows or a block solve fails, and then from one
+    eigendecomposition, deflated where no mode may reach ``rows`` (``_pole_weights``).
+    """
+    try:
+        counts = _near_pole_counts(coeffs, n_periods)
+        hit = any(counts[coeffs.poles.index(c)] for _, c in terms)
+    except DomainError:  # the transfer matrix overflows
+        hit = True
+    W = None if hit else _block_resolvent(coeffs, terms, n_periods, start, stop)
+    if W is None:
+        evals, evecs = np.linalg.eigh(assemble(coeffs, n_periods).to_dense())
+        weights = sum(_pole_weights(evals, evecs, c, lam, rows) for lam, c in terms)
+        W = (evecs[start:stop] * weights) @ evecs[start:stop].T
+    return W
+
+
+def _block_resolvent(coeffs, terms, n_periods, start, stop):
+    """``_window_resolvent`` where no eigenvalue lies on a c of terms; None
+    if a solve is exactly singular or a block is not finite.
 
     c - A_N is block tridiagonal with Z = c - B on the diagonal and
     -p e_g^T below it, so every block of its inverse G below the diagonal

@@ -14,7 +14,7 @@ import sys
 from ._kernels import _factor_product
 from ._lazy import np
 from .errors import ConvergenceError, DomainError, count, finite
-from .gmp import (_check_finite, _check_periods, _pole_weights, _window_resolvent, assemble,
+from .gmp import (_check_finite, _check_periods, _transfer_phase, _window_resolvent, assemble,
                   build_blocks, GmpCoefficients)
 
 
@@ -253,30 +253,14 @@ def magic_verify(coeffs, delta, n_periods=60):
 
     Returns the maximum absolute entry over the middle-third row and
     column range; small (and shrinking with N) exactly at manifold points.
-    Only that window block is formed: the pole terms come from the block
-    structure of c_k - A_N (``_window_resolvent``), one (g+1) x (g+1)
-    solve per pole and one inverse per pole and window block.  Where an
-    eigenvalue of the section lies on a pole (``_near_pole_counts``, O(g)
-    work per pole) or the transfer matrix overflows, they come from one
-    eigendecomposition, whose pole-deflated weights (``_pole_weights``)
-    add up to one vector before the (window x n)(n x window) product.
+    Only that window block is formed (``_window_resolvent``).
     """
     _check_poles(coeffs, delta)
     op = assemble(coeffs, n_periods)
     lo, hi = op.n // 3, 2 * op.n // 3
     if hi == lo:
         raise DomainError("window of 0 rows, need 1: raise n_periods")
-    try:
-        hit = _near_pole_counts(coeffs, n_periods).any()
-    except DomainError:  # the transfer matrix overflows
-        hit = True
-    D = None if hit else _window_resolvent(coeffs, delta.terms, n_periods, lo, hi)
-    if D is None:
-        window = slice(lo, hi)
-        evals, evecs = np.linalg.eigh(op.to_dense())
-        weights = sum(_pole_weights(evals, evecs, c, lam, window) for lam, c in delta.terms)
-        V = evecs[window]
-        D = (V * weights) @ V.T
+    D = _window_resolvent(coeffs, delta.terms, n_periods, lo, hi, slice(lo, hi))
     low = op.row_block(lo, hi)[:, lo:]  # the window's lower triangle
     m = hi - lo
     D = D + delta.lambda0 * (low + np.tril(low, -1).T) + delta.c0 * np.eye(m)
@@ -285,106 +269,6 @@ def magic_verify(coeffs, delta, n_periods=60):
     D[idx, idx + w] -= 1.0
     D[idx + w, idx] -= 1.0
     return float(np.max(np.abs(D)))
-
-
-def _transfer_phase(coeffs, eig_b, n_periods, x):
-    """Sturm count of the N-period open section at every point of x.
-
-    Returns (phi, psi, j): #{eigenvalues < x} = floor(phi/pi) + N j, and
-    psi - k pi has the sign of phi - k pi for every integer k.  The block
-    LDL^T recursion sigma_k = [(B - x - sigma_{k-1} p p^T)^{-1}]_gg is the
-    Moebius map of the transposed transfer matrix K = T(x)^T acting on
-    the angle w, sigma = -cot w, and the count is floor(K~^N(pi/2)/pi)
-    for the lift K~ of K with K~(0) in ((m-1)pi, m pi], where
-    m = #{eig B < x} + [R_pp >= 0] and R_pp = T12/T22.  The Nth power is
-    taken in closed form by conjugation: to a rotation by beta where
-    |tr T| < 2, with phi = psi = phi0 + N beta, and to diag(lam, 1/lam)
-    where |tr T| > 2.  There phi is the forward image of the angle pi/2
-    and psi the backward image of 0 compared with pi/2: each is a step
-    function of x at states localized at one end of the section and
-    smooth at those at the other.  Where the conjugation degenerates, at
-    |tr T| = 2 exactly and within one float spacing of a pole (at the
-    scale of max(|x|, ||p||)), the count is taken one such spacing above.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.linalg.norm(coeffs.p)  # never 0, since p_g > 0
-        while True:
-            for c in coeffs.poles:
-                step = np.spacing(max(abs(c), scale))
-                on = np.abs(x - c) < step
-                if on.any():
-                    x = np.where(on, c + step, x)
-            t11, t12, t21, t22 = _factor_product(x, coeffs.poles, coeffs.p, coeffs.q)
-            tau = 0.5 * (t11 + t22)
-            w = np.sqrt(np.abs((1.0 - tau) * (1.0 + tau)))
-            _check_finite("the transfer matrix", w)
-            flat = w == 0.0
-            if not flat.any():
-                break
-            x = np.where(flat, x + np.spacing(np.maximum(np.abs(x), scale)), x)
-    # #{eig B < x}: T22 = -1/R_pg vanishes at eig B and changes sign at the
-    # poles, so T22 > 0 iff an even number of both lie above x; a count
-    # that disagrees (x within rounding of an eigenvalue) moves across the
-    # nearest one
-    k = np.searchsorted(eig_b, x)
-    above = len(eig_b) - k + np.sum(np.asarray(coeffs.poles)[:, None] > x, axis=0)
-    off = (t22 != 0.0) & ((t22 < 0.0) != (above % 2 == 1))
-    if off.any():
-        near = np.concatenate([[-np.inf], eig_b, [np.inf]])
-        k = np.where(off, np.where(x - near[k] < near[k + 1] - x, k - 1, k + 1), k)
-    j = k - 1 + (t12 * t22 >= 0.0)
-    # elliptic: K = P R(beta) P^-1 with P = [[1, A], [0, C]], C > 0, fixing the angle 0
-    up = t12 > 0.0
-    beta = np.arctan2(w, tau)
-    beta = np.where(up, beta, np.pi - beta)
-    phi = np.arctan2(2.0 * w, np.where(up, t22 - t11, t11 - t22)) + n_periods * beta
-    psi = phi
-    hyp = np.abs(tau) >= 1.0
-    if hyp.any():
-        phi, psi = phi.copy(), psi.copy()
-        phi[hyp], psi[hyp], low = _hyperbolic_phase(
-            n_periods, tau[hyp], w[hyp], t11[hyp], t12[hyp], t21[hyp], t22[hyp]
-        )
-        j[hyp] += low
-    return phi, psi, j
-
-
-def _hyperbolic_phase(n_periods, tau, w, t11, t12, t21, t22):
-    """(phi, psi, low) of ``_transfer_phase`` where |tr T| > 2.
-
-    sign(tau) K = P diag(lam, 1/lam) P^-1 with P = [u, v], det P > 0.
-    zeta and phi0 are the preimages under P of the angles 0 and pi/2;
-    the lift of K is P~ D~ P~^-1 + (m - 1 + low) pi, with low = 1 when
-    P~ D~ P~^-1 maps the angle 0 below 0.
-    """
-    sg = np.where(tau > 0.0, 1.0, -1.0)
-    a, b, c, d = sg * t11, sg * t21, sg * t12, sg * t22
-    lam, inv = np.abs(tau) + w, np.abs(tau) - w
-    ua = np.abs(lam - a) > np.abs(lam - d)
-    u1, u2 = np.where(ua, b, lam - d), np.where(ua, lam - a, c)
-    va = np.abs(inv - a) > np.abs(inv - d)
-    v1, v2 = np.where(va, b, inv - d), np.where(va, inv - a, c)
-    det = u1 * v2 - u2 * v1
-    v1, v2 = np.where(det < 0.0, -v1, v1), np.where(det < 0.0, -v2, v2)
-    zeta = np.arctan2(-u2, v2)  # taken in (-pi, 0]
-    zeta = np.where(zeta > 0.0, zeta - np.pi, zeta)
-    phi0 = zeta + np.arctan2(np.abs(det), -(u1 * u2 + v1 * v2))
-    mu = np.exp(-2.0 * n_periods * np.arcsinh(w))  # lam^(-2N)
-    phi = np.arctan2(mu * np.sin(phi0), np.cos(phi0)) - zeta
-    psi = phi0 - np.arctan2(np.sin(zeta), mu * np.cos(zeta))
-    return phi, psi, zeta < -0.5 * np.pi
-
-
-def _near_pole_counts(coeffs, n_periods):
-    """Eigenvalues of the N-period section within ``_pole_weights``' hit
-    threshold eps = 1e-9 (1 + |c|) of each pole c: the counts of
-    ``_transfer_phase`` below c + eps and below c - eps, differenced."""
-    c = np.asarray(coeffs.poles, dtype=float)
-    eps = 1e-9 * (1.0 + np.abs(c))
-    eig_b = np.linalg.eigvalsh(build_blocks(coeffs)[1])
-    phi, _, j = _transfer_phase(coeffs, eig_b, n_periods, np.concatenate([c - eps, c + eps]))
-    below = np.floor(phi / np.pi).astype(int) + n_periods * j
-    return below[c.size :] - below[: c.size]
 
 
 def _floquet_points(B, p, n_periods):

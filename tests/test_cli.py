@@ -13,6 +13,7 @@ import pytest
 import gmpmat
 from gmpmat import GmpCoefficients, assemble
 from gmpmat.cli import build_parser, main
+from conftest import LATE_HIT
 
 
 SET_SYM = {"b0": -2.0, "a0": 2.0, "gaps": [[-1.0, 1.0]]}
@@ -104,24 +105,37 @@ def test_gmp_check_command(workdir):
     assert got["structural_ok"] is True
 
 
-@pytest.mark.parametrize("g", [0, 1, 2, 3, 4])
-def test_gmp_check_decomposes_the_section_once(workdir, monkeypatch, g):
-    # the g shifted resolvents (c_k - A)^-1 share one eigendecomposition
+def _count_eigh(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape)
+                        or eigh(a, *args, **kw))
+    return calls
 
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+@pytest.mark.parametrize("g", [0, 1, 2, 3, 4])
+def test_gmp_check_decomposes_only_where_a_pole_hits(workdir, monkeypatch, g):
+    # the shifted resolvents (c_k - A)^-1 come from the block structure
+    calls = _count_eigh(monkeypatch)
     rng = np.random.default_rng(g)
     coeffs = {"poles": list(np.cumsum(rng.uniform(0.5, 2.0, g))),
               "p": list(rng.uniform(0.2, 1.5, g + 1)), "q": list(rng.uniform(-1.2, 1.2, g + 1))}
     (workdir / "c.json").write_text(json.dumps(coeffs))
     got = _run(["gmp", "check", "--coeffs", str(workdir / "c.json")], workdir / "check.json")
     assert isinstance(got["structural_ok"], bool)
-    assert len(calls) == (1 if g else 0)
+    assert calls == []
+
+
+def test_gmp_check_decomposes_once_where_one_pole_hits(workdir, monkeypatch, capsys):
+    # POINT1 has a boundary state on its pole, deflated; of LATE_HIT's
+    # poles (5, 0) only 0 hits, at k = 2 after k = 1 fails
+    calls = _count_eigh(monkeypatch)
+    got = _run(["gmp", "check", "--coeffs", str(workdir / "pt.json")], workdir / "check.json")
+    assert got["structural_ok"] is True and calls == [(80, 80)]
+    (workdir / "late.json").write_text(json.dumps(LATE_HIT.to_dict()))
+    assert main(["gmp", "check", "--coeffs", str(workdir / "late.json")]) == 1
+    assert capsys.readouterr().err == '{"error": "pole 0.0 hits the truncation spectrum"}\n'
+    assert calls == [(80, 80), (120, 120)]
 
 
 def test_iso_project_and_verify(workdir):
@@ -851,6 +865,27 @@ def test_point_commands_leave_numpy_unexecuted(workdir):
     codes = {line: got[:2] for line, got in seen.items()}
     assert codes == {line: [1 if i >= len(lines) - 2 else 0, False] for i, line in enumerate(lines)}
     assert not {"gmpmat.isospectral", "gmpmat.ortho", "gmpmat.resolvent"} & set(seen[transfer_z][2])
+
+
+# Runs gmp check on each coefficient file in order in one interpreter and
+# records its exit code and whether gmpmat.isospectral and scipy are loaded by then.
+GMP_CHECK_PROBE = """
+import contextlib, io, json, sys
+import gmpmat.cli
+seen = {}
+for path in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = gmpmat.cli.main(["gmp", "check", "--coeffs", path])
+    seen[path] = [code, "gmpmat.isospectral" in sys.modules, "scipy" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_gmp_check_loads_neither_isospectral_nor_scipy(workdir):
+    # the hit count, the block path (good.json) and the eigensolve of a
+    # deflated pole (pt.json) all live in gmp
+    seen = _fresh(GMP_CHECK_PROBE, "good.json", "pt.json", cwd=workdir)
+    assert seen == {"good.json": [0, False, False], "pt.json": [0, False, False]}
 
 
 # Every name ``gmpmat`` exports.

@@ -302,6 +302,19 @@ def test_structure_check_matches_per_entry_loop(case, n_periods, tol):
     assert got == _verdict(_all_poles_oracle, coeffs, n_periods, tol)
 
 
+@pytest.mark.parametrize("g, n_periods", [(4, 40), (8, 40), (2, 200)])
+def test_structure_check_matches_per_entry_loop_beyond_hypothesis(g, n_periods):
+    # the sizes the test above does not draw, where the block path runs
+    rng = np.random.default_rng(2300 + g)
+    verdicts = []
+    for tol in (0.0, 1e-10, 1e-8, 1e-4):
+        coeffs = random_coeffs(rng, g=g)
+        got = _verdict(_structure_ok, coeffs, range(1, g + 1), n_periods, tol)
+        assert got == _verdict(_all_poles_oracle, coeffs, n_periods, tol)
+        verdicts.append(got)
+    assert set(verdicts) == {True, False}
+
+
 def test_structure_check_rejects_short_window():
     # p=(1,1), q=(-1,0), c=5 is not GMP; up to 10 periods the window of
     # rows 2(g+1)^2 from both ends holds < 2(g+1) rows and misses the

@@ -20,7 +20,7 @@ from gmpmat import (
     spectrum_truncation,
     trace_torus,
 )
-from gmpmat.gmp import _pole_weights, assemble
+from gmpmat.gmp import _near_pole_counts, _pole_weights, assemble
 from gmpmat.transfer import discriminant_coeffs, lambda_k
 from conftest import LATE_HIT, random_coeffs
 
@@ -441,7 +441,7 @@ def test_hit_counts_match_eigenvalue_threshold():
     for coeffs, periods in sets:
         evals = np.linalg.eigvalsh(assemble(coeffs, periods).to_dense())
         want = [np.sum(np.abs(c - evals) < 1e-9 * (1.0 + abs(c))) for c in coeffs.poles]
-        got = iso._near_pole_counts(coeffs, periods)
+        got = _near_pole_counts(coeffs, periods)
         assert list(got) == want
         hits += sum(want)
     assert hits == 1 + 30
@@ -452,8 +452,8 @@ def test_hit_counts_match_eigenvalue_threshold():
 def test_hit_counts_at_long_sections(periods):
     # every period of LATE_HIT puts an eigenvalue on c_2 = 0, and POINT1
     # has one boundary state on its pole, at any length
-    assert iso._near_pole_counts(LATE_HIT, periods).tolist() == [0, periods]
-    assert iso._near_pole_counts(POINT1, periods).tolist() == [1]
+    assert _near_pole_counts(LATE_HIT, periods).tolist() == [0, periods]
+    assert _near_pole_counts(POINT1, periods).tolist() == [1]
 
 
 @pytest.mark.parametrize("e", [5, 8, 10, 20, 80])
@@ -463,7 +463,7 @@ def test_hit_counts_on_badly_scaled_coefficients(e):
     coeffs = GmpCoefficients((2.0,), (10.0**e, 1.0), (1.0, 0.0))
     evals = np.linalg.eigvalsh(assemble(coeffs, 3).to_dense())
     want = [np.sum(np.abs(c - evals) < 1e-9 * (1.0 + abs(c))) for c in coeffs.poles]
-    assert iso._near_pole_counts(coeffs, 3).tolist() == want
+    assert _near_pole_counts(coeffs, 3).tolist() == want
 
 
 def test_magic_verify_decomposes_where_the_transfer_matrix_overflows(monkeypatch):
@@ -472,7 +472,7 @@ def test_magic_verify_decomposes_where_the_transfer_matrix_overflows(monkeypatch
     coeffs = GmpCoefficients((2.0,), (1.0, 1e-300), (1.0, 0.0))
     delta = RationalDiscriminant(1.0, 0.0, ((1.0, 2.0),))
     with pytest.raises(DomainError, match="^the transfer matrix overflows float64"):
-        iso._near_pole_counts(coeffs, 3)
+        _near_pole_counts(coeffs, 3)
     want = _magic_verify_oracle(coeffs, delta, 3)
     calls = []
     eigh = np.linalg.eigh
