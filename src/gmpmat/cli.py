@@ -115,11 +115,13 @@ def _cmd_gmp_build(args):
 
 
 def _cmd_gmp_check(args):
-    from .gmp import GmpCoefficients, _structure_ok, lambda_positivity_test
+    from .gmp import GmpCoefficients, check_shifted_inverse_structure, lambda_positivity_test
 
     coeffs = _load(GmpCoefficients, args.coeffs)
     is_gmp, lambdas = lambda_positivity_test(coeffs)
-    structural = _structure_ok(coeffs, range(1, coeffs.g + 1), args.periods, args.tol)
+    structural = True
+    for k in range(1, coeffs.g + 1):
+        structural &= check_shifted_inverse_structure(coeffs, k, args.periods, args.tol)
     return {"is_gmp": is_gmp, "lambdas": list(lambdas), "structural_ok": structural}
 
 

@@ -138,20 +138,13 @@ def _check_periods(coeffs, n_periods):
 def assemble(coeffs, n_periods):
     """Finite section with n_periods blocks and open (zero) boundary."""
     _check_periods(coeffs, n_periods)
-    g = coeffs.g
-    w = g + 1
+    w = coeffs.g + 1
     n = w * n_periods
     A, B = build_blocks(coeffs)
-    # one period of band row d: entry (j + d, j) at r = j mod w lies in the
-    # diagonal block B while r + d < w, else in the sub-diagonal block
-    # A^T = p e_g^T, whose only nonzero column is r = g
+    # one period of band row d: entry (j + d, j) at r = j mod w is entry
+    # (r + d, r) of the stacked blocks [B; A^T]
     r = np.arange(w)
-    row = r + np.arange(w + 1)[:, None]
-    inside = row < w
-    period = np.where(inside, B[np.minimum(row, g), r], 0.0)
-    below = ~inside & (r == g)
-    period[below] = A[g, row[below] - w]
-    lower = np.tile(period, n_periods)
+    lower = np.tile(np.vstack([B, A.T])[r + np.arange(w + 1)[:, None], r], n_periods)
     for d in range(1, w + 1):
         lower[d, n - d :] = 0.0  # past the last row
     return BandedOperator(n=n, half_bandwidth=w, lower=lower)
@@ -245,12 +238,16 @@ def _hyperbolic_phase(n_periods, tau, w, t11, t12, t21, t22):
     return phi, psi, zeta < -0.5 * np.pi
 
 
+# an eigenvalue within _HIT (1 + |c|) of a pole c lies on it
+_HIT = 1e-9
+
+
 def _near_pole_counts(coeffs, n_periods):
-    """Eigenvalues of the N-period section within ``_pole_weights``' hit
-    threshold eps = 1e-9 (1 + |c|) of each pole c: the counts of
-    ``_transfer_phase`` below c + eps and below c - eps, differenced."""
+    """Eigenvalues of the N-period section within eps = _HIT (1 + |c|) of
+    each pole c, the threshold ``_pole_weights`` deflates with: the counts
+    of ``_transfer_phase`` below c + eps and below c - eps, differenced."""
     c = np.asarray(coeffs.poles, dtype=float)
-    eps = 1e-9 * (1.0 + np.abs(c))
+    eps = _HIT * (1.0 + np.abs(c))
     eig_b = np.linalg.eigvalsh(build_blocks(coeffs)[1])
     phi, _, j = _transfer_phase(coeffs, eig_b, n_periods, np.concatenate([c - eps, c + eps]))
     below = np.floor(phi / np.pi).astype(int) + n_periods * j
@@ -273,47 +270,36 @@ def check_shifted_inverse_structure(coeffs, k, n_periods=40, tol=1e-8):
 
     Forms the resolvent at c_k of the finite section (``_window_resolvent``),
     shifts indices by k and verifies the class-A sparsity and sign pattern
-    on rows at least 2(g+1) blocks away from the truncation boundary: zero
-    beyond bandwidth g+1, and on the outermost diagonal zero except at the
-    p_g positions (row index g modulo g+1), which must be positive.
+    on the window rows, those at least 2(g+1)^2 rows from both ends of the
+    shifted matrix: zero beyond bandwidth g+1, and on the outermost
+    diagonal zero except at the p_g positions (row index g modulo g+1),
+    which must be positive.
 
     Raises DomainError if the window holds fewer than 2(g+1) rows, which
-    could miss every outermost-diagonal entry and so pass vacuously.
+    could miss every outermost-diagonal entry and so pass vacuously.  With
+    w = g+1 that reads w (N - 4w - 2) >= k, a multiple of w against
+    1 <= k <= g < w, so it holds for every k or for none.  Both it and the
+    section size are checked before the hit count, which overflows first.
+    ``gmp check`` calls this for k = 1..g in order and evaluates every k, so
+    a DomainError of a later pole is raised even after an earlier False.
     """
     if not 1 <= k <= coeffs.g:
         raise DomainError(f"k must be in 1..{coeffs.g}")
-    return _structure_ok(coeffs, (k,), n_periods, tol)
-
-
-def _structure_ok(coeffs, ks, n_periods, tol):
-    """``check_shifted_inverse_structure`` for every pole index in ks
-    (``_window_resolvent``); True for an empty ks, with no section built.
-
-    Every k is evaluated in order, so a DomainError of a later pole is
-    raised even when an earlier one already fails the check.
-    """
-    if not ks:
-        return True
     g = coeffs.g
     w = g + 1
     margin = 2 * w * w
-    # window rows after the index shift by k.  rows >= 2w reads
-    # w (N - 4w - 2) >= k, a multiple of w against 1 <= k <= g < w: it
-    # holds for every k or for none, so ks[0] gives the message of each
-    rows = w * n_periods - ks[0] - 2 * margin
+    rows = w * n_periods - k - 2 * margin
     if rows < 2 * w:
         raise DomainError(f"window of {max(rows, 0)} rows, need {2 * w}: raise n_periods")
-    _check_periods(coeffs, n_periods)  # before the hit count, which overflows first
+    _check_periods(coeffs, n_periods)
     n = w * n_periods
-    inner = slice(margin, n - margin)
-    ok = True
-    for k in ks:  # rows and columns k..n-1: the index shift by k
-        R = _window_resolvent(coeffs, ((1.0, coeffs.poles[k - 1]),), n_periods, k, n, inner)
-        m = R.shape[0]
-        t = tol * (1.0 + np.max(np.abs(R)))
-        # margin is a multiple of w, so window row r carries p_g where r % w == g
-        ok &= not _class_a_violations(R[margin : m - margin, margin : m - margin], w, g, t).any()
-    return ok
+    # rows and columns k..n-1: the index shift by k
+    R = _window_resolvent(coeffs, ((1.0, coeffs.poles[k - 1]),), n_periods, k, n,
+                          slice(margin, n - margin))
+    m = R.shape[0]
+    t = tol * (1.0 + max(R.max(), -R.min()))  # max|R|, with no n x n temporary
+    # margin is a multiple of w, so window row r carries p_g where r % w == g
+    return not _class_a_violations(R[margin : m - margin, margin : m - margin], w, g, t).any()
 
 
 def _class_a_violations(M, w, live, scale):
@@ -334,12 +320,13 @@ def _class_a_violations(M, w, live, scale):
 def _pole_weights(evals, evecs, c, num, rows):
     """Spectral weights num / (c - evals) of num (c - A)^{-1}, pole-deflated.
 
-    Open-boundary truncations can pin spurious eigenvalues on a pole c.
-    Such modes are boundary-localized and carry no weight on the window
-    ``rows``, so they get weight 0; a mode with amplitude on the window
-    makes the resolvent genuinely singular and raises DomainError.
+    Open-boundary truncations can pin spurious eigenvalues on a pole c,
+    within _HIT (1 + |c|) of it, the threshold ``_near_pole_counts`` counts
+    with.  Such modes are boundary-localized and carry no weight on the
+    window ``rows``, so they get weight 0; a mode with amplitude on the
+    window makes the resolvent genuinely singular and raises DomainError.
     """
-    hit = np.abs(c - evals) < 1e-9 * (1.0 + abs(c))
+    hit = np.abs(c - evals) < _HIT * (1.0 + abs(c))
     if np.any(hit) and np.max(np.abs(evecs[rows, hit])) > 1e-8:
         raise DomainError(f"pole {c} hits the truncation spectrum")
     return np.where(hit, 0.0, num / np.where(hit, 1.0, c - evals))

@@ -198,12 +198,13 @@ def project_to_manifold(init_head, delta, tol=1e-10):
     g = delta.g
     init_head = np.array([finite("init_head", v) for v in init_head])
     pm = _pole_matrices(delta.poles)
-    rng = np.random.default_rng(0)
+    rng = None  # made at the first retry: a first-try success never imports numpy.random
     last_exc = None
     for attempt in range(9):
-        start = init_head if attempt == 0 else init_head + rng.normal(
-            scale=0.3 * (1.0 + np.abs(init_head)), size=2 * g
-        )
+        start = init_head
+        if attempt:
+            rng = rng or np.random.default_rng(0)
+            start = init_head + rng.normal(scale=0.3 * (1.0 + np.abs(init_head)), size=2 * g)
         try:
             head, _ = _gauss_newton(delta, pm, start, tol)
         except ConvergenceError as exc:

@@ -867,6 +867,28 @@ def test_point_commands_leave_numpy_unexecuted(workdir):
     assert not {"gmpmat.isospectral", "gmpmat.ortho", "gmpmat.resolvent"} & set(seen[transfer_z][2])
 
 
+# Runs each line in order in one interpreter and records its exit code and
+# whether numpy.random is loaded by then.
+RANDOM_PROBE = """
+import contextlib, io, json, shlex, sys
+import gmpmat.cli
+seen = {}
+for line in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = gmpmat.cli.main(shlex.split(line)[1:])
+    seen[line] = [code, "numpy.random" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_iso_project_from_init_leaves_numpy_random_unloaded(workdir):
+    # the retry generator is made at the first retry; --seed draws its start
+    lines = ["gmpmat iso project --delta delta.json --init 1.2,0.1",
+             "gmpmat iso project --delta delta.json --seed 0"]
+    seen = _fresh(RANDOM_PROBE, json.dumps(lines), cwd=workdir)
+    assert seen == {lines[0]: [0, False], lines[1]: [0, True]}
+
+
 # Runs gmp check on each coefficient file in order in one interpreter and
 # records its exit code and whether gmpmat.isospectral and scipy are loaded by then.
 GMP_CHECK_PROBE = """

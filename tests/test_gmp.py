@@ -1,3 +1,9 @@
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,8 +17,7 @@ from gmpmat import (
     check_shifted_inverse_structure,
     lambda_positivity_test,
 )
-from gmpmat import serialize
-from gmpmat.gmp import _structure_ok
+from gmpmat import cli, serialize
 from gmpmat.serialize import lower_triangle_csv
 from conftest import LATE_HIT, random_coeffs
 
@@ -267,6 +272,23 @@ def _verdict(fn, *args):
         return f"DomainError: {exc}"
 
 
+def _gmp_check(coeffs, n_periods, tol):
+    """``gmp check``'s structural_ok, run in process, or the message of its
+    JSON error line as ``_verdict`` gives it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "coeffs.json")
+        with open(path, "w") as fh:
+            json.dump(coeffs.to_dict(), fh)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["gmp", "check", "--coeffs", path, "--periods", str(n_periods),
+                             "--tol", repr(tol)])
+    if code == 0:
+        return json.loads(out.getvalue())["structural_ok"]
+    assert code == 1 and out.getvalue() == ""
+    return f"DomainError: {json.loads(err.getvalue())['error']}"
+
+
 def _all_poles_oracle(coeffs, n_periods, tol):
     return all([_check_shifted_oracle(coeffs, k, n_periods, tol) for k in range(1, coeffs.g + 1)])
 
@@ -296,10 +318,9 @@ def test_structure_check_matches_per_entry_loop(case, n_periods, tol):
     coeffs, k = case
     got = _verdict(check_shifted_inverse_structure, coeffs, k, n_periods, tol)
     assert got == _verdict(_check_shifted_oracle, coeffs, k, n_periods, tol)
-    # all poles from one decomposition: the per-k verdicts in order, and the
-    # first DomainError of any k, even after a False
-    got = _verdict(_structure_ok, coeffs, range(1, coeffs.g + 1), n_periods, tol)
-    assert got == _verdict(_all_poles_oracle, coeffs, n_periods, tol)
+    # gmp check over all poles: the per-k verdicts in order, and the first
+    # DomainError of any k, even after a False
+    assert _gmp_check(coeffs, n_periods, tol) == _verdict(_all_poles_oracle, coeffs, n_periods, tol)
 
 
 @pytest.mark.parametrize("g, n_periods", [(4, 40), (8, 40), (2, 200)])
@@ -309,7 +330,7 @@ def test_structure_check_matches_per_entry_loop_beyond_hypothesis(g, n_periods):
     verdicts = []
     for tol in (0.0, 1e-10, 1e-8, 1e-4):
         coeffs = random_coeffs(rng, g=g)
-        got = _verdict(_structure_ok, coeffs, range(1, g + 1), n_periods, tol)
+        got = _gmp_check(coeffs, n_periods, tol)
         assert got == _verdict(_all_poles_oracle, coeffs, n_periods, tol)
         verdicts.append(got)
     assert set(verdicts) == {True, False}

@@ -8,8 +8,12 @@ tier-1 failure instead.
 
 import importlib
 import inspect
+import json
+import sys
 
 import pytest
+
+from gmpmat import cli, gmp
 
 TRACED = [
     "cli.main",
@@ -58,3 +62,23 @@ def test_tracer_name_resolves(key):
 
 def test_kernels_have_a_public_function():
     assert _public_functions(importlib.import_module("gmpmat._kernels"))
+
+
+def test_gmp_check_calls_the_traced_structural_check(tmp_path, monkeypatch, capsys):
+    # wrapped as the tracer wraps it, in every gmpmat namespace that holds
+    # it, gmp check's structural work is one traced call per pole
+    original = gmp.check_shifted_inverse_structure
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "gmpmat" and vars(mod).get("check_shifted_inverse_structure") is original:
+            monkeypatch.setattr(mod, "check_shifted_inverse_structure", wrapper)
+    coeffs = {"poles": [-1.5, 0.0, 1.5], "p": [0.7, 1.1, 0.5, 0.9], "q": [0.2, -0.4, 0.3, 0.1]}
+    (tmp_path / "c.json").write_text(json.dumps(coeffs))
+    assert cli.main(["gmp", "check", "--coeffs", str(tmp_path / "c.json")]) == 0
+    assert isinstance(json.loads(capsys.readouterr().out)["structural_ok"], bool)
+    assert calls == [1, 2, 3]
