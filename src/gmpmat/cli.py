@@ -5,7 +5,10 @@ I/O: JSON for structured data, CSV for matrices, traces and grids.
 Each command imports the library modules it runs when it runs, so a
 point evaluation loads neither numpy nor the modules it does not use.
 Each command returns its result and ``main`` writes it: a str as it is,
-a dict or list as JSON, a 2-D ndarray as CSV rows.
+a dict or list as JSON, a 2-D ndarray as CSV rows.  A small CSV result
+made without numpy (a grid of at most ``_SCALAR_GRID_MAX`` points) is a
+tuple of row tuples of Python floats: ``_all_finite`` checks it and
+``serialize.rows_csv`` encodes it without executing numpy.
 Exit codes: 0 success, 1 domain/input/usage error, 2 convergence failure.
 A grid that hits a pole is a domain error: no partial output is written.
 """
@@ -31,7 +34,21 @@ def _parse_complex(text):
     return complex(*parts)
 
 
+# A --grid of at most this many points is evaluated point by point in
+# Python floats and written without numpy, where the command has a scalar
+# kernel (delta eval, transfer eval, jacobi transfer): a cold call then
+# skips numpy's import, ~65 ms of CPU.  Measured cold break-even (median
+# child CPU time of 11 alternating calls a side, 2-core x86-64 host):
+# ~8,000 points for jacobi transfer at period 4, ~10,000 for transfer eval
+# at g = 4, above 12,000 for delta eval at g = 4.  The limit is half the
+# lowest, since the per-point cost grows with g and the period.
+_SCALAR_GRID_MAX = 4096
+
+
 def _parse_grid(text):
+    """'lo:hi:count' -> the points of np.linspace(lo, hi, count): a tuple
+    of Python floats, computed as linspace computes them, for a count of
+    at most _SCALAR_GRID_MAX, else the array."""
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError("grid must be lo:hi:count")
@@ -42,7 +59,26 @@ def _parse_grid(text):
         raise DomainError("grid count must be an integer") from None
     if n < 2 or not lo < hi:
         raise DomainError("grid needs lo < hi and count >= 2")
-    return np.linspace(lo, hi, count("grid count", n, 2, sys.maxsize // 8, "grid"))
+    n = count("grid count", n, 2, sys.maxsize // 8, "grid")
+    if n > _SCALAR_GRID_MAX:
+        return np.linspace(lo, hi, n)
+    delta, div = hi - lo, n - 1
+    step = delta / div
+    if step == 0.0:  # a subnormal step: linspace scales i / div instead
+        return tuple(i / div * delta + lo for i in range(div)) + (hi,)
+    return tuple(i * step + lo for i in range(div)) + (hi,)
+
+
+def _grid_rows(xs, value, poles=()):
+    """The rows (x, value(x)) over a grid of Python floats, as a tuple.
+
+    A grid through poles raises at the first pole in pole order that it
+    holds, as the array kernels do: value(c) raises the pole's own error.
+    """
+    for c in poles:
+        if c in xs:
+            value(c)
+    return tuple((x, value(x)) for x in xs)
 
 
 def _tol(text):
@@ -91,6 +127,8 @@ def _cmd_delta_eval(args):
     delta = _load(RationalDiscriminant, args.delta)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
+        if isinstance(xs, tuple):
+            return _grid_rows(xs, lambda x: eval_discriminant(delta, x), delta.poles)
         return np.column_stack([xs, eval_discriminant(delta, xs)])
     return _complex(eval_discriminant(delta, _parse_complex(args.z)))
 
@@ -128,10 +166,13 @@ def _cmd_gmp_check(args):
 def _cmd_transfer_eval(args):
     from ._kernels import _factor_product, discriminant_grid
     from .gmp import GmpCoefficients
+    from .transfer import discriminant_of
 
     coeffs = _load(GmpCoefficients, args.coeffs)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
+        if isinstance(xs, tuple):
+            return _grid_rows(xs, lambda x: discriminant_of(coeffs, x), coeffs.poles)
         return np.column_stack([xs, discriminant_grid(coeffs, xs).real])
     M = _factor_product(_parse_complex(args.z), coeffs.poles, coeffs.p, coeffs.q)
     return {f"m{k // 2 + 1}{k % 2 + 1}": [m.real, m.imag] for k, m in enumerate(M)}
@@ -160,7 +201,7 @@ def _cmd_resolvent_eval(args):
         raise ValueError("gmpmat resolvent eval: argument --imag: not allowed with argument --z")
     coeffs = _load(GmpCoefficients, args.coeffs)
     if args.grid is not None:
-        xs = _parse_grid(args.grid)
+        xs = np.asarray(_parse_grid(args.grid))
         imag = 1.0 if args.imag is None else finite("imag", args.imag)
         rv = resolvent_pair(coeffs, xs + 1j * imag)
         cols = [xs, rv.r_plus.real, rv.r_plus.imag, rv.r_minus_inv.real, rv.r_minus_inv.imag]
@@ -267,6 +308,12 @@ def _cmd_jacobi_transfer(args):
     a, b = _parse_floats("a", args.a), _parse_floats("b", args.b)
     if args.grid is not None:
         xs = _parse_grid(args.grid)
+        if isinstance(xs, tuple):
+            def trace(x):
+                m11, _, _, m22 = _jacobi_product(a, b, x)
+                return m11 + m22
+
+            return _grid_rows(xs, trace)
         return np.column_stack([xs, jacobi_transfer(a, b, xs)[0]])
     if args.bands:
         return jacobi_band_edges(a, b)
@@ -275,13 +322,19 @@ def _cmd_jacobi_transfer(args):
 
 
 def _all_finite(result):
-    """False if a float or array in a command's result holds NaN or an infinity."""
+    """False if a float or array in a command's result holds NaN or an infinity.
+
+    The Python types are tested first: a result without an array must not
+    execute numpy here.
+    """
+    if isinstance(result, float):
+        return math.isfinite(result)
     if isinstance(result, dict):
         result = list(result.values())
     if isinstance(result, (list, tuple)):
         return all(map(_all_finite, result))
-    if isinstance(result, float):
-        return math.isfinite(result)
+    if result is None or isinstance(result, (bool, int, str)):
+        return True
     return not isinstance(result, np.ndarray) or bool(np.isfinite(result).all())
 
 
@@ -327,74 +380,98 @@ def _add_points(sp):
     return group
 
 
-def build_parser():
-    parser = _Parser(prog="gmpmat")
-    sub = parser.add_subparsers(dest="group", required=True)
+def _delta(sub):
+    _command(sub, "solve", _cmd_delta_solve, "--set")
+    _add_points(_command(sub, "eval", _cmd_delta_eval, "--delta"))
+    _command(sub, "bands", _cmd_delta_bands, "--delta")
 
-    def group(name):
-        return sub.add_parser(name).add_subparsers(dest="action", required=True)
 
-    delta = group("delta")
-    _command(delta, "solve", _cmd_delta_solve, "--set")
-    _add_points(_command(delta, "eval", _cmd_delta_eval, "--delta"))
-    _command(delta, "bands", _cmd_delta_bands, "--delta")
+def _ahlfors(sub):
+    _command(sub, "eval", _cmd_ahlfors_eval, "--delta", "--z")
 
-    _command(group("ahlfors"), "eval", _cmd_ahlfors_eval, "--delta", "--z")
 
-    gmp = group("gmp")
-    p = _command(gmp, "build", _cmd_gmp_build, "--coeffs")
+def _gmp(sub):
+    p = _command(sub, "build", _cmd_gmp_build, "--coeffs")
     p.add_argument("--periods", type=int, default=60)
     p.add_argument("--tol", type=_tol, default=0.0)
-    p = _command(gmp, "check", _cmd_gmp_check, "--coeffs")
+    p = _command(sub, "check", _cmd_gmp_check, "--coeffs")
     p.add_argument("--periods", type=int, default=40, help="periods of the finite section; "
                    "the structural check exits 1 unless at least 2(g+1) rows lie "
                    "2(g+1)^2 or more rows from both ends")
     p.add_argument("--tol", type=_tol, default=1e-8)
 
-    tr = group("transfer")
-    _add_points(_command(tr, "eval", _cmd_transfer_eval, "--coeffs"))
-    _command(tr, "coeffs", _cmd_transfer_coeffs, "--coeffs")
-    _command(tr, "lambdas", _cmd_transfer_lambdas, "--coeffs")
 
-    res = group("resolvent")
-    p = _command(res, "eval", _cmd_resolvent_eval, "--coeffs")
+def _transfer(sub):
+    _add_points(_command(sub, "eval", _cmd_transfer_eval, "--coeffs"))
+    _command(sub, "coeffs", _cmd_transfer_coeffs, "--coeffs")
+    _command(sub, "lambdas", _cmd_transfer_lambdas, "--coeffs")
+
+
+def _resolvent(sub):
+    p = _command(sub, "eval", _cmd_resolvent_eval, "--coeffs")
     _add_points(p)
     p.add_argument("--imag", type=float, help="imaginary part of every --grid point "
                    "(default 1.0); not allowed with --z")
-    p = _command(res, "reflectionless", _cmd_resolvent_reflectionless, "--coeffs")
+    p = _command(sub, "reflectionless", _cmd_resolvent_reflectionless, "--coeffs")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--eps", type=float, default=1e-6)
 
-    iso = group("iso")
-    p = _command(iso, "project", _cmd_iso_project, "--delta")
+
+def _iso(sub):
+    p = _command(sub, "project", _cmd_iso_project, "--delta")
     start = p.add_mutually_exclusive_group()
     start.add_argument("--init")
     start.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_tol, default=1e-10)
-    p = _command(iso, "trace", _cmd_iso_trace, "--delta", "--coeffs")
+    p = _command(sub, "trace", _cmd_iso_trace, "--delta", "--coeffs")
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--step-len", type=float, default=0.05)
     p.add_argument("--tol", type=_tol, default=1e-10)
-    p = _command(iso, "verify", _cmd_iso_verify, "--delta", "--coeffs")
+    p = _command(sub, "verify", _cmd_iso_verify, "--delta", "--coeffs")
     p.add_argument("--tol", type=_tol, default=1e-8)
 
-    p = _command(group("magic"), "verify", _cmd_magic_verify, "--delta", "--coeffs")
+
+def _magic(sub):
+    p = _command(sub, "verify", _cmd_magic_verify, "--delta", "--coeffs")
     p.add_argument("--periods", type=int, default=60)
 
-    p = _command(group("spectrum"), "eig", _cmd_spectrum_eig, "--coeffs")
+
+def _spectrum(sub):
+    p = _command(sub, "eig", _cmd_spectrum_eig, "--coeffs")
     p.add_argument("--periods", type=int, default=60)
 
-    p = _command(group("ortho"), "build", _cmd_ortho_build, "--measure")
+
+def _ortho(sub):
+    p = _command(sub, "build", _cmd_ortho_build, "--measure")
     p.add_argument("--family", choices=["monomial", "smp", "gmp"], required=True)
     p.add_argument("--poles", default="")
     p.add_argument("--n", type=int, default=12)
     p.add_argument("--report", action="store_true")
     p.add_argument("--tol", type=_tol, help="violation threshold of --report (default 1e-8)")
 
-    p = _command(group("jacobi"), "transfer", _cmd_jacobi_transfer, "--a", "--b")
+
+def _jacobi(sub):
+    p = _command(sub, "transfer", _cmd_jacobi_transfer, "--a", "--b")
     _add_points(p).add_argument("--bands", action="store_true")
 
+
+# each command group and the function that adds its commands, in help order
+_GROUPS = {"delta": _delta, "ahlfors": _ahlfors, "gmp": _gmp, "transfer": _transfer,
+           "resolvent": _resolvent, "iso": _iso, "magic": _magic, "spectrum": _spectrum,
+           "ortho": _ortho, "jacobi": _jacobi}
+
+
+def _parser(groups):
+    """The parser of gmpmat with only the named command groups."""
+    parser = _Parser(prog="gmpmat")
+    sub = parser.add_subparsers(dest="group", required=True)
+    for name in groups:
+        _GROUPS[name](sub.add_parser(name).add_subparsers(dest="action", required=True))
     return parser
+
+
+def build_parser():
+    return _parser(_GROUPS)
 
 
 def _report(payload):
@@ -404,7 +481,10 @@ def _report(payload):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_join_signed_values(argv))
+        # a call names its group first; any other argv gets the whole tree,
+        # so help and usage errors read as they always have
+        parser = _parser(argv[:1]) if argv[:1] and argv[0] in _GROUPS else build_parser()
+        args = parser.parse_args(_join_signed_values(argv))
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", _FP_WARNINGS, RuntimeWarning)
             result = args.func(args)

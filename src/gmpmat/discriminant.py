@@ -12,10 +12,10 @@ guarded Newton step (no iteration), and evaluates the associated
 unimodular-bounded function by Joukowski inversion.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
+from ._kernels import _sqrt
 from ._lazy import np
 from .errors import DomainError, finite, number, numbers, sequence
 
@@ -236,21 +236,6 @@ def _level_roots(delta, lams, cs, t):
     M[0, 1:] = M[1:, 0] = np.sqrt(lams / delta.lambda0)
     return _refine(np.linalg.eigvalsh(M), np.append(-np.inf, cs), np.append(cs, np.inf),
                    lambda x: (eval_discriminant(delta, x) - t, eval_discriminant_deriv(delta, x)))
-
-
-def _sqrt(x):
-    """Principal square root of the complex x, without numpy, as np.sqrt gives it.
-
-    cmath.sqrt rounds the two equal parts of sqrt(iy) = sqrt(|y|/2)(1 +/- i)
-    one at a time, at times one ulp apart, and the real part of Delta^2 - 4
-    is exactly 0 at Delta = +/-2 + i eps for every |eps| below ~2e-8.
-    Elsewhere the two roots agree bit for bit, unless a part of x or of the
-    root is below ~2e-307 (near or in the subnormal range).
-    """
-    if x.real == 0.0 and x.imag != 0.0:
-        t = math.sqrt(0.5 * abs(x.imag))
-        return complex(t, math.copysign(t, x.imag))
-    return cmath.sqrt(x)
 
 
 def ahlfors_eval(delta, z):

@@ -242,11 +242,13 @@ def _hyperbolic_phase(n_periods, tau, w, t11, t12, t21, t22):
 _HIT = 1e-9
 
 
-def _near_pole_counts(coeffs, n_periods):
+def _near_pole_counts(coeffs, n_periods, poles=None):
     """Eigenvalues of the N-period section within eps = _HIT (1 + |c|) of
     each pole c, the threshold ``_pole_weights`` deflates with: the counts
-    of ``_transfer_phase`` below c + eps and below c - eps, differenced."""
-    c = np.asarray(coeffs.poles, dtype=float)
+    of ``_transfer_phase`` below c + eps and below c - eps, differenced.
+    ``poles`` picks the poles counted (default all, in order); each count
+    is elementwise, so it does not depend on which others are counted."""
+    c = np.asarray(coeffs.poles if poles is None else poles, dtype=float)
     eps = _HIT * (1.0 + np.abs(c))
     eig_b = np.linalg.eigvalsh(build_blocks(coeffs)[1])
     phi, _, j = _transfer_phase(coeffs, eig_b, n_periods, np.concatenate([c - eps, c + eps]))
@@ -340,9 +342,8 @@ def _window_resolvent(coeffs, terms, n_periods, start, stop, rows):
     eigendecomposition, deflated where no mode may reach ``rows`` (``_pole_weights``).
     """
     try:
-        counts = _near_pole_counts(coeffs, n_periods)
-        hit = any(counts[coeffs.poles.index(c)] for _, c in terms)
-    except DomainError:  # the transfer matrix overflows
+        hit = _near_pole_counts(coeffs, n_periods, [c for _, c in terms]).any()
+    except DomainError:  # the transfer matrix overflows at a c of terms
         hit = True
     W = None if hit else _block_resolvent(coeffs, terms, n_periods, start, stop)
     if W is None:

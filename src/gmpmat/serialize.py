@@ -290,7 +290,13 @@ def lower_triangle_csv(M, tol=0.0):
 
 
 def rows_csv(rows):
-    """CSV lines, one per row of a 2-D array, 17 significant digits per value."""
+    """CSV lines, one per row of a 2-D array, 17 significant digits per value.
+
+    A tuple of row tuples of Python floats is written cell by cell with
+    ``fmt``, the same text, without numpy.
+    """
+    if isinstance(rows, tuple):
+        return "".join(",".join(map(fmt, row)) + "\n" for row in rows) or "\n"
     a = np.asarray(rows, dtype=float)
     seps = np.full(a.shape[1], ord(","), dtype=np.uint8)
     seps[-1:] = ord("\n")

@@ -12,6 +12,7 @@ import pytest
 
 import gmpmat
 from gmpmat import GmpCoefficients, assemble
+from gmpmat import cli
 from gmpmat.cli import build_parser, main
 from conftest import LATE_HIT
 
@@ -474,6 +475,97 @@ def test_value_grids_match_pointwise(workdir):
             np.testing.assert_allclose(v, want, rtol=1e-12, atol=0.0)
 
 
+def test_scalar_grid_points_equal_linspace():
+    rng = np.random.default_rng(27)
+    cases = [(0.0, 5e-324, 3), (-5e-324, 1e-323, 4), (0.0, 1e-320, 2000), (-1e308, 1e308, 5),
+             (1.0, 1.0000000000000002, 7)]
+    for _ in range(300):
+        lo, hi = sorted((rng.normal(size=2) * 10.0 ** rng.integers(-8, 9, 2)).tolist())
+        cases.append((lo, hi, int(rng.integers(2, cli._SCALAR_GRID_MAX + 1))))
+    for lo, hi, n in cases:
+        got = cli._parse_grid(f"{lo!r}:{hi!r}:{n}")
+        assert type(got) is tuple and all(type(x) is float for x in got)
+        with np.errstate(over="ignore", invalid="ignore"):  # hi - lo beyond the float range
+            want = np.linspace(lo, hi, n).tolist()
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+def _both_grid_paths(monkeypatch, capsys, argv):
+    """(exit code, stdout, stderr) of main(argv) on the scalar and on the array
+    grid path, chosen by moving the scalar path's size limit around the grid."""
+    n = int(next(a for a in argv if a.startswith("--grid=")).rsplit(":", 1)[1])
+    got = []
+    for limit in (n, n - 1):
+        monkeypatch.setattr(cli, "_SCALAR_GRID_MAX", limit)
+        code = main(argv)
+        got.append((code, *capsys.readouterr()))
+    return got
+
+
+def test_scalar_grids_write_the_array_path_bytes(workdir, monkeypatch, capsys):
+    rng = np.random.default_rng(26)
+    limit = cli._SCALAR_GRID_MAX
+    for i in range(6):
+        g = i % 5
+        poles = np.cumsum(rng.uniform(0.5, 2.0, g)) - 1.5
+        coeffs = {"poles": poles.tolist(), "p": rng.uniform(0.2, 1.5, g + 1).tolist(),
+                  "q": rng.uniform(-1.2, 1.2, g + 1).tolist()}
+        delta = {"lambda0": rng.uniform(0.5, 2.0), "c0": rng.uniform(-1.0, 1.0),
+                 "terms": [[rng.uniform(0.2, 2.0), c] for c in poles]}
+        (workdir / "c.json").write_text(json.dumps(coeffs))
+        (workdir / "d.json").write_text(json.dumps(delta))
+        a, b = rng.uniform(0.5, 2.0, g + 1).tolist(), rng.uniform(-1.0, 1.0, g + 1).tolist()
+        lo, hi = sorted(rng.uniform(-4.0, 4.0, 2).tolist())
+        for n in (limit, limit + 1):
+            grid = f"--grid={lo!r}:{hi!r}:{n}"
+            for cmd in (["delta", "eval", "--delta", str(workdir / "d.json")],
+                        ["transfer", "eval", "--coeffs", str(workdir / "c.json")],
+                        ["jacobi", "transfer", "--a=" + ",".join(map(repr, a)),
+                         "--b=" + ",".join(map(repr, b))]):
+                scalar, array = _both_grid_paths(monkeypatch, capsys, cmd + [grid])
+                assert scalar == array and array[0] == 0
+                assert array[1].count("\n") == n
+
+
+@pytest.mark.parametrize("cmd, message", [
+    (["delta", "eval", "--delta", "two.json"], "evaluation at pole c = 0.5"),
+    (["transfer", "eval", "--coeffs", "two.json"], "transfer matrix evaluated at pole c = 0.5"),
+    (["delta", "eval", "--delta", "huge.json"], "overflows float64"),
+    (["transfer", "eval", "--coeffs", "huge.json"], "overflows float64"),
+    (["jacobi", "transfer", "--a=1e-200,1e-200", "--b=0,0"], "overflows float64"),
+], ids=["delta poles", "transfer poles", "delta overflow", "transfer overflow",
+        "jacobi overflow"])
+def test_scalar_grids_write_the_array_path_errors(workdir, monkeypatch, capsys, cmd, message):
+    # the grid meets pole -0.5 first, but the error names the first pole in pole order
+    two = {"delta": {"lambda0": 1.0, "c0": 0.0, "terms": [[1.0, 0.5], [1.0, -0.5]]},
+           "transfer": {"poles": [0.5, -0.5], "p": [1.0, 1.0, 1.0], "q": [0.5, 0.0, 0.0]}}
+    huge = {"delta": {"lambda0": 1e308, "c0": 0.0, "terms": []},
+            "transfer": {"poles": [2.0], "p": [1e200, 1.0], "q": [1e200, 0.0]}}
+    if cmd[0] in two:
+        (workdir / "two.json").write_text(json.dumps(two[cmd[0]]))
+        (workdir / "huge.json").write_text(json.dumps(huge[cmd[0]]))
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in cmd]
+    scalar, array = _both_grid_paths(monkeypatch, capsys, argv + ["--grid=-0.5:3.5:5"])
+    assert scalar == array
+    assert array[0] == 1
+    _one_error_line(*array[1:], message)
+
+
+def test_group_trees_match_the_full_parser():
+    # main builds only the group argv[0] names, with the same code as build_parser
+    full = _subcommands(build_parser())
+    assert list(full) == list(cli._GROUPS)
+    for name, want in full.items():
+        (got,) = _subcommands(cli._parser([name])).values()
+        assert got.format_help() == want.format_help()
+        for leaf, want_leaf in _subcommands(want).items():
+            got_leaf = _subcommands(got)[leaf]
+            assert got_leaf.format_help() == want_leaf.format_help()
+            assert ([(a.option_strings, a.default, a.required) for a in got_leaf._actions]
+                    == [(a.option_strings, a.default, a.required) for a in want_leaf._actions])
+            assert got_leaf._defaults == want_leaf._defaults
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -827,6 +919,16 @@ POINT_LINES = [
     "gmpmat ahlfors eval --delta delta.json --z 0.5,1.0",
     "gmpmat transfer eval --coeffs coeffs.json --z 0.3,0.7",
     "gmpmat transfer lambdas --coeffs coeffs.json",
+    "gmpmat transfer coeffs --coeffs coeffs.json",
+    "gmpmat resolvent eval --coeffs coeffs.json --z 0.2,1.0",
+    "gmpmat resolvent reflectionless --coeffs coeffs.json --x 2.4 --eps 1e-6",
+]
+
+# grids of at most cli._SCALAR_GRID_MAX points run without numpy too
+GRID_LINES = [
+    "gmpmat delta eval --delta delta.json --grid=-3.1:3.3:{}",
+    "gmpmat transfer eval --coeffs coeffs.json --grid=-3.1:3.3:{}",
+    "gmpmat jacobi transfer --a 1,2 --b 0,0 --grid=-3.1:3.3:{}",
 ]
 
 # Runs each line in order in one interpreter and records its exit code,
@@ -854,8 +956,10 @@ def test_point_commands_leave_numpy_unexecuted(workdir):
     assert set(POINT_LINES) <= set(_readme_cli_lines())
     (workdir / "coeffs.json").write_text(json.dumps(GOOD))
     transfer_z = POINT_LINES[2]
-    lines = POINT_LINES + [
+    lines = POINT_LINES[:4] + [
         "gmpmat jacobi transfer --a 1,2 --b 0,0 --z 0.3",  # after transfer_z: loads isospectral
+        *POINT_LINES[4:],
+        *(line.format(200) for line in GRID_LINES),
         "gmpmat --help",
         "gmpmat transfer eval --coeffs coeffs.json",  # usage error: no --z or --grid
         "gmpmat delta eval --delta missing.json --z 0.5",
@@ -865,6 +969,33 @@ def test_point_commands_leave_numpy_unexecuted(workdir):
     codes = {line: got[:2] for line, got in seen.items()}
     assert codes == {line: [1 if i >= len(lines) - 2 else 0, False] for i, line in enumerate(lines)}
     assert not {"gmpmat.isospectral", "gmpmat.ortho", "gmpmat.resolvent"} & set(seen[transfer_z][2])
+
+
+@pytest.mark.parametrize("line", GRID_LINES)
+def test_grid_beyond_the_scalar_limit_executes_numpy(workdir, line):
+    from gmpmat.cli import _SCALAR_GRID_MAX
+
+    (workdir / "coeffs.json").write_text(json.dumps(GOOD))
+    lines = [line.format(_SCALAR_GRID_MAX), line.format(_SCALAR_GRID_MAX + 1)]
+    seen = _fresh(NUMPY_PROBE, json.dumps(lines), cwd=workdir)
+    assert [seen[line][:2] for line in lines] == [[0, False], [0, True]]
+
+
+# Runs main on a result made by a stand-in command and records whether numpy was executed.
+FINITE_PROBE = """
+import contextlib, io, json, sys
+import gmpmat.cli
+gmpmat.cli._cmd_transfer_lambdas = lambda args: {"ok": True, "x": 1.0}
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = gmpmat.cli.main(["transfer", "lambdas", "--coeffs", "coeffs.json"])
+print(json.dumps([code, out.getvalue(), "numpy._core" in sys.modules]))
+"""
+
+
+def test_results_without_arrays_leave_numpy_unexecuted(workdir):
+    # a bool (or int, str, None) leaf reached the ndarray test in _all_finite
+    (workdir / "coeffs.json").write_text(json.dumps(GOOD))
+    assert _fresh(FINITE_PROBE, cwd=workdir) == [0, '{"ok": true, "x": 1}\n', False]
 
 
 # Runs each line in order in one interpreter and records its exit code and

@@ -114,3 +114,44 @@ def test_real_grid_stays_real_and_equals_scalar_path():
     zs = _grid(rng, 16)  # a complex grid keeps the complex core
     m11, _, _, m22 = _kernels._factor_product(zs, c.poles, c.p, c.q)
     assert np.array_equal(_kernels.discriminant_grid(c, zs), m11 + m22)
+
+
+def _wide_complex(rng, n):
+    """Complex values with parts of mixed sign over 20 decades, and some 0 parts."""
+    parts = rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-10, 10, (n, 2))
+    parts[rng.random((n, 2)) < 0.05] = 0.0
+    return [complex(re, im) for re, im in parts]
+
+
+def test_cdiv_rounds_as_numpy_divides():
+    rng = np.random.default_rng(11)
+    a, b = _wide_complex(rng, 4000), _wide_complex(rng, 4000)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = [np.complex128(x) / np.complex128(y) for x, y in zip(a, b)]
+    for x, y, w in zip(a, b, want):
+        if y == 0:
+            with pytest.raises(ZeroDivisionError):
+                _kernels._cdiv(x, y)
+        else:
+            got = _kernels._cdiv(x, y)
+            assert (got.real.hex(), got.imag.hex()) == (w.real.hex(), w.imag.hex())
+
+
+def test_sqrt_rounds_as_numpy():
+    rng = np.random.default_rng(12)
+    xs = _wide_complex(rng, 4000) + [complex(0.0, v) for v in rng.normal(size=200)]
+    want = [np.sqrt(np.complex128(x)) for x in xs]
+    for x, w in zip(xs, want):
+        got = _kernels._sqrt(x)
+        assert (got.real.hex(), got.imag.hex()) == (w.real.hex(), w.imag.hex())
+
+
+def test_dot_within_eps_of_exact_sum():
+    from fractions import Fraction
+
+    rng = np.random.default_rng(13)
+    for g in range(12):
+        x, y = rng.normal(size=(2, g)) * 10.0 ** rng.uniform(-3, 3, (2, g))
+        exact = sum(Fraction(a) * Fraction(b) for a, b in zip(x, y))
+        bound = np.finfo(float).eps * float(np.sum(np.abs(x * y)))
+        assert abs(Fraction(_kernels._dot(x.tolist(), y.tolist())) - exact) <= bound

@@ -136,3 +136,25 @@ def test_gap_branch_matches_perturbed_oracle(offset):
         assert repr((one.r_plus, one.r_minus_inv)) == repr(_resolvent_pair_perturbed(c, z)[:2])
     if offset == 0.0:
         assert lanes > 0
+
+
+def test_a0_and_defect_within_their_bounds_of_the_blas_norm():
+    # a0 = sqrt(math.fsum(p_j^2)) against np.linalg.norm (a BLAS dot): within
+    # 2 eps a0, worst measured 1.35 eps over 120,000 sets with g = 0-9.  The
+    # defect |a0^2/r_+ - a0^2/conj(r_-)| moves with a0^2 only: within
+    # 8 eps (|a0^2/r_+| + |a0^2/conj(r_-)|), worst measured 3.7 eps.  The
+    # scalar and the array path share a0.
+    rng = np.random.default_rng(37)
+    eps = np.finfo(float).eps
+    worst_a0 = worst_defect = 0.0
+    for i in range(3000):
+        c = random_coeffs(rng, g=i % 10)
+        x, e = rng.uniform(-4.0, 4.0), 10.0 ** rng.uniform(-9, 0)
+        rv = resolvent_pair(c, complex(x, e))
+        assert rv.a0 == resolvent_pair(c, np.array([complex(x, e)])).a0
+        a0 = float(np.linalg.norm(c.p))
+        worst_a0 = max(worst_a0, abs(rv.a0 - a0) / (eps * a0))
+        q1, q2 = a0 * a0 / rv.r_plus, a0 * a0 / np.conj(rv.r_minus_inv)
+        defect = reflectionless_check(c, x, e)
+        worst_defect = max(worst_defect, abs(defect - abs(q1 - q2)) / (eps * (abs(q1) + abs(q2))))
+    assert worst_a0 <= 2.0 and worst_defect <= 8.0

