@@ -185,31 +185,31 @@ def _transfer_phase(coeffs, eig_b, n_periods, x):
             if not flat.any():
                 break
             x = np.where(flat, x + np.spacing(np.maximum(np.abs(x), scale)), x)
-    # #{eig B < x}: T22 = -1/R_pg vanishes at eig B and changes sign at the
-    # poles, so T22 > 0 iff an even number of both lie above x; a count
-    # that disagrees (x within rounding of an eigenvalue) moves across the
-    # nearest one
-    k = np.searchsorted(eig_b, x)
-    above = len(eig_b) - k + np.sum(np.asarray(coeffs.poles)[:, None] > x, axis=0)
-    off = (t22 != 0.0) & ((t22 < 0.0) != (above % 2 == 1))
-    if off.any():
-        near = np.concatenate([[-np.inf], eig_b, [np.inf]])
-        k = np.where(off, np.where(x - near[k] < near[k + 1] - x, k - 1, k + 1), k)
-    j = k - 1 + (t12 * t22 >= 0.0)
-    # elliptic: K = P R(beta) P^-1 with P = [[1, A], [0, C]], C > 0, fixing the angle 0
-    up = t12 > 0.0
-    beta = np.arctan2(w, tau)
-    beta = np.where(up, beta, np.pi - beta)
-    phi = np.arctan2(2.0 * w, np.where(up, t22 - t11, t11 - t22)) + n_periods * beta
-    psi = phi
-    hyp = np.abs(tau) >= 1.0
-    if hyp.any():
-        phi, psi = phi.copy(), psi.copy()
-        phi[hyp], psi[hyp], low = _hyperbolic_phase(
-            n_periods, tau[hyp], w[hyp], t11[hyp], t12[hyp], t21[hyp], t22[hyp]
-        )
-        j[hyp] += low
-    return phi, psi, j
+        # #{eig B < x}: T22 = -1/R_pg vanishes at eig B and changes sign at the
+        # poles, so T22 > 0 iff an even number of both lie above x; a count
+        # that disagrees (x within rounding of an eigenvalue) moves across the
+        # nearest one
+        k = np.searchsorted(eig_b, x)
+        above = len(eig_b) - k + np.sum(np.asarray(coeffs.poles)[:, None] > x, axis=0)
+        off = (t22 != 0.0) & ((t22 < 0.0) != (above % 2 == 1))
+        if off.any():
+            near = np.concatenate([[-np.inf], eig_b, [np.inf]])
+            k = np.where(off, np.where(x - near[k] < near[k + 1] - x, k - 1, k + 1), k)
+        j = k - 1 + (t12 * t22 >= 0.0)
+        # elliptic: K = P R(beta) P^-1 with P = [[1, A], [0, C]], C > 0, fixing the angle 0
+        up = t12 > 0.0
+        beta = np.arctan2(w, tau)
+        beta = np.where(up, beta, np.pi - beta)
+        phi = np.arctan2(2.0 * w, np.where(up, t22 - t11, t11 - t22)) + n_periods * beta
+        psi = phi
+        hyp = np.abs(tau) >= 1.0
+        if hyp.any():
+            phi, psi = phi.copy(), psi.copy()
+            phi[hyp], psi[hyp], low = _hyperbolic_phase(
+                n_periods, tau[hyp], w[hyp], t11[hyp], t12[hyp], t21[hyp], t22[hyp]
+            )
+            j[hyp] += low
+        return phi, psi, j
 
 
 def _hyperbolic_phase(n_periods, tau, w, t11, t12, t21, t22):

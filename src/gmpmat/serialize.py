@@ -27,13 +27,6 @@ def _render(obj):
         return "[" + ", ".join(_render(v) for v in obj) + "]"
     if obj is None:
         return "null"
-    # numpy types last: a result made without numpy must not load it here
-    if isinstance(obj, np.floating):
-        return fmt(obj)
-    if isinstance(obj, np.integer):
-        return str(int(obj))
-    if isinstance(obj, np.ndarray):
-        return _render(list(obj))
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -56,15 +49,17 @@ def write_text(path, text):
 
 # --- CSV floats: '%.17g' text computed over arrays ---------------------------
 #
-# A finite |x| that is not a small integer gets its 17 significant digits
-# as N = round(|x| 10^(16-k)) in [10^16, 10^17), k = floor(log10|x|), from
-# a double-double product with a power-of-ten table entry (the table method
+# Every finite nonzero |x| gets its 17 significant digits as
+# N = round(|x| 10^(16-k)) in [10^16, 10^17), k = floor(log10|x|), from a
+# double-double product with a power-of-ten table entry (the table method
 # of Ryu printf, Adams 2019; Dekker's exact product, 1971).  The product is
 # within 2^-46 of exact, so rounding is decided unless the fraction lies
 # within 2^-30 of one half; those values, nan and inf take the per-value
-# '%.17g'.  The digits are then laid out as Python's %g does: fixed point
-# for -4 <= X < 17 (X the decimal exponent after rounding), else d.ddde+XX,
-# with trailing zeros stripped.
+# '%.17g'.  An integer below 2^53 makes |x| 10^(16-k) an exact integer, so
+# its fraction lies within 2^-46 of 0 or 1 and it rounds to its own digits.
+# The digits are then laid out as Python's %g does: fixed point for
+# -4 <= X < 17 (X the decimal exponent after rounding), else d.ddde+XX,
+# whose mantissa is the fixed layout of X = 0; trailing zeros are stripped.
 
 # Rows per CSV block: bounds the encoder's transient arrays to a block.
 _BLOCK_ROWS = 1 << 14
@@ -177,42 +172,35 @@ def _cells(x):
 
     Each row holds a '-' or a 0 byte, then the text with zero bytes
     wherever it is shorter than the row; the last byte is left for a
-    separator.  Columns no row uses are cut off the end.
+    separator.  Columns no row uses are cut off the end.  Only finite
+    nonzero values, integers among them, are scaled and digitized; an
+    exponent-form row takes the fixed layout of X = 0, then its suffix.
     """
     x = np.asarray(x, dtype=float)
-    pow10 = 10 ** np.arange(18, dtype=np.int64)
-    m = x.size
-    out = np.zeros((m, _WIDTH), dtype=np.uint8)
+    out = np.zeros((x.size, _WIDTH), dtype=np.uint8)
     with np.errstate(invalid="ignore"):  # signaling nan bit patterns
         ax = np.abs(x)
         finite = np.isfinite(ax)
-        ints = finite & (ax < 2.0**53) & (ax == np.floor(ax))  # zeros too
-    n = np.zeros(m, dtype=np.int64)
-    X = np.zeros(m, dtype=np.int64)
-    # small integers: their own digits, shifted to 17
-    iv = ax[ints].astype(np.int64)
-    ix = np.maximum(np.searchsorted(pow10, iv, side="right") - 1, 0)
-    n[ints], X[ints] = iv * pow10[16 - ix], ix
-    # the rest: the scaled product, once more where the estimate of k was off
-    lanes = np.flatnonzero(finite & ~ints)
-    a = ax[lanes]
+        live = np.flatnonzero(finite & (ax != 0.0))
+    # the scaled product, once more where the estimate of k was off
+    a = ax[live]
     k = np.floor(np.log10(a)).astype(np.int64)
-    n0, f = _scaled(a, k)
-    off = (n0 >= pow10[17]).astype(np.int64) - (n0 < pow10[16])
+    n, f = _scaled(a, k)
+    off = (n >= 10**17).astype(np.int64) - (n < 10**16)
     redo = np.flatnonzero(off)
     k[redo] += off[redo]
-    n0[redo], f[redo] = _scaled(a[redo], k[redo])
-    n0 += f > 0.5  # exact ties are undecided below, so this is half-even
-    carry = n0 == pow10[17]
-    n[lanes] = np.where(carry, pow10[16], n0)
-    X[lanes] = k + carry
+    n[redo], f[redo] = _scaled(a[redo], k[redo])
+    n += f > 0.5  # exact ties are undecided below, so this is half-even
+    carry = n == 10**17
+    n[carry] = 10**16
+    X = k + carry
 
     out[:, 1] = _ZERO  # a zero prints "0"; every other row overwrites it
-    live = np.flatnonzero(n)
-    D, X = _digits(n[live]), X[live]
+    D = _digits(n)
     fixed = (X >= -4) & (X < 17)
-    for e in np.flatnonzero(np.bincount(X[fixed] + 4, minlength=21)) - 4:
-        sel = np.flatnonzero(fixed & (X == e))
+    E = np.where(fixed, X, 0)  # the exponent form lays out d.ddd as X = 0 does
+    for e in np.flatnonzero(np.bincount(E + 4, minlength=21)) - 4:
+        sel = np.flatnonzero(E == e)
         rows, d = live[sel], D[sel]
         if e >= 0:  # X+1 integer digits, zeros kept; '.' only before a fraction
             out[rows, 1 : e + 2] = np.maximum(d[:, : e + 1], _ZERO)
@@ -223,11 +211,8 @@ def _cells(x):
             out[rows, 1 : 2 - e] = _ZERO
             out[rows, 2] = _POINT
             out[rows, 2 - e : 19 - e] = d
-    sel = np.flatnonzero(~fixed)  # d.ddd then e+XX
-    rows, d, e = live[sel], D[sel], X[sel]
-    out[rows, 1] = d[:, 0]
-    out[rows, 2] = np.where(d[:, 1] != 0, _POINT, 0)
-    out[rows, 3:19] = d[:, 1:]
+    sel = np.flatnonzero(~fixed)  # then e+XX
+    rows, e = live[sel], X[sel]
     ae = np.abs(e)
     wide = ae >= 100
     out[rows, 19] = ord("e")
@@ -237,7 +222,7 @@ def _cells(x):
     out[rows, 23] = np.where(wide, ae % 10 + _ZERO, 0)
     out[:, 0] = np.where(np.signbit(x) & ~np.isnan(x), ord("-"), 0)
     # nan, inf and undecided ties: Python's own formatting
-    for i in np.concatenate([np.flatnonzero(~finite), lanes[np.abs(f - 0.5) <= _UNDECIDED]]):
+    for i in np.concatenate([np.flatnonzero(~finite), live[np.abs(f - 0.5) <= _UNDECIDED]]):
         text = np.frombuffer(fmt(x[i]).lstrip("-").encode(), dtype=np.uint8)
         out[i, 1:] = 0
         out[i, 1 : text.size + 1] = text

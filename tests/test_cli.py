@@ -2,6 +2,7 @@ import argparse
 import importlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,7 @@ import pytest
 
 import gmpmat
 from gmpmat import GmpCoefficients, assemble
-from gmpmat import cli
+from gmpmat import cli, serialize
 from gmpmat.cli import build_parser, main
 from conftest import LATE_HIT
 
@@ -873,6 +874,11 @@ def _readme_cli_lines():
     return [line for line in lines if line and not line.startswith("#")]
 
 
+def _readme_atoms(workdir):
+    atoms = np.concatenate([np.linspace(-2.0, -1.0, 12), np.linspace(1.0, 2.0, 12)])
+    (workdir / "atoms.csv").write_text("".join("%s,1.0\n" % x for x in atoms))
+
+
 # Runs each line in order in one interpreter: "echo TEXT > FILE" writes
 # FILE, "gmpmat ARGS" calls gmpmat.cli.main(ARGS) and records its exit
 # code and whether scipy has been imported by then.
@@ -906,11 +912,37 @@ def test_cold_start_leaves_scipy_unloaded(workdir):
     assert sum(line.startswith("gmpmat ") for line in lines) >= 19
     lines.append("gmpmat transfer eval --coeffs coeffs.json --grid=-3:3:101")
     lines.append("gmpmat delta eval --delta delta.json --grid=-3:-2:5")
-    atoms = np.concatenate([np.linspace(-2.0, -1.0, 12), np.linspace(1.0, 2.0, 12)])
-    (workdir / "atoms.csv").write_text("".join("%s,1.0\n" % x for x in atoms))
+    _readme_atoms(workdir)
     seen = _fresh(STARTUP_PROBE, json.dumps(lines), cwd=workdir)
     assert len(seen) == 2 + sum(line.startswith("gmpmat ") for line in lines)
     assert {step: got for step, got in seen.items() if got != [0, False]} == {}
+
+
+def test_json_results_reach_the_writer_as_python_types(workdir, monkeypatch, capsys):
+    # serialize._render has no numpy branch: np.float64 is a float, and any
+    # other numpy type would raise TypeError, so name the line that made one
+    _readme_atoms(workdir)
+    monkeypatch.chdir(workdir)
+    render = serialize._render
+    seen = set()
+    monkeypatch.setattr(serialize, "_render", lambda obj: seen.add(type(obj)) or render(obj))
+    allowed = {bool, int, float, str, dict, list, tuple, type(None), np.float64}
+    got, json_lines = {}, 0
+    for line in _readme_cli_lines():
+        argv = shlex.split(line)
+        if argv[0] == "echo":
+            (workdir / argv[3]).write_text(argv[1])
+            continue
+        seen.clear()
+        try:
+            code = main(argv[1:])
+        except TypeError as exc:  # a type _render refuses
+            code = str(exc)
+        json_lines += bool(seen)
+        got[line] = [code, sorted(t.__name__ for t in seen - allowed)]
+    capsys.readouterr()
+    assert json_lines >= 10
+    assert {line: result for line, result in got.items() if result != [0, []]} == {}
 
 
 # README's point evaluations: they run without numpy

@@ -1,4 +1,5 @@
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gmpmat import (
     GmpCoefficients,
     RationalDiscriminant,
     bands,
+    check_shifted_inverse_structure,
     forced_tail,
     jacobi_band_edges,
     jacobi_transfer,
@@ -464,6 +466,21 @@ def test_hit_counts_on_badly_scaled_coefficients(e):
     evals = np.linalg.eigvalsh(assemble(coeffs, 3).to_dense())
     want = [np.sum(np.abs(c - evals) < 1e-9 * (1.0 + abs(c))) for c in coeffs.poles]
     assert _near_pole_counts(coeffs, 3).tolist() == want
+
+
+def test_hit_counts_on_tiny_coefficients_emit_no_warning():
+    # poles, p and q scaled by 1e-160: the transfer matrix overflows past
+    # the first block of _transfer_phase, which warned at the t12 * t22
+    # sign test and in _hyperbolic_phase
+    c = random_coeffs(np.random.default_rng(3), 3)
+    tiny = GmpCoefficients(*(tuple(np.array(v) * 1e-160) for v in (c.poles, c.p, c.q)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _near_pole_counts(tiny, 40).tolist() == [120, 120, 120]
+        with pytest.raises(DomainError, match="^pole .* hits the truncation spectrum"):
+            check_shifted_inverse_structure(tiny, 1, 40)
+        with pytest.raises(DomainError, match="^the spectrum lost accuracy"):
+            spectrum_truncation(tiny, 40)
 
 
 def test_magic_verify_decomposes_where_the_transfer_matrix_overflows(monkeypatch):

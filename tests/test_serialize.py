@@ -127,3 +127,18 @@ def test_triangle_empty_after_tol_prints_newline():
     M = np.array([[0.5, 0.0], [0.25, -0.5]])
     assert serialize.lower_triangle_csv(M, tol=1.0) == "\n"
     assert serialize.lower_triangle_csv(M, tol=np.inf) == "\n"
+
+
+def test_integer_valued_floats_match_format_17g():
+    # every integer takes the scaled product, as every other finite value does
+    rng = np.random.default_rng(27)
+    logs = np.floor(2.0 ** rng.uniform(0.0, 53.0, 4000))  # |x| log-uniform up to 2^53
+    tens = np.array([10.0**k for k in range(17)])
+    edges = np.array([2.0**53 - 1, 2.0**53, 2.0**53 + 2, 0.0])
+    ints = np.concatenate([logs, tens - 1.0, tens, edges])
+    values = np.concatenate([ints, -ints])
+    rows = values.reshape(-1, 2)
+    assert serialize.rows_csv(rows) == _reference_rows(rows)
+    M = np.zeros((128, 128))
+    M[np.tril_indices(128)] = np.resize(values, 128 * 129 // 2)  # every value, some twice
+    assert serialize.lower_triangle_csv(M) == _reference_triangle(M)
