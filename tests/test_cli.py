@@ -2,7 +2,6 @@ import argparse
 import importlib
 import json
 import os
-import shlex
 import subprocess
 import sys
 import warnings
@@ -13,7 +12,7 @@ import pytest
 
 import gmpmat
 from gmpmat import GmpCoefficients, assemble
-from gmpmat import cli, serialize
+from gmpmat import cli
 from gmpmat.cli import build_parser, main
 from conftest import LATE_HIT
 
@@ -874,35 +873,45 @@ def _readme_cli_lines():
     return [line for line in lines if line and not line.startswith("#")]
 
 
-def _readme_atoms(workdir):
-    atoms = np.concatenate([np.linspace(-2.0, -1.0, 12), np.linspace(1.0, 2.0, 12)])
-    (workdir / "atoms.csv").write_text("".join("%s,1.0\n" % x for x in atoms))
-
-
 # Runs each line in order in one interpreter: "echo TEXT > FILE" writes
 # FILE, "gmpmat ARGS" calls gmpmat.cli.main(ARGS) and records its exit
-# code and whether scipy has been imported by then.
+# code, whether scipy has been imported by then, and the names of the
+# types other than Python's and np.float64 (a float) that reached the JSON
+# writer's serialize._render, which has no numpy branch.  A type _render
+# refuses raises TypeError; its message stands in for the exit code.
 STARTUP_PROBE = """
 import contextlib, io, json, shlex, sys
 seen = {}
 import gmpmat, gmpmat.cli
-seen["import"] = [0, "scipy" in sys.modules]
+seen["import"] = [0, "scipy" in sys.modules, []]
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         gmpmat.cli.main(["--help"])
     except SystemExit:
         pass
-seen["--help"] = [0, "scipy" in sys.modules]
+seen["--help"] = [0, "scipy" in sys.modules, []]
+render, types = gmpmat.serialize._render, set()
+def spy(obj):
+    types.add(type(obj).__module__ + "." + type(obj).__qualname__)
+    return render(obj)
+gmpmat.serialize._render = spy
+allowed = {"builtins." + t.__name__ for t in (bool, int, float, str, dict, list, tuple, type(None))}
+json_lines = 0
 for line in json.loads(sys.argv[1]):
     argv = shlex.split(line)
     if argv[0] == "echo":
         with open(argv[3], "w") as f:
             f.write(argv[1])
         continue
+    types.clear()
     with contextlib.redirect_stdout(io.StringIO()):
-        code = gmpmat.cli.main(argv[1:])
-    seen[line] = [code, "scipy" in sys.modules]
-print(json.dumps(seen))
+        try:
+            code = gmpmat.cli.main(argv[1:])
+        except TypeError as exc:
+            code = str(exc)
+    json_lines += bool(types)
+    seen[line] = [code, "scipy" in sys.modules, sorted(types - allowed - {"numpy.float64"})]
+print(json.dumps([json_lines, seen]))
 """
 
 
@@ -912,37 +921,12 @@ def test_cold_start_leaves_scipy_unloaded(workdir):
     assert sum(line.startswith("gmpmat ") for line in lines) >= 19
     lines.append("gmpmat transfer eval --coeffs coeffs.json --grid=-3:3:101")
     lines.append("gmpmat delta eval --delta delta.json --grid=-3:-2:5")
-    _readme_atoms(workdir)
-    seen = _fresh(STARTUP_PROBE, json.dumps(lines), cwd=workdir)
+    atoms = np.concatenate([np.linspace(-2.0, -1.0, 12), np.linspace(1.0, 2.0, 12)])
+    (workdir / "atoms.csv").write_text("".join("%s,1.0\n" % x for x in atoms))
+    json_lines, seen = _fresh(STARTUP_PROBE, json.dumps(lines), cwd=workdir)
     assert len(seen) == 2 + sum(line.startswith("gmpmat ") for line in lines)
-    assert {step: got for step, got in seen.items() if got != [0, False]} == {}
-
-
-def test_json_results_reach_the_writer_as_python_types(workdir, monkeypatch, capsys):
-    # serialize._render has no numpy branch: np.float64 is a float, and any
-    # other numpy type would raise TypeError, so name the line that made one
-    _readme_atoms(workdir)
-    monkeypatch.chdir(workdir)
-    render = serialize._render
-    seen = set()
-    monkeypatch.setattr(serialize, "_render", lambda obj: seen.add(type(obj)) or render(obj))
-    allowed = {bool, int, float, str, dict, list, tuple, type(None), np.float64}
-    got, json_lines = {}, 0
-    for line in _readme_cli_lines():
-        argv = shlex.split(line)
-        if argv[0] == "echo":
-            (workdir / argv[3]).write_text(argv[1])
-            continue
-        seen.clear()
-        try:
-            code = main(argv[1:])
-        except TypeError as exc:  # a type _render refuses
-            code = str(exc)
-        json_lines += bool(seen)
-        got[line] = [code, sorted(t.__name__ for t in seen - allowed)]
-    capsys.readouterr()
     assert json_lines >= 10
-    assert {line: result for line, result in got.items() if result != [0, []]} == {}
+    assert {step: got for step, got in seen.items() if got != [0, False, []]} == {}
 
 
 # README's point evaluations: they run without numpy
