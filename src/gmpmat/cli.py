@@ -5,10 +5,12 @@ I/O: JSON for structured data, CSV for matrices, traces and grids.
 Each command imports the library modules it runs when it runs, so a
 point evaluation loads neither numpy nor the modules it does not use.
 Each command returns its result and ``main`` writes it: a str as it is,
-a dict or list as JSON, a 2-D ndarray as CSV rows.  A small CSV result
-made without numpy (a grid of at most ``_SCALAR_GRID_MAX`` points) is a
-tuple of row tuples of Python floats: ``_all_finite`` checks it and
-``serialize.rows_csv`` encodes it without executing numpy.
+a dict or list as JSON (a dataclass result is returned as ``vars``: its
+fields in declaration order), a 2-D ndarray as CSV rows.  ``_grid`` evaluates every
+--grid but resolvent eval's: at most ``_SCALAR_GRID_MAX`` points one by
+one in Python floats, into a tuple of row tuples that ``_all_finite``
+checks and ``serialize.rows_csv`` encodes without executing numpy, and a
+larger grid as an array in one kernel call.
 Exit codes: 0 success, 1 domain/input/usage error, 2 convergence failure.
 A grid that hits a pole is a domain error: no partial output is written.
 """
@@ -69,16 +71,20 @@ def _parse_grid(text):
     return tuple(i * step + lo for i in range(div)) + (hi,)
 
 
-def _grid_rows(xs, value, poles=()):
-    """The rows (x, value(x)) over a grid of Python floats, as a tuple.
+def _grid(text, point, whole, poles=()):
+    """The rows (x, f(x)) over the --grid ``text``: a tuple of rows from
+    ``point`` at each Python float, or an array from one ``whole`` call.
 
-    A grid through poles raises at the first pole in pole order that it
-    holds, as the array kernels do: value(c) raises the pole's own error.
+    A tuple grid through poles raises at the first pole in pole order that
+    it holds, as the array kernels do: point(c) raises the pole's own error.
     """
+    xs = _parse_grid(text)
+    if not isinstance(xs, tuple):
+        return np.column_stack([xs, whole(xs)])
     for c in poles:
         if c in xs:
-            value(c)
-    return tuple((x, value(x)) for x in xs)
+            point(c)
+    return tuple((x, point(x)) for x in xs)
 
 
 def _tol(text):
@@ -118,7 +124,7 @@ def _complex(value):
 def _cmd_delta_solve(args):
     from .discriminant import FiniteGapSet, solve_discriminant
 
-    return solve_discriminant(_load(FiniteGapSet, args.set)).to_dict()
+    return vars(solve_discriminant(_load(FiniteGapSet, args.set)))
 
 
 def _cmd_delta_eval(args):
@@ -126,17 +132,15 @@ def _cmd_delta_eval(args):
 
     delta = _load(RationalDiscriminant, args.delta)
     if args.grid is not None:
-        xs = _parse_grid(args.grid)
-        if isinstance(xs, tuple):
-            return _grid_rows(xs, lambda x: eval_discriminant(delta, x), delta.poles)
-        return np.column_stack([xs, eval_discriminant(delta, xs)])
+        return _grid(args.grid, lambda x: eval_discriminant(delta, x),
+                     lambda xs: eval_discriminant(delta, xs), delta.poles)
     return _complex(eval_discriminant(delta, _parse_complex(args.z)))
 
 
 def _cmd_delta_bands(args):
     from .discriminant import RationalDiscriminant, bands
 
-    return bands(_load(RationalDiscriminant, args.delta)).to_dict()
+    return vars(bands(_load(RationalDiscriminant, args.delta)))
 
 
 def _cmd_ahlfors_eval(args):
@@ -170,10 +174,8 @@ def _cmd_transfer_eval(args):
 
     coeffs = _load(GmpCoefficients, args.coeffs)
     if args.grid is not None:
-        xs = _parse_grid(args.grid)
-        if isinstance(xs, tuple):
-            return _grid_rows(xs, lambda x: discriminant_of(coeffs, x), coeffs.poles)
-        return np.column_stack([xs, discriminant_grid(coeffs, xs).real])
+        return _grid(args.grid, lambda x: discriminant_of(coeffs, x),
+                     lambda xs: discriminant_grid(coeffs, xs), coeffs.poles)
     M = _factor_product(_parse_complex(args.z), coeffs.poles, coeffs.p, coeffs.q)
     return {f"m{k // 2 + 1}{k % 2 + 1}": [m.real, m.imag] for k, m in enumerate(M)}
 
@@ -182,7 +184,7 @@ def _cmd_transfer_coeffs(args):
     from .gmp import GmpCoefficients
     from .transfer import discriminant_coeffs
 
-    return discriminant_coeffs(_load(GmpCoefficients, args.coeffs)).to_dict()
+    return vars(discriminant_coeffs(_load(GmpCoefficients, args.coeffs)))
 
 
 def _cmd_transfer_lambdas(args):
@@ -233,7 +235,7 @@ def _cmd_iso_project(args):
         raise DomainError("seed must be >= 0")
     else:
         head = np.random.default_rng(args.seed).normal(size=2 * delta.g)
-    return project_to_manifold(head, delta, tol=args.tol).to_dict()
+    return vars(project_to_manifold(head, delta, tol=args.tol))
 
 
 def _cmd_iso_trace(args):
@@ -306,19 +308,16 @@ def _cmd_jacobi_transfer(args):
     from .isospectral import _jacobi_product, jacobi_band_edges, jacobi_transfer
 
     a, b = _parse_floats("a", args.a), _parse_floats("b", args.b)
-    if args.grid is not None:
-        xs = _parse_grid(args.grid)
-        if isinstance(xs, tuple):
-            def trace(x):
-                m11, _, _, m22 = _jacobi_product(a, b, x)
-                return m11 + m22
 
-            return _grid_rows(xs, trace)
-        return np.column_stack([xs, jacobi_transfer(a, b, xs)[0]])
+    def trace(x):
+        m11, _, _, m22 = _jacobi_product(a, b, x)
+        return m11 + m22
+
+    if args.grid is not None:
+        return _grid(args.grid, trace, lambda xs: jacobi_transfer(a, b, xs)[0])
     if args.bands:
         return jacobi_band_edges(a, b)
-    m11, _, _, m22 = _jacobi_product(a, b, _parse_complex(args.z))
-    return _complex(m11 + m22)
+    return _complex(trace(_parse_complex(args.z)))
 
 
 def _all_finite(result):

@@ -59,9 +59,6 @@ class FiniteGapSet:
         his = [a for a, _ in self.gaps] + [self.a0]
         return list(zip(los, his))
 
-    def to_dict(self):
-        return {"b0": self.b0, "a0": self.a0, "gaps": [list(gp) for gp in self.gaps]}
-
     @classmethod
     def from_dict(cls, d):
         gaps = tuple(numbers("gaps", sequence("each gap", gp, 2))
@@ -98,13 +95,6 @@ class RationalDiscriminant:
     @property
     def poles(self):
         return tuple(c for _, c in self.terms)
-
-    def to_dict(self):
-        return {
-            "lambda0": self.lambda0,
-            "c0": self.c0,
-            "terms": [list(t) for t in self.terms],
-        }
 
     @classmethod
     def from_dict(cls, d):

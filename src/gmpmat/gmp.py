@@ -53,9 +53,6 @@ class GmpCoefficients:
     def g(self):
         return len(self.poles)
 
-    def to_dict(self):
-        return {"poles": list(self.poles), "p": list(self.p), "q": list(self.q)}
-
     @classmethod
     def from_dict(cls, d):
         return cls(numbers("poles", d.get("poles", [])), numbers("p", d["p"]),
@@ -242,13 +239,13 @@ def _hyperbolic_phase(n_periods, tau, w, t11, t12, t21, t22):
 _HIT = 1e-9
 
 
-def _near_pole_counts(coeffs, n_periods, poles=None):
+def _near_pole_counts(coeffs, n_periods, poles):
     """Eigenvalues of the N-period section within eps = _HIT (1 + |c|) of
     each pole c, the threshold ``_pole_weights`` deflates with: the counts
     of ``_transfer_phase`` below c + eps and below c - eps, differenced.
-    ``poles`` picks the poles counted (default all, in order); each count
-    is elementwise, so it does not depend on which others are counted."""
-    c = np.asarray(coeffs.poles if poles is None else poles, dtype=float)
+    ``poles`` picks the poles counted, in order; each count is
+    elementwise, so it does not depend on which others are counted."""
+    c = np.asarray(poles, dtype=float)
     eps = _HIT * (1.0 + np.abs(c))
     eig_b = np.linalg.eigvalsh(build_blocks(coeffs)[1])
     phi, _, j = _transfer_phase(coeffs, eig_b, n_periods, np.concatenate([c - eps, c + eps]))

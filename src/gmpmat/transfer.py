@@ -23,9 +23,6 @@ class DiscriminantCoefficients:
     d0: float
     nus: tuple
 
-    def to_dict(self):
-        return {"nu0": self.nu0, "d0": self.d0, "nus": list(self.nus)}
-
 
 def transfer(coeffs, z):
     """Ordered one-period product; unimodular (det = 1) by construction.

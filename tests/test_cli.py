@@ -133,7 +133,7 @@ def test_gmp_check_decomposes_once_where_one_pole_hits(workdir, monkeypatch, cap
     calls = _count_eigh(monkeypatch)
     got = _run(["gmp", "check", "--coeffs", str(workdir / "pt.json")], workdir / "check.json")
     assert got["structural_ok"] is True and calls == [(80, 80)]
-    (workdir / "late.json").write_text(json.dumps(LATE_HIT.to_dict()))
+    (workdir / "late.json").write_text(json.dumps(vars(LATE_HIT)))
     assert main(["gmp", "check", "--coeffs", str(workdir / "late.json")]) == 1
     assert capsys.readouterr().err == '{"error": "pole 0.0 hits the truncation spectrum"}\n'
     assert calls == [(80, 80), (120, 120)]

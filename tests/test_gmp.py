@@ -297,7 +297,7 @@ def _gmp_check(coeffs, n_periods, tol):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "coeffs.json")
         with open(path, "w") as fh:
-            json.dump(coeffs.to_dict(), fh)
+            json.dump(vars(coeffs), fh)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(["gmp", "check", "--coeffs", path, "--periods", str(n_periods),

@@ -16,6 +16,7 @@ from gmpmat import (
     forced_tail,
     jacobi_band_edges,
     jacobi_transfer,
+    lambda_positivity_test,
     magic_verify,
     manifold_residual,
     project_to_manifold,
@@ -428,6 +429,43 @@ def test_magic_verify_decomposes_only_where_a_pole_hits(monkeypatch, g):
     assert len(calls) == 2
 
 
+def test_magic_verify_is_the_same_float_at_every_section_length():
+    # the window blocks of the resolvent do not depend on N, so neither
+    # does the defect, bit for bit, wherever no eigenvalue lies on a pole
+    rng = np.random.default_rng(28)
+    compared = 0
+    for g in (1, 2, 3, 4):
+        n0 = 4 * (g + 1) + 3
+        for _ in range(3):
+            delta = _random_delta(rng, g)
+            on = project_to_manifold(rng.normal(size=2 * g), delta)
+            off = GmpCoefficients(on.poles, on.p, tuple(v + 0.3 for v in on.q))
+            for coeffs in (on, off):
+                want = magic_verify(coeffs, delta, n0)
+                for n in rng.integers(n0 + 1, n0 + 81, 6).tolist():
+                    if any(_near_pole_counts(coeffs, m, coeffs.poles).any() for m in (n0, n)):
+                        continue
+                    assert magic_verify(coeffs, delta, n) == want, (g, n)
+                    compared += 1
+    assert compared >= 120
+
+
+def test_structure_check_verdict_is_the_same_at_every_section_length():
+    # the shortest section the check accepts, N0 = 4(g+1) + 3, already
+    # gives the verdict of every longer one, and it is the verdict of the
+    # Lambda_k positivity test
+    rng = np.random.default_rng(28)
+    for g in range(1, 9):
+        n0 = 4 * (g + 1) + 3
+        for _ in range(10):
+            coeffs = random_coeffs(rng, g)
+            n = int(rng.integers(n0 + 1, n0 + 81))
+            want = [check_shifted_inverse_structure(coeffs, k, n0) for k in range(1, g + 1)]
+            got = [check_shifted_inverse_structure(coeffs, k, n) for k in range(1, g + 1)]
+            assert got == want, (g, n)
+            assert lambda_positivity_test(coeffs)[0] == all(want), g
+
+
 def test_hit_counts_match_eigenvalue_threshold():
     # the inertia counts at c -+ eps against the eigenvalues _pole_weights
     # marks as hit
@@ -443,7 +481,7 @@ def test_hit_counts_match_eigenvalue_threshold():
     for coeffs, periods in sets:
         evals = np.linalg.eigvalsh(assemble(coeffs, periods).to_dense())
         want = [np.sum(np.abs(c - evals) < 1e-9 * (1.0 + abs(c))) for c in coeffs.poles]
-        got = _near_pole_counts(coeffs, periods)
+        got = _near_pole_counts(coeffs, periods, coeffs.poles)
         assert list(got) == want
         hits += sum(want)
     assert hits == 1 + 30
@@ -454,8 +492,8 @@ def test_hit_counts_match_eigenvalue_threshold():
 def test_hit_counts_at_long_sections(periods):
     # every period of LATE_HIT puts an eigenvalue on c_2 = 0, and POINT1
     # has one boundary state on its pole, at any length
-    assert _near_pole_counts(LATE_HIT, periods).tolist() == [0, periods]
-    assert _near_pole_counts(POINT1, periods).tolist() == [1]
+    assert _near_pole_counts(LATE_HIT, periods, LATE_HIT.poles).tolist() == [0, periods]
+    assert _near_pole_counts(POINT1, periods, POINT1.poles).tolist() == [1]
 
 
 @pytest.mark.parametrize("e", [5, 8, 10, 20, 80])
@@ -465,7 +503,7 @@ def test_hit_counts_on_badly_scaled_coefficients(e):
     coeffs = GmpCoefficients((2.0,), (10.0**e, 1.0), (1.0, 0.0))
     evals = np.linalg.eigvalsh(assemble(coeffs, 3).to_dense())
     want = [np.sum(np.abs(c - evals) < 1e-9 * (1.0 + abs(c))) for c in coeffs.poles]
-    assert _near_pole_counts(coeffs, 3).tolist() == want
+    assert _near_pole_counts(coeffs, 3, coeffs.poles).tolist() == want
 
 
 def test_hit_counts_on_tiny_coefficients_emit_no_warning():
@@ -476,7 +514,7 @@ def test_hit_counts_on_tiny_coefficients_emit_no_warning():
     tiny = GmpCoefficients(*(tuple(np.array(v) * 1e-160) for v in (c.poles, c.p, c.q)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _near_pole_counts(tiny, 40).tolist() == [120, 120, 120]
+        assert _near_pole_counts(tiny, 40, tiny.poles).tolist() == [120, 120, 120]
         with pytest.raises(DomainError, match="^pole .* hits the truncation spectrum"):
             check_shifted_inverse_structure(tiny, 1, 40)
         with pytest.raises(DomainError, match="^the spectrum lost accuracy"):
@@ -489,7 +527,7 @@ def test_magic_verify_decomposes_where_the_transfer_matrix_overflows(monkeypatch
     coeffs = GmpCoefficients((2.0,), (1.0, 1e-300), (1.0, 0.0))
     delta = RationalDiscriminant(1.0, 0.0, ((1.0, 2.0),))
     with pytest.raises(DomainError, match="^the transfer matrix overflows float64"):
-        _near_pole_counts(coeffs, 3)
+        _near_pole_counts(coeffs, 3, coeffs.poles)
     want = _magic_verify_oracle(coeffs, delta, 3)
     calls = []
     eigh = np.linalg.eigh
