@@ -89,20 +89,14 @@ def _factor_product(z, poles, p, q, mirror=False, rank_one=None):
             f11, f12, f21, f22 = 1.0 - u * pq, u * (pj * pj), -u * (qj * qj), 1.0 + u * pq
         else:
             f11, f12, f21, f22 = 0.0, -pj, 1.0 / pj, (z - pq) / pj
-        if mirror:
-            m11, m12, m21, m22 = (
-                f11 * m11 - f21 * m21,
-                f11 * m12 - f21 * m22,
-                f22 * m21 - f12 * m11,
-                f22 * m22 - f12 * m12,
-            )
-        else:
-            m11, m12, m21, m22 = (
-                m11 * f11 + m12 * f21,
-                m11 * f12 + m12 * f22,
-                m21 * f11 + m22 * f21,
-                m21 * f12 + m22 * f22,
-            )
+        if mirror:  # S F^T S multiplies the product from the left
+            m11, m12, m21, m22, f11, f12, f21, f22 = f11, -f21, -f12, f22, m11, m12, m21, m22
+        m11, m12, m21, m22 = (
+            m11 * f11 + m12 * f21,
+            m11 * f12 + m12 * f22,
+            m21 * f11 + m22 * f21,
+            m21 * f12 + m22 * f22,
+        )
     return m11, m12, m21, m22
 
 

@@ -6,11 +6,11 @@ Each command imports the library modules it runs when it runs, so a
 point evaluation loads neither numpy nor the modules it does not use.
 Each command returns its result and ``main`` writes it: a str as it is,
 a dict or list as JSON (a dataclass result is returned as ``vars``: its
-fields in declaration order), a 2-D ndarray as CSV rows.  ``_grid`` evaluates every
---grid but resolvent eval's: at most ``_SCALAR_GRID_MAX`` points one by
-one in Python floats, into a tuple of row tuples that ``_all_finite``
-checks and ``serialize.rows_csv`` encodes without executing numpy, and a
-larger grid as an array in one kernel call.
+fields in declaration order), a 2-D ndarray as CSV rows.  ``_grid`` evaluates
+every --grid but resolvent eval's with one evaluator, f(float) or f(array):
+at most ``_SCALAR_GRID_MAX`` points one by one in Python floats, into a
+tuple of rows that ``_all_finite`` checks and ``serialize.rows_csv``
+encodes without executing numpy, and a larger grid in one f(array) call.
 Exit codes: 0 success, 1 domain/input/usage error, 2 convergence failure.
 A grid that hits a pole is a domain error: no partial output is written.
 """
@@ -71,20 +71,21 @@ def _parse_grid(text):
     return tuple(i * step + lo for i in range(div)) + (hi,)
 
 
-def _grid(text, point, whole, poles=()):
+def _grid(text, f, poles=()):
     """The rows (x, f(x)) over the --grid ``text``: a tuple of rows from
-    ``point`` at each Python float, or an array from one ``whole`` call.
+    ``f`` at each Python float, or an array from one ``f`` call on the
+    array of points.
 
     A tuple grid through poles raises at the first pole in pole order that
-    it holds, as the array kernels do: point(c) raises the pole's own error.
+    it holds, as the array kernels do: f(c) raises the pole's own error.
     """
     xs = _parse_grid(text)
     if not isinstance(xs, tuple):
-        return np.column_stack([xs, whole(xs)])
+        return np.column_stack([xs, f(xs)])
     for c in poles:
         if c in xs:
-            point(c)
-    return tuple((x, point(x)) for x in xs)
+            f(c)
+    return tuple((x, f(x)) for x in xs)
 
 
 def _tol(text):
@@ -132,8 +133,7 @@ def _cmd_delta_eval(args):
 
     delta = _load(RationalDiscriminant, args.delta)
     if args.grid is not None:
-        return _grid(args.grid, lambda x: eval_discriminant(delta, x),
-                     lambda xs: eval_discriminant(delta, xs), delta.poles)
+        return _grid(args.grid, lambda x: eval_discriminant(delta, x), delta.poles)
     return _complex(eval_discriminant(delta, _parse_complex(args.z)))
 
 
@@ -168,14 +168,13 @@ def _cmd_gmp_check(args):
 
 
 def _cmd_transfer_eval(args):
-    from ._kernels import _factor_product, discriminant_grid
+    from ._kernels import _factor_product
     from .gmp import GmpCoefficients
     from .transfer import discriminant_of
 
     coeffs = _load(GmpCoefficients, args.coeffs)
     if args.grid is not None:
-        return _grid(args.grid, lambda x: discriminant_of(coeffs, x),
-                     lambda xs: discriminant_grid(coeffs, xs), coeffs.poles)
+        return _grid(args.grid, lambda x: discriminant_of(coeffs, x), coeffs.poles)
     M = _factor_product(_parse_complex(args.z), coeffs.poles, coeffs.p, coeffs.q)
     return {f"m{k // 2 + 1}{k % 2 + 1}": [m.real, m.imag] for k, m in enumerate(M)}
 
@@ -305,7 +304,7 @@ def _cmd_ortho_build(args):
 
 
 def _cmd_jacobi_transfer(args):
-    from .isospectral import _jacobi_product, jacobi_band_edges, jacobi_transfer
+    from .isospectral import _jacobi_product, jacobi_band_edges
 
     a, b = _parse_floats("a", args.a), _parse_floats("b", args.b)
 
@@ -314,7 +313,7 @@ def _cmd_jacobi_transfer(args):
         return m11 + m22
 
     if args.grid is not None:
-        return _grid(args.grid, trace, lambda xs: jacobi_transfer(a, b, xs)[0])
+        return _grid(args.grid, trace)
     if args.bands:
         return jacobi_band_edges(a, b)
     return _complex(trace(_parse_complex(args.z)))

@@ -15,7 +15,6 @@ from ._kernels import _cdiv, _dot, _factor_product, _sqrt
 from ._lazy import np
 from .errors import DomainError, finite
 from .gmp import assemble
-from .transfer import transfer
 
 
 @dataclass(frozen=True)
@@ -46,12 +45,12 @@ def resolvent_pair(coeffs, z):
     if isinstance(z, (int, float, complex)) or not isinstance(z, np.ndarray):
         return _resolvent_point(coeffs, complex(z))
     z = z.astype(complex, copy=False)
-    M = transfer(coeffs, z)
-    tr, V, a21 = M[0, 0] + M[1, 1], M[0, 0] - M[1, 1], M[1, 0]
+    m11, _, m21, m22 = _factor_product(z, coeffs.poles, coeffs.p, coeffs.q)
+    tr, V = m11 + m22, m11 - m22
     s = np.sqrt(tr * tr - 4.0 + 0.0j)
-    if (np.abs(a21) < 1e-14 * (1.0 + np.abs(V))).any():
+    if (np.abs(m21) < 1e-14 * (1.0 + np.abs(V))).any():
         raise DomainError("transfer entry m21 vanishes; retry at a perturbed z")
-    c0, c1 = (V + s) / (2.0 * a21), (V - s) / (2.0 * a21)
+    c0, c1 = (V + s) / (2.0 * m21), (V - s) / (2.0 * m21)
     gap = c0.imag == c1.imag
     plus_first = np.where(gap, tr.real > 0, c0.imag > c1.imag)
     plus_first = plus_first != (z.imag < 0)

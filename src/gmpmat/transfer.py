@@ -9,7 +9,7 @@ diagonal block, which must agree identically.
 
 from dataclasses import dataclass
 
-from ._kernels import _dot, _factor_product
+from ._kernels import _dot, _factor_product, discriminant_grid
 from ._lazy import np
 from .errors import DomainError
 from .gmp import build_blocks
@@ -34,7 +34,9 @@ def transfer(coeffs, z):
 
 
 def discriminant_of(coeffs, z):
-    """Trace of the one-period transfer matrix; z is a scalar or an ndarray."""
+    """Trace of the one-period transfer matrix at a scalar z or, blocked, an ndarray z."""
+    if not isinstance(z, (int, float, complex)):
+        return discriminant_grid(coeffs, z)
     m11, _, _, m22 = _factor_product(z, coeffs.poles, coeffs.p, coeffs.q)
     return m11 + m22
 

@@ -681,6 +681,12 @@ MALFORMED = {
                   "a and b must be nonempty"),
     "empty item in --b": (["jacobi", "transfer", "--a=1,1", "--b=0,,1", "--bands"], None,
                           "b must be a number"),
+    "three parts in --z": (["jacobi", "transfer", "--a=1", "--b=0", "--z", "1,2,3"], None,
+                           "cannot parse point '1,2,3'"),
+    "empty --z": (["jacobi", "transfer", "--a=1", "--b=0", "--z="], None,
+                  "cannot parse point ''"),
+    "two parts in --grid": (["jacobi", "transfer", "--a=1", "--b=0", "--grid", "0:1"], None,
+                            "grid must be lo:hi:count"),
 }
 
 
@@ -748,6 +754,10 @@ OUT_OF_RANGE = {
                          "grid count must be an integer"),
     "grid count huge": (["transfer", "eval", "--coeffs", "{}/pt.json", "--grid", "0:1:" + HUGE],
                         "grid count must be <= "),
+    "grid lo above hi": (["transfer", "eval", "--coeffs", "{}/pt.json", "--grid", "3:-3:5"],
+                         "grid needs lo < hi and count >= 2"),
+    "grid count 1": (["delta", "eval", "--delta", "{}/delta.json", "--grid", "0:1:1"],
+                     "grid needs lo < hi and count >= 2"),
     "iso project seed": (["iso", "project", "--delta", "{}/delta.json", "--seed", "-1"],
                          "seed must be >= 0"),
     # a g = 0 projection ignored --init; it has 2g = 0 head entries

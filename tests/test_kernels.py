@@ -40,6 +40,52 @@ def test_core_matches_factor_matrix_product():
             assert np.max(np.abs(got_mirror - want_mirror)) < 1e-12 * scale
 
 
+def _mirror_product_oracle(z, poles, p, q, rank_one=None):
+    """The mirrored product with its own 4-entry expression: each factor's
+    mirror S F^T S = [[f11, -f21], [-f12, f22]] multiplies from the left."""
+    array = not isinstance(z, (int, float, complex))
+    zero = 0.0 * z
+    m11, m12, m21, m22 = 1.0 + zero, zero, zero, 1.0 + zero
+    for j, (pj, qj) in enumerate(zip(p, q)):
+        pq = pj * qj
+        if j == rank_one:
+            f11, f12, f21, f22 = pq, -pj * pj, qj * qj, -pq
+        elif j < len(poles):
+            c = poles[j]
+            if (z == c).any() if array else z == c:
+                raise DomainError(f"transfer matrix evaluated at pole c = {c}")
+            u = 1.0 / (c - z)
+            f11, f12, f21, f22 = 1.0 - u * pq, u * (pj * pj), -u * (qj * qj), 1.0 + u * pq
+        else:
+            f11, f12, f21, f22 = 0.0, -pj, 1.0 / pj, (z - pq) / pj
+        m11, m12, m21, m22 = (
+            f11 * m11 - f21 * m21,
+            f11 * m12 - f21 * m22,
+            f22 * m21 - f12 * m11,
+            f22 * m22 - f12 * m12,
+        )
+    return m11, m12, m21, m22
+
+
+@pytest.mark.parametrize("rank_one", [None, 0])
+def test_mirror_fold_equals_explicit_mirrored_product(rank_one):
+    # the mirrored factor, swapped in as the left operand of the one product
+    # expression, computes the same sums: equal in value, and bit for bit on
+    # real z (on complex z an exact zero part may differ in its sign only)
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        c = random_coeffs(rng, g_max=8)
+        xs = rng.uniform(-3.0, 3.0, 8)
+        zs = _grid(rng, 8)
+        for z in [float(x) for x in xs] + [complex(w) for w in zs] + [xs, zs]:
+            got = _kernels._factor_product(z, c.poles, c.p, c.q, mirror=True, rank_one=rank_one)
+            want = _mirror_product_oracle(z, c.poles, c.p, c.q, rank_one)
+            for g_entry, w_entry in zip(got, want):
+                assert np.all(g_entry == w_entry)
+                if not np.iscomplexobj(z):
+                    assert np.asarray(g_entry).tobytes() == np.asarray(w_entry).tobytes()
+
+
 def test_core_infinity_factors_only():
     # period-3 Jacobi chain: no pole factors, three infinity factors
     p, q = (1.0, 0.5, 2.0), (0.3, -0.4, 0.1)
@@ -80,18 +126,26 @@ def test_discriminant_grid_unit_determinant():
     assert np.max(np.abs(tr - (m11 + m22))) == 0.0
 
 
+# discriminant_of hands an ndarray to discriminant_grid; both are pinned
+_GRID_TRACES = pytest.mark.parametrize(
+    "trace", [_kernels.discriminant_grid, discriminant_of], ids=lambda f: f.__name__
+)
+
+
 @pytest.mark.parametrize("n", [1, _kernels._BLOCK_POINTS, 2 * _kernels._BLOCK_POINTS + 3])
-def test_blocked_grid_equals_one_core_call(n):
+@_GRID_TRACES
+def test_blocked_grid_equals_one_core_call(trace, n):
     rng = np.random.default_rng(5)
     c = random_coeffs(rng, g=3)
     zs = _grid(rng, n)
-    got = _kernels.discriminant_grid(c, zs)
+    got = trace(c, zs)
     m11, _, _, m22 = _kernels._factor_product(zs, c.poles, c.p, c.q)
     assert got.shape == (n,)
     assert np.array_equal(got, m11 + m22)
 
 
-def test_blocked_grid_names_pole_hit_in_second_block():
+@_GRID_TRACES
+def test_blocked_grid_names_pole_hit_in_second_block(trace):
     c = random_coeffs(np.random.default_rng(6), g=2)
     zs = np.full(2 * _kernels._BLOCK_POINTS + 3, 0.5j)
     # c_1 is checked before c_2, so its hit in block 2 is reported even
@@ -99,7 +153,7 @@ def test_blocked_grid_names_pole_hit_in_second_block():
     zs[3] = c.poles[1]
     zs[_kernels._BLOCK_POINTS + 7] = c.poles[0]
     with pytest.raises(DomainError, match=re.escape(f"pole c = {c.poles[0]}")):
-        _kernels.discriminant_grid(c, zs)
+        trace(c, zs)
 
 
 def test_real_grid_stays_real_and_equals_scalar_path():
