@@ -7,7 +7,7 @@ entry, so the same code serves a scalar z (plain Python arithmetic, no
 array allocation) and an ndarray of z (elementwise numpy arithmetic over
 the whole grid, looping only over the factors).  ``_sqrt`` and ``_cdiv``
 round as numpy's scalar complex square root and quotient do, and ``_dot``
-is the one sum of products behind ||p|| and the discriminant's constant.
+is the one sum of products behind ||p||, d0 and the forced tail q_g.
 """
 
 import cmath
@@ -23,10 +23,13 @@ def _dot(x, y):
 
     The value does not depend on a BLAS build, as ``np.dot`` does (OpenBLAS
     sums with FMA on hosts that have it); it is within eps * sum |x_j y_j|
-    of the exact sum.  A finite sum beyond the float range raises
-    OverflowError, a product that overflows gives inf, as numpy does.
+    of the exact sum.  Where fsum raises (a sum past the float range, or
+    inf - inf), the value is the plain left-to-right sum, inf or NaN.
     """
-    return math.fsum(map(operator.mul, x, y))
+    try:
+        return math.fsum(map(operator.mul, x, y))
+    except (OverflowError, ValueError):
+        return sum(map(operator.mul, x, y))
 
 
 def _sqrt(x):

@@ -263,11 +263,9 @@ def _cmd_iso_verify(args):
     p_g, q_g = forced_tail(delta, list(coeffs.p[:-1]) + list(coeffs.q[:-1]))
     tail_defect = max(abs(coeffs.p[-1] - p_g), abs(coeffs.q[-1] - q_g))
     return {
-        "residual": list(res),
+        "residual": res,
         "tail_defect": tail_defect,
-        "on_manifold": bool(
-            tail_defect <= args.tol and np.max(np.abs(res), initial=0.0) <= args.tol
-        ),
+        "on_manifold": tail_defect <= args.tol and max(map(abs, res), default=0.0) <= args.tol,
     }
 
 

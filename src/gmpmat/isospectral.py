@@ -11,11 +11,12 @@ periodic Jacobi operator for comparison.
 
 import sys
 
-from ._kernels import _factor_product
+from ._kernels import _dot, _factor_product
 from ._lazy import np
 from .errors import ConvergenceError, DomainError, count, finite
 from .gmp import (_check_finite, _check_periods, _transfer_phase, _window_resolvent, assemble,
-                  build_blocks, GmpCoefficients)
+                  build_blocks, lambda_positivity_test, GmpCoefficients)
+from .transfer import lambda_k
 
 
 def _damped_newton(evaluate, x, tol, max_iter=100):
@@ -64,21 +65,18 @@ def _damped_newton(evaluate, x, tol, max_iter=100):
 def forced_tail(delta, head):
     """Tail pair (p_g, q_g) forced by the manifold equations.
 
-    ``head`` is the flat vector (p_0..p_{g-1}, q_0..q_{g-1}).
+    ``head`` is the flat sequence (p_0..p_{g-1}, q_0..q_{g-1}).  The sum is
+    ``_dot``'s, as in ``discriminant_coeffs``' d0: no numpy.
     """
     g = delta.g
-    head = np.asarray(head, dtype=float)
-    if head.shape != (2 * g,):
+    if len(head) != 2 * g:
         raise DomainError(f"head must have length 2g = {2 * g}")
-    p_head, q_head = head[:g], head[g:]
-    p_g = 1.0 / delta.lambda0
-    q_g = -delta.c0 - delta.lambda0 * float(np.dot(p_head, q_head))
-    return p_g, q_g
+    return 1.0 / delta.lambda0, -delta.c0 - delta.lambda0 * _dot(head[:g], head[g:])
 
 
 def _head_pq(delta, head):
     """Full (p, q) of a head vector, with the forced tail appended."""
-    p_g, q_g = forced_tail(delta, head)
+    p_g, q_g = forced_tail(delta, head.tolist())  # _dot reads Python floats faster
     return np.concatenate([head[:delta.g], [p_g], head[delta.g:], [q_g]]).reshape(2, -1)
 
 
@@ -136,17 +134,11 @@ def _prefix_products(F):
     return P
 
 
-def _lane_lambdas(pm, p, q):
-    """All Lambda_k at once: minus the trace of each lane's product."""
-    m = _prefix_products(_lane_factors(pm, p, q))[:, -1]
-    return -(m[:, 0, 0] + m[:, 1, 1])
-
-
 def manifold_residual(coeffs, delta):
-    """Vector of defects Lambda_k - lambda_k, k = 1..g."""
+    """Defects Lambda_k - lambda_k, k = 1..g: a list of floats, with Lambda_k
+    from ``transfer.lambda_k`` (``transfer lambdas``' values, bit for bit)."""
     _check_poles(coeffs, delta)
-    lams = _lane_lambdas(_pole_matrices(delta.poles), np.array(coeffs.p), np.array(coeffs.q))
-    return lams - np.array([lam for lam, _ in delta.terms])
+    return [lambda_k(coeffs, k) - lam for k, (lam, _) in enumerate(delta.terms, 1)]
 
 
 def _head_system(delta, pm, head):
@@ -192,8 +184,9 @@ def project_to_manifold(init_head, delta, tol=1e-10):
     """Damped Gauss-Newton projection of a head vector onto the manifold.
 
     The 2g head unknowns are iterated with the tail substituted from
-    forced_tail at every step.  Converged points with some Lambda_k <= 0
-    are rejected and retried from up to 8 seeded perturbed starts.
+    forced_tail at every step.  A converged point with some Lambda_k <= 0
+    (``lambda_positivity_test``, ``gmp check``'s is_gmp) is rejected and
+    retried from up to 8 seeded perturbed starts.
     """
     g = delta.g
     init_head = np.array([finite("init_head", v) for v in init_head])
@@ -210,8 +203,9 @@ def project_to_manifold(init_head, delta, tol=1e-10):
         except ConvergenceError as exc:
             last_exc = exc
             continue
-        if np.all(_lane_lambdas(pm, *_head_pq(delta, head)) > 0):
-            return _coeffs_from_head(delta, head)
+        point = _coeffs_from_head(delta, head)
+        if lambda_positivity_test(point)[0]:
+            return point
         last_exc = ConvergenceError("converged to a point with Lambda_k <= 0")
     raise last_exc
 

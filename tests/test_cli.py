@@ -280,6 +280,31 @@ def test_iso_trace_at_g0_prints_the_projected_point(workdir):
     assert projected == {"poles": [], "p": [1.0], "q": [-0.0]}
 
 
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_iso_verify_residual_is_transfer_lambdas_minus_the_weights(workdir, g):
+    # on and off the manifold, bit for bit: both print transfer.lambda_k's Lambda_k
+    verdicts = []
+    for seed in range(4):
+        rng = np.random.default_rng(100 * g + seed)
+        poles = np.cumsum(rng.uniform(0.5, 2.0, g)) - 0.6 * g
+        delta = {"lambda0": rng.uniform(0.5, 2.0), "c0": rng.uniform(-1.0, 1.0),
+                 "terms": [[w, c] for w, c in zip(rng.uniform(0.2, 2.0, g).tolist(),
+                                                  poles.tolist())]}
+        (workdir / "d.json").write_text(json.dumps(delta))
+        point = _run(["iso", "project", "--delta", str(workdir / "d.json"), "--seed", str(seed)],
+                     workdir / "on.json")
+        point["q"][0] += 0.25
+        (workdir / "off.json").write_text(json.dumps(point))
+        for name in ("on.json", "off.json"):
+            coeffs = str(workdir / name)
+            got = _run(["iso", "verify", "--delta", str(workdir / "d.json"), "--coeffs", coeffs],
+                       workdir / "verify.json")
+            lams = _run(["transfer", "lambdas", "--coeffs", coeffs], workdir / "lams.json")
+            assert got["residual"] == [lam - w for lam, (w, _) in zip(lams, delta["terms"])]
+            verdicts.append(got["on_manifold"])
+    assert verdicts == [True, False] * 4
+
+
 @pytest.mark.parametrize(
     "args",
     [["magic", "verify", "--periods", "30"], ["iso", "trace", "--steps", "2"]],
@@ -606,6 +631,12 @@ NON_FINITE = {
                                "overflows float64"),
     "lambdas overflow": (["transfer", "lambdas", "--coeffs", "huge.json"], "overflows float64"),
     "coeffs overflow": (["transfer", "coeffs", "--coeffs", "huge.json"], "overflows float64"),
+    # p_j q_j = +inf and -inf: the sum was fsum's "-inf + inf in fsum"
+    "coeffs inf - inf": (["transfer", "coeffs", "--coeffs", "cancel.json"], "overflows float64"),
+    "verify inf - inf": (["iso", "verify", "--delta", "delta2.json", "--coeffs", "cancel.json"],
+                         "overflows float64"),
+    "project inf - inf": (["iso", "project", "--delta", "delta2.json",
+                           "--init", "1e200,1e200,1e200,-1e200"], "overflows float64"),
     "resolvent z overflow": (["resolvent", "eval", "--coeffs", "huge.json", "--z", "0.5,1"],
                              "overflows float64"),
     "resolvent grid overflow": (["resolvent", "eval", "--coeffs", "huge.json", "--grid=-1:1:3"],
@@ -629,6 +660,9 @@ def test_non_finite_input_exits_1_with_one_json_line(workdir, case):
     (workdir / "nan_coeffs.json").write_text('{"poles": [2.0], "p": [1.0, NaN], "q": [1.0, 0.0]}')
     (workdir / "huge.json").write_text(json.dumps({"poles": [2.0], "p": [1e200, 1.0],
                                                    "q": [1e200, 0.0]}))
+    (workdir / "cancel.json").write_text(json.dumps({"poles": [1.0, 2.0], "p": [1e200, 1e200, 1.0],
+                                                     "q": [1e200, -1e200, 0.0]}))
+    (workdir / "delta2.json").write_text('{"lambda0": 1.0, "c0": 0.0, "terms": [[1.0, 1.0], [1.0, 2.0]]}')
     (workdir / "far.csv").write_text("1e160,1\n2,1\n3,1\n4,1\n")
     (workdir / "tiny.json").write_text(json.dumps({"poles": [2.0], "p": [1.0, 1e-300],
                                                    "q": [1.0, 0.0]}))
@@ -948,6 +982,7 @@ POINT_LINES = [
     "gmpmat transfer coeffs --coeffs coeffs.json",
     "gmpmat resolvent eval --coeffs coeffs.json --z 0.2,1.0",
     "gmpmat resolvent reflectionless --coeffs coeffs.json --x 2.4 --eps 1e-6",
+    "gmpmat iso verify --delta d1.json --coeffs pt.json",
 ]
 
 # grids of at most cli._SCALAR_GRID_MAX points run without numpy too
@@ -981,6 +1016,7 @@ print(json.dumps(seen))
 def test_point_commands_leave_numpy_unexecuted(workdir):
     assert set(POINT_LINES) <= set(_readme_cli_lines())
     (workdir / "coeffs.json").write_text(json.dumps(GOOD))
+    (workdir / "d1.json").write_text(json.dumps(DELTA1))
     transfer_z = POINT_LINES[2]
     lines = POINT_LINES[:4] + [
         "gmpmat jacobi transfer --a 1,2 --b 0,0 --z 0.3",  # after transfer_z: loads isospectral

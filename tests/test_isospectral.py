@@ -23,6 +23,7 @@ from gmpmat import (
     spectrum_truncation,
     trace_torus,
 )
+from gmpmat._kernels import _factor_product
 from gmpmat.gmp import _near_pole_counts, _pole_weights, assemble
 from gmpmat.transfer import discriminant_coeffs, lambda_k
 from conftest import LATE_HIT, random_coeffs
@@ -103,7 +104,8 @@ def test_torus_trace_at_g0_is_the_one_manifold_point():
 
 def test_projection_forms_the_lane_product_once_per_point(monkeypatch):
     # the residual and the Jacobian at a point share one lane product (it was
-    # formed twice); the Lambda_k > 0 check of the converged point forms one more
+    # formed twice); the Lambda_k > 0 check of the converged point takes
+    # lambda_k, so it forms none
     evaluated, lanes = [], []
     head_system, lane_factors = iso._head_system, iso._lane_factors
 
@@ -120,7 +122,7 @@ def test_projection_forms_the_lane_product_once_per_point(monkeypatch):
     project_to_manifold([1.0, 1.0, 0.1, -0.1],
                         RationalDiscriminant(1.0, 0.0, ((1.0, -2.0), (1.5, 2.0))))
     assert len(evaluated) > 2
-    assert len(lanes) == len(evaluated) + 1
+    assert len(lanes) == len(evaluated)
 
 
 def test_truncation_spectrum_concentrates_on_bands():
@@ -313,15 +315,48 @@ def _random_delta(rng, g):
     return RationalDiscriminant(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0), tuple(terms))
 
 
+def _lane_lambdas(pm, p, q):
+    # every Lambda_k from the lane products: minus the trace of each lane's product
+    m = iso._prefix_products(iso._lane_factors(pm, p, q))[:, -1]
+    return -(m[:, 0, 0] + m[:, 1, 1])
+
+
+def test_lane_factors_are_the_transfer_kernels_factors():
+    # every lane factor is the one-factor product of _factor_product at z = c_k,
+    # bit for bit: a pole factor, the rank-one factor on lane k = j, and the
+    # infinity factor
+    n = 0
+    for seed in range(320):
+        rng = np.random.default_rng(seed)
+        g = 1 + seed % 8
+        c = tuple(np.cumsum(rng.uniform(0.5, 2.0, g)) - 0.6 * g)
+        p, q = rng.uniform(0.2, 1.5, g + 1), rng.uniform(-1.2, 1.2, g + 1)
+        F = iso._lane_factors(iso._pole_matrices(c), p, q)
+        for k in range(g):
+            for j in range(g):
+                want = _factor_product(c[k], (c[j],), (p[j],), (q[j],),
+                                       rank_one=0 if j == k else None)
+                assert F[k, j].ravel().tolist() == list(want), (seed, k, j)
+            want = _factor_product(c[k], (), (p[g],), (q[g],))
+            assert F[k, g].ravel().tolist() == list(want), (seed, k, g)
+            n += 4 * (g + 1)
+    assert n == 40 * 4 * sum(g * (g + 1) for g in range(1, 9))
+
+
 @settings(deadline=None, max_examples=40)
 @given(g=st.integers(0, 16), seed=st.integers(0, 2**32 - 1))
 def test_lane_lambdas_match_lambda_k(g, seed):
+    # the Newton residual's Lambda_k against the one every printed Lambda_k takes
     rng = np.random.default_rng(seed)
     poles = np.cumsum(rng.uniform(0.5, 2.0, g)) - 0.6 * g
     c = GmpCoefficients(tuple(poles), tuple(rng.uniform(0.2, 1.5, g + 1)),
                         tuple(rng.uniform(-1.2, 1.2, g + 1)))
-    got = iso._lane_lambdas(iso._pole_matrices(c.poles), np.array(c.p), np.array(c.q))
-    want = np.array([lambda_k(c, k) for k in range(1, g + 1)])
+    delta = RationalDiscriminant(1.0 / c.p[g], -c.q[g], tuple((1.0, ck) for ck in c.poles))
+    head = np.array(c.p[:g] + c.q[:g])
+    res, _ = iso._head_system(delta, iso._pole_matrices(delta.poles), head)
+    got = res + np.array([lam for lam, _ in delta.terms])
+    point = iso._coeffs_from_head(delta, head)
+    want = np.array([lambda_k(point, k) for k in range(1, g + 1)])
     assert got.shape == (g,)
     assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
 
@@ -335,7 +370,7 @@ def test_head_jacobian_matches_central_difference(g, seed):
     pm = iso._pole_matrices(delta.poles)
     res, jacobian = iso._head_system(delta, pm, head)
     J = jacobian()
-    lams = iso._lane_lambdas(pm, *iso._head_pq(delta, head))
+    lams = _lane_lambdas(pm, *iso._head_pq(delta, head))
     assert np.array_equal(res, lams - np.array([lam for lam, _ in delta.terms]))
     Jc = np.empty_like(J)
     for i in range(2 * g):
@@ -537,8 +572,8 @@ def test_magic_verify_decomposes_where_the_transfer_matrix_overflows(monkeypatch
     assert calls == [(6, 6)]
 
 def test_projection_and_trace_make_no_scalar_transfer_product(monkeypatch):
-    # residuals, Jacobians and the positivity check all come from the lane
-    # products: no per-k lambda_k (one scalar _factor_product each) is left
+    # residuals and Jacobians come from the lane products; only the positivity
+    # check of the accepted point takes g scalar products, one per lambda_k
     calls = []
     for mod in (importlib.import_module("gmpmat.transfer"), iso):
         product = mod._factor_product
@@ -546,9 +581,10 @@ def test_projection_and_trace_make_no_scalar_transfer_product(monkeypatch):
                             lambda *args, _f=product, **kw: calls.append(1) or _f(*args, **kw))
     delta = _random_delta(np.random.default_rng(4), 4)
     pt = project_to_manifold(np.random.default_rng(5).normal(size=8), delta)
-    assert lambda_k(pt, 1) > 0 and len(calls) == 1  # the patch sees a lambda_k call
+    assert len(calls) == 4
+    assert lambda_k(pt, 1) > 0 and len(calls) == 5  # the patch sees a lambda_k call
     points = trace_torus(pt, delta, steps=5, step_len=0.05)
-    assert len(points) == 6 and len(calls) == 1
+    assert len(points) == 6 and len(calls) == 5
 
 
 @pytest.mark.parametrize(

@@ -209,3 +209,12 @@ def test_dot_within_eps_of_exact_sum():
         exact = sum(Fraction(a) * Fraction(b) for a, b in zip(x, y))
         bound = np.finfo(float).eps * float(np.sum(np.abs(x * y)))
         assert abs(Fraction(_kernels._dot(x.tolist(), y.tolist())) - exact) <= bound
+
+
+@pytest.mark.parametrize("x, y, want", [([1e200, 1e200], [1e200, -1e200], "nan"),  # inf - inf
+                                        ([1e308, 1e308], [1.0, 1.0], "inf"),
+                                        ([1e308, 1e308, -1e308], [1.0, 1.0, 1.0], "inf")])
+def test_dot_past_the_float_range_is_the_plain_sum(x, y, want):
+    # math.fsum raises ValueError or OverflowError here; a BLAS dot gives inf or
+    # NaN too, which one depending on whether it fuses the multiply-add
+    assert repr(_kernels._dot(x, y)) == want
