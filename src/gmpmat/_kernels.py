@@ -6,8 +6,9 @@ per coefficient pair.  ``_factor_product`` multiplies them out entry by
 entry, so the same code serves a scalar z (plain Python arithmetic, no
 array allocation) and an ndarray of z (elementwise numpy arithmetic over
 the whole grid, looping only over the factors).  ``_sqrt`` and ``_cdiv``
-round as numpy's scalar complex square root and quotient do, and ``_dot``
-is the one sum of products behind ||p||, d0 and the forced tail q_g.
+take either too: numpy's own square root and quotient for an ndarray, and
+for a Python complex the same rounding without numpy.  ``_dot`` is the one
+sum of products behind ||p||, d0 and the forced tail q_g.
 """
 
 import cmath
@@ -33,7 +34,8 @@ def _dot(x, y):
 
 
 def _sqrt(x):
-    """Principal square root of the complex x, without numpy, as np.sqrt gives it.
+    """Principal square root as np.sqrt gives it: of an ndarray x by np.sqrt,
+    of a Python complex x without numpy.
 
     cmath.sqrt rounds the two equal parts of sqrt(iy) = sqrt(|y|/2)(1 +/- i)
     one at a time, at times one ulp apart, and the real part of Delta^2 - 4
@@ -41,6 +43,8 @@ def _sqrt(x):
     Elsewhere the two roots agree bit for bit, unless a part of x or of the
     root is below ~2e-307 (near or in the subnormal range).
     """
+    if not isinstance(x, complex):
+        return np.sqrt(x)
     if x.real == 0.0 and x.imag != 0.0:
         t = math.sqrt(0.5 * abs(x.imag))
         return complex(t, math.copysign(t, x.imag))
@@ -48,11 +52,14 @@ def _sqrt(x):
 
 
 def _cdiv(a, b):
-    """The complex quotient a / b as numpy rounds it (Smith's method with
-    the reciprocal of the scaled denominator); Python's own ``/`` divides
-    by that denominator instead, and differs in the last bit on about
-    40% of random pairs.  Raises ZeroDivisionError for b = 0.
+    """The complex quotient a / b as numpy rounds it: numpy's ``/`` for an
+    ndarray b, and for Python complex b Smith's method with the reciprocal of
+    the scaled denominator, without numpy; Python's own ``/`` divides by
+    that denominator instead, and differs in the last bit on about 40% of
+    random pairs.  Raises ZeroDivisionError for a complex b = 0.
     """
+    if not isinstance(b, complex):
+        return a / b
     if abs(b.real) >= abs(b.imag):
         rat = b.imag / b.real
         scl = 1.0 / (b.real + b.imag * rat)

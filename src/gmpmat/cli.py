@@ -164,7 +164,7 @@ def _cmd_gmp_check(args):
     structural = True
     for k in range(1, coeffs.g + 1):
         structural &= check_shifted_inverse_structure(coeffs, k, args.periods, args.tol)
-    return {"is_gmp": is_gmp, "lambdas": list(lambdas), "structural_ok": structural}
+    return {"is_gmp": is_gmp, "lambdas": lambdas, "structural_ok": structural}
 
 
 def _cmd_transfer_eval(args):

@@ -256,12 +256,13 @@ def _near_pole_counts(coeffs, n_periods, poles):
 def lambda_positivity_test(coeffs):
     """GMP membership via positivity of all residues Lambda_k.
 
-    Returns (is_gmp, lambdas); vacuously true for g = 0.
+    Returns (is_gmp, lambdas), lambdas a list of floats; vacuously true
+    for g = 0, and false where a Lambda_k is NaN.
     """
     from .transfer import lambda_k  # deferred to avoid an import cycle
 
-    lambdas = np.array([lambda_k(coeffs, k) for k in range(1, coeffs.g + 1)])
-    return bool(np.all(lambdas > 0)), lambdas
+    lambdas = [lambda_k(coeffs, k) for k in range(1, coeffs.g + 1)]
+    return all(v > 0 for v in lambdas), lambdas
 
 
 def check_shifted_inverse_structure(coeffs, k, n_periods=40, tol=1e-8):

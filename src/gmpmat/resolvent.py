@@ -38,40 +38,29 @@ def resolvent_pair(coeffs, z):
     whose Floquet multiplier (tr +/- s)/2 has modulus above 1; with s the
     principal root of tr^2 - 4 that is (V + s) / (2 m21) exactly when
     tr > 0.  z is a scalar or an ndarray; for an ndarray the roots are
-    arrays of its shape.  A scalar z is computed in plain Python, with
-    the square root and the quotient rounded as numpy's scalar arithmetic
-    rounds them (``_sqrt``, ``_cdiv``).
+    arrays of its shape.  One body serves both.  A scalar z runs in plain
+    Python, numpy not executed, with the square root and the quotient
+    rounded as numpy's scalar arithmetic rounds them (``_sqrt``, ``_cdiv``);
+    an ndarray z runs in numpy's elementwise arithmetic, whose complex
+    products may differ from Python's in the last bit.
     """
-    if isinstance(z, (int, float, complex)) or not isinstance(z, np.ndarray):
-        return _resolvent_point(coeffs, complex(z))
-    z = z.astype(complex, copy=False)
-    m11, _, m21, m22 = _factor_product(z, coeffs.poles, coeffs.p, coeffs.q)
-    tr, V = m11 + m22, m11 - m22
-    s = np.sqrt(tr * tr - 4.0 + 0.0j)
-    if (np.abs(m21) < 1e-14 * (1.0 + np.abs(V))).any():
-        raise DomainError("transfer entry m21 vanishes; retry at a perturbed z")
-    c0, c1 = (V + s) / (2.0 * m21), (V - s) / (2.0 * m21)
-    gap = c0.imag == c1.imag
-    plus_first = np.where(gap, tr.real > 0, c0.imag > c1.imag)
-    plus_first = plus_first != (z.imag < 0)
-    r_plus, r_minus_inv = np.where(plus_first, c0, c1), np.where(plus_first, c1, c0)
-    return ResolventValue(r_plus, r_minus_inv, _norm(coeffs.p))
-
-
-def _resolvent_point(coeffs, z):
-    """``resolvent_pair`` at one complex z, in Python arithmetic; numpy
-    is not executed."""
+    array = not isinstance(z, (int, float, complex)) and isinstance(z, np.ndarray)
+    z = z.astype(complex, copy=False) if array else complex(z)
     m11, _, m21, m22 = _factor_product(z, coeffs.poles, coeffs.p, coeffs.q)
     tr, V = m11 + m22, m11 - m22
     s = _sqrt(tr * tr - 4.0 + 0.0j)
-    if abs(m21) < 1e-14 * (1.0 + abs(V)):
+    vanishes = abs(m21) < 1e-14 * (1.0 + abs(V))
+    if vanishes.any() if array else vanishes:
         raise DomainError("transfer entry m21 vanishes; retry at a perturbed z")
     den = 2.0 * m21
     c0, c1 = _cdiv(V + s, den), _cdiv(V - s, den)
-    plus_first = tr.real > 0 if c0.imag == c1.imag else c0.imag > c1.imag
-    if plus_first == (z.imag < 0):
-        c0, c1 = c1, c0
-    return ResolventValue(c0, c1, _norm(coeffs.p))
+    plus_first = _where(c0.imag == c1.imag, tr.real > 0, c0.imag > c1.imag) != (z.imag < 0)
+    return ResolventValue(_where(plus_first, c0, c1), _where(plus_first, c1, c0), _norm(coeffs.p))
+
+
+def _where(cond, a, b):
+    """np.where(cond, a, b), or a conditional for a bool cond: no numpy."""
+    return (a if cond else b) if isinstance(cond, bool) else np.where(cond, a, b)
 
 
 def _norm(p):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gmpmat import (
     DomainError,
     GmpCoefficients,
+    ResolventValue,
     bands,
     reflectionless_check,
     resolvent_pair,
@@ -12,7 +15,8 @@ from gmpmat import (
     transfer,
     truncation_resolvent_oracle,
 )
-from gmpmat.transfer import discriminant_coeffs
+from gmpmat._kernels import _cdiv, _dot, _factor_product, _sqrt
+from gmpmat.transfer import discriminant_coeffs, discriminant_of
 from gmpmat.discriminant import RationalDiscriminant
 from conftest import random_coeffs, random_point
 
@@ -158,3 +162,87 @@ def test_a0_and_defect_within_their_bounds_of_the_blas_norm():
         defect = reflectionless_check(c, x, e)
         worst_defect = max(worst_defect, abs(defect - abs(q1 - q2)) / (eps * (abs(q1) + abs(q2))))
     assert worst_a0 <= 2.0 and worst_defect <= 8.0
+
+
+def _resolvent_point(coeffs, z):
+    """resolvent_pair's former scalar body, in Python arithmetic: the square
+    root and the quotient rounded as numpy's scalars round.  Kept as an oracle."""
+    m11, _, m21, m22 = _factor_product(z, coeffs.poles, coeffs.p, coeffs.q)
+    tr, V = m11 + m22, m11 - m22
+    s = _sqrt(tr * tr - 4.0 + 0.0j)
+    if abs(m21) < 1e-14 * (1.0 + abs(V)):
+        raise DomainError("transfer entry m21 vanishes; retry at a perturbed z")
+    den = 2.0 * m21
+    c0, c1 = _cdiv(V + s, den), _cdiv(V - s, den)
+    plus_first = tr.real > 0 if c0.imag == c1.imag else c0.imag > c1.imag
+    if plus_first == (z.imag < 0):
+        c0, c1 = c1, c0
+    return c0, c1, math.sqrt(_dot(coeffs.p, coeffs.p))
+
+
+def _resolvent_array(coeffs, z):
+    """resolvent_pair's former array body, in numpy's elementwise
+    arithmetic.  Kept as an oracle."""
+    z = z.astype(complex, copy=False)
+    m11, _, m21, m22 = _factor_product(z, coeffs.poles, coeffs.p, coeffs.q)
+    tr, V = m11 + m22, m11 - m22
+    s = np.sqrt(tr * tr - 4.0 + 0.0j)
+    if (np.abs(m21) < 1e-14 * (1.0 + np.abs(V))).any():
+        raise DomainError("transfer entry m21 vanishes; retry at a perturbed z")
+    c0, c1 = (V + s) / (2.0 * m21), (V - s) / (2.0 * m21)
+    gap = c0.imag == c1.imag
+    plus_first = np.where(gap, tr.real > 0, c0.imag > c1.imag)
+    plus_first = plus_first != (z.imag < 0)
+    r_plus, r_minus_inv = np.where(plus_first, c0, c1), np.where(plus_first, c1, c0)
+    return r_plus, r_minus_inv, math.sqrt(_dot(coeffs.p, coeffs.p))
+
+
+def _outcome(f, coeffs, z):
+    """repr of (r_plus, r_minus_inv, a0), arrays of z as lists, or the DomainError text."""
+    try:
+        out = f(coeffs, z)
+    except DomainError as e:
+        return f"DomainError: {e}"
+    if isinstance(out, ResolventValue):
+        out = (out.r_plus, out.r_minus_inv, out.a0)
+    return repr(tuple(v.tolist() if isinstance(v, np.ndarray) and v.ndim else v for v in out))
+
+
+def test_one_body_keeps_the_bits_of_both_former_bodies():
+    # A scalar z keeps the scalar body's bits and an ndarray z the array
+    # body's, with the same error text at a pole and where m21 vanishes:
+    # z in both half-planes, |Im z| = 1e-9, and real z in bands and gaps.
+    rng = np.random.default_rng(32)
+    counts = {"scalar": 0, "array": 0, "band": 0, "gap": 0, "pole": 0, "m21": 0, "array errors": 0}
+    for i in range(420):
+        g = i % 6
+        c = random_coeffs(rng, g=g)
+        x = rng.uniform(-4.0, 4.0, 30)
+        y = 10.0 ** rng.uniform(-3.0, 0.5, 20) * rng.choice([-1.0, 1.0], 20)
+        zs = [complex(a, b) for a, b in zip(x[:20], y)]
+        zs += [complex(a, 1e-9 * s) for a, s in zip(x[20:], [1.0, -1.0] * 5)]
+        reals = rng.uniform(-4.0, 4.0, 20).tolist()
+        zs += reals[:10] + [complex(a, 0.0) for a in reals[10:]]
+        zs += list(c.poles)
+        tr = discriminant_of(c, np.array(reals))
+        counts["band"] += int((np.abs(tr) <= 2.0).sum())
+        counts["gap"] += int((np.abs(tr) > 2.0).sum())
+        if g == 1:  # m22 of the pole factor is 0 at z = c + p0 q0, so m21 is 0
+            c = GmpCoefficients(c.poles, (1.0, c.p[1]), (0.5 * (i % 7 + 1), c.q[1]))
+            zs.append(c.poles[0] + 0.5 * (i % 7 + 1))
+        for z in zs:
+            want = _outcome(_resolvent_point, c, complex(z))
+            assert _outcome(resolvent_pair, c, z) == want, (i, z)
+            counts["scalar"] += 1
+            counts["pole"] += want.startswith("DomainError: transfer matrix evaluated at pole")
+            counts["m21"] += want.startswith("DomainError: transfer entry m21")
+        # the last array holds every pole or, at g = 1, the m21 point alone
+        arrays = [np.array(zs[:50]).reshape(5, 10), np.array(reals), np.array(zs[:50] + zs[-1:])]
+        for zarr in arrays:
+            want = _outcome(_resolvent_array, c, zarr)
+            assert _outcome(resolvent_pair, c, zarr) == want, i
+            counts["array"] += 1
+            counts["array errors"] += want.startswith("DomainError")
+    assert counts["scalar"] >= 20_000 and counts["array"] >= 200, counts
+    assert min(counts["band"], counts["gap"], counts["pole"], counts["m21"]) >= 50, counts
+    assert counts["array errors"] == 350, counts  # every set with g >= 1
