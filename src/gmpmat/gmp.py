@@ -292,10 +292,9 @@ def check_shifted_inverse_structure(coeffs, k, n_periods=40, tol=1e-8):
     if rows < 2 * w:
         raise DomainError(f"window of {max(rows, 0)} rows, need {2 * w}: raise n_periods")
     _check_periods(coeffs, n_periods)
-    n = w * n_periods
     # rows and columns k..n-1: the index shift by k
-    R = _window_resolvent(coeffs, ((1.0, coeffs.poles[k - 1]),), n_periods, k, n,
-                          slice(margin, n - margin))
+    R, _ = _window_resolvent(coeffs, ((1.0, coeffs.poles[k - 1]),), n_periods,
+                             lambda n: (k, n, slice(margin, n - margin)))
     m = R.shape[0]
     t = tol * (1.0 + max(R.max(), -R.min()))  # max|R|, with no n x n temporary
     # margin is a multiple of w, so window row r carries p_g where r % w == g
@@ -332,28 +331,38 @@ def _pole_weights(evals, evecs, c, num, rows):
     return np.where(hit, 0.0, num / np.where(hit, 1.0, c - evals))
 
 
-def _window_resolvent(coeffs, terms, n_periods, start, stop, rows):
-    """Rows and columns start..stop-1 of the sum of lam (c - A_N)^{-1} over
-    the (lam, c) in terms, every c a pole of coeffs: from the block structure
-    (``_block_resolvent``), unless an eigenvalue lies on a c (``_near_pole_counts``),
-    the transfer matrix overflows or a block solve fails, and then from one
-    eigendecomposition, deflated where no mode may reach ``rows`` (``_pole_weights``).
+def _window_resolvent(coeffs, terms, n_periods, window):
+    """(W, n): rows and columns start..stop-1, (start, stop, rows) = window(n),
+    of the sum of lam (c - A)^{-1} over the (lam, c) in terms, every c a pole
+    of coeffs, for a section A of n rows.  Where no eigenvalue of A_N lies on a
+    c (``_near_pole_counts``), A has min(N, 4w + 3) periods, w = g + 1: its
+    first, interior and last blocks and their neighbours (``_block_resolvent``)
+    do not depend on N, magic's middle third is interior and spans two full
+    blocks, and the check's 3w - k > 2w window rows lie 2w blocks from both
+    ends, so each result reads the floats it reads at N.  Where a c is hit, the
+    transfer matrix overflows, a block solve fails or W is not finite, A = A_N
+    and W is one eigendecomposition's, deflated by ``_pole_weights``.
     """
     try:
         hit = _near_pole_counts(coeffs, n_periods, [c for _, c in terms]).any()
     except DomainError:  # the transfer matrix overflows at a c of terms
         hit = True
-    W = None if hit else _block_resolvent(coeffs, terms, n_periods, start, stop)
-    if W is None:
+    w = coeffs.g + 1
+    n = w * min(n_periods, 4 * w + 3)
+    start, stop, rows = window(n)
+    W = None if hit else _block_resolvent(coeffs, terms, n // w)
+    if W is None or not np.isfinite(W := W[start:stop, start:stop]).all():
+        n = w * n_periods
+        start, stop, rows = window(n)
         evals, evecs = np.linalg.eigh(assemble(coeffs, n_periods).to_dense())
         weights = sum(_pole_weights(evals, evecs, c, lam, rows) for lam, c in terms)
         W = (evecs[start:stop] * weights) @ evecs[start:stop].T
-    return W
+    return W, n
 
 
-def _block_resolvent(coeffs, terms, n_periods, start, stop):
-    """``_window_resolvent`` where no eigenvalue lies on a c of terms; None
-    if a solve is exactly singular or a block is not finite.
+def _block_resolvent(coeffs, terms, n_periods):
+    """The whole resolvent of ``_window_resolvent`` where no eigenvalue lies
+    on a c of terms; None if a solve is exactly singular.
 
     c - A_N is block tridiagonal with Z = c - B on the diagonal and
     -p e_g^T below it, so every block of its inverse G below the diagonal
@@ -377,7 +386,6 @@ def _block_resolvent(coeffs, terms, n_periods, start, stop):
     lam, c = np.array(terms, dtype=float).reshape(-1, 2).T
     g = coeffs.g
     w = g + 1
-    first, last = start // w, (stop - 1) // w
     Z = c[:, None, None] * np.eye(w) - B
     E = np.zeros((w, w))
     E[g, g] = 1.0
@@ -386,19 +394,16 @@ def _block_resolvent(coeffs, terms, n_periods, start, stop):
             y = np.linalg.solve(Z, np.column_stack([p, E[g]]))  # Z^-1 p and Z^-1 e_g
             alpha = y[:, g, 1, None, None]
             beta = (y[..., 0] @ p)[:, None, None]
-            k = np.arange(first, last + 1)[:, None, None, None]  # block, then lane
+            k = np.arange(n_periods)[:, None, None, None]  # block, then lane
             M = (Z - np.where(k > 0, alpha, 0.0) * np.outer(p, p)
                  - np.where(k < n_periods - 1, beta, 0.0) * E)
             G = np.linalg.inv(M)  # (block, lane, w, w)
         except np.linalg.LinAlgError:  # an exactly singular Z or Schur complement
             return None
-        nb = last - first + 1
-        t = np.arange(nb)
-        W = np.zeros((nb, w, nb, w))
+        t = np.arange(n_periods)
+        W = np.zeros((n_periods, w, n_periods, w))
         W[t, :, t, :] = np.einsum("l,tlij->tij", lam, G)
         below = np.einsum("l,li,tlj->tij", lam, y[..., 0], G[:-1, :, g])  # G_{k,k-1}
         W[t[1:], :, t[:-1], :] = below
         W[t[:-1], :, t[1:], :] = below.transpose(0, 2, 1)
-    o = first * w
-    W = W.reshape(nb * w, nb * w)[start - o : stop - o, start - o : stop - o]
-    return W if np.isfinite(W).all() else None
+    return W.reshape(n_periods * w, n_periods * w)

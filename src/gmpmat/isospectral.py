@@ -248,21 +248,23 @@ def magic_verify(coeffs, delta, n_periods=60):
 
     Returns the maximum absolute entry over the middle-third row and
     column range; small exactly at manifold points.  Where no eigenvalue
-    of the section lies on a pole it does not shrink with N: every
-    interior block of the resolvent is the same, and on seeded sets the
-    defect was the same float at every N from 6 to 299.  Only that
-    window block is formed (``_window_resolvent``).
+    of the section lies on a pole it is the same float at every N from
+    4(g+1) + 3 on: every interior block of the resolvent is the same, so
+    the window is taken from a section of at most that many periods, in
+    work that does not grow with N (``_window_resolvent``).
     """
     _check_poles(coeffs, delta)
-    op = assemble(coeffs, n_periods)
-    lo, hi = op.n // 3, 2 * op.n // 3
-    if hi == lo:
+    _check_periods(coeffs, n_periods)
+    build_blocks(coeffs)  # B's overflow error comes before the window's
+    w = coeffs.g + 1
+    if w * n_periods == 1:  # one row: an empty middle third
         raise DomainError("window of 0 rows, need 1: raise n_periods")
-    D = _window_resolvent(coeffs, delta.terms, n_periods, lo, hi, slice(lo, hi))
-    low = op.row_block(lo, hi)[:, lo:]  # the window's lower triangle
+    D, n = _window_resolvent(coeffs, delta.terms, n_periods,
+                             lambda n: (n // 3, 2 * n // 3, slice(n // 3, 2 * n // 3)))
+    lo, hi = n // 3, 2 * n // 3
+    low = assemble(coeffs, n // w).row_block(lo, hi)[:, lo:]  # the window's lower triangle
     m = hi - lo
     D = D + delta.lambda0 * (low + np.tril(low, -1).T) + delta.c0 * np.eye(m)
-    w = coeffs.g + 1
     idx = np.arange(m - w)
     D[idx, idx + w] -= 1.0
     D[idx + w, idx] -= 1.0

@@ -12,13 +12,16 @@ from gmpmat import (
     BandedOperator,
     DomainError,
     GmpCoefficients,
+    RationalDiscriminant,
     assemble,
     build_blocks,
     check_shifted_inverse_structure,
+    discriminant_coeffs,
     lambda_positivity_test,
+    magic_verify,
 )
-from gmpmat import cli, serialize
-from gmpmat.gmp import _window_resolvent
+from gmpmat import cli, gmp, isospectral, serialize
+from gmpmat.gmp import _near_pole_counts, _window_resolvent
 from gmpmat.serialize import lower_triangle_csv
 from conftest import LATE_HIT, random_coeffs
 
@@ -243,27 +246,32 @@ def _check_shifted_oracle(coeffs, k, n_periods, tol):
     of the section.  At tol = 0 rounding decides the verdict: the check's
     block solves can give exact zeros off the band where the
     eigendecomposition gives only rounding noise.  There the loop reads the
-    check's own resolvent, which must equal the dense one to within a
-    first-order perturbation bound.
+    check's own resolvent, which must equal the dense one of the section
+    it was formed on to within a first-order perturbation bound.
     """
     g = coeffs.g
     w = g + 1
     ck = coeffs.poles[k - 1]
-    M = assemble(coeffs, n_periods).to_dense()
-    n = M.shape[0]
     margin = 2 * w * w
-    evals, evecs = np.linalg.eigh(M)
-    hit = np.abs(ck - evals) < 1e-9 * (1.0 + abs(ck))
-    if np.any(hit) and np.max(np.abs(evecs[margin : n - margin, hit])) > 1e-8:
-        raise DomainError(f"pole {ck} hits the truncation spectrum")
-    weights = np.where(hit, 0.0, 1.0 / np.where(hit, 1.0, ck - evals))
-    R = ((evecs * weights) @ evecs.T)[k:, k:]
+
+    def dense_resolvent(periods):
+        M = assemble(coeffs, periods).to_dense()
+        n = M.shape[0]
+        evals, evecs = np.linalg.eigh(M)
+        hit = np.abs(ck - evals) < 1e-9 * (1.0 + abs(ck))
+        if np.any(hit) and np.max(np.abs(evecs[margin : n - margin, hit])) > 1e-8:
+            raise DomainError(f"pole {ck} hits the truncation spectrum")
+        weights = np.where(hit, 0.0, 1.0 / np.where(hit, 1.0, ck - evals))
+        return M, ((evecs * weights) @ evecs.T)[k:, k:]
+
+    M, R = dense_resolvent(n_periods)
     if tol == 0.0:
-        dense = R
         try:
-            R = _window_resolvent(coeffs, ((1.0, ck),), n_periods, k, n, slice(margin, n - margin))
+            R, n = _window_resolvent(coeffs, ((1.0, ck),), n_periods,
+                                     lambda n: (k, n, slice(margin, n - margin)))
         except DomainError as exc:  # the dense gate above found no hit
             raise AssertionError(f"the window resolvent raised: {exc}") from exc
+        M, dense = dense_resolvent(n // w)  # the section the check used
         # eps |A| |R|^2, with a wide factor for eps
         bound = 1e-11 * (1.0 + np.max(np.abs(M))) * (1.0 + np.max(np.abs(dense))) ** 2
         assert np.max(np.abs(R - dense)) <= bound
@@ -363,3 +371,116 @@ def test_structure_check_rejects_short_window():
         with pytest.raises(DomainError, match="window of"):
             check_shifted_inverse_structure(_NOT_GMP, 1, n_periods)
     assert check_shifted_inverse_structure(_NOT_GMP, 1, 11) is False
+
+
+def _windowed_block_resolvent(coeffs, terms, n_periods, start, stop):
+    """The block path before the section was shortened, kept as its oracle:
+    rows and columns start..stop-1 of the N-period resolvent, from the
+    blocks the window meets, or None where a solve or a block fails."""
+    _, B = build_blocks(coeffs)
+    p = np.asarray(coeffs.p)
+    lam, c = np.array(terms, dtype=float).reshape(-1, 2).T
+    g = coeffs.g
+    w = g + 1
+    first, last = start // w, (stop - 1) // w
+    Z = c[:, None, None] * np.eye(w) - B
+    E = np.zeros((w, w))
+    E[g, g] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            y = np.linalg.solve(Z, np.column_stack([p, E[g]]))
+            alpha = y[:, g, 1, None, None]
+            beta = (y[..., 0] @ p)[:, None, None]
+            k = np.arange(first, last + 1)[:, None, None, None]
+            M = (Z - np.where(k > 0, alpha, 0.0) * np.outer(p, p)
+                 - np.where(k < n_periods - 1, beta, 0.0) * E)
+            G = np.linalg.inv(M)
+        except np.linalg.LinAlgError:
+            return None
+        nb = last - first + 1
+        t = np.arange(nb)
+        W = np.zeros((nb, w, nb, w))
+        W[t, :, t, :] = np.einsum("l,tlij->tij", lam, G)
+        below = np.einsum("l,li,tlj->tij", lam, y[..., 0], G[:-1, :, g])
+        W[t[1:], :, t[:-1], :] = below
+        W[t[:-1], :, t[1:], :] = below.transpose(0, 2, 1)
+    o = first * w
+    W = W.reshape(nb * w, nb * w)[start - o : stop - o, start - o : stop - o]
+    return W if np.isfinite(W).all() else None
+
+
+def _full_length_window_resolvent(coeffs, terms, n_periods, window):
+    """``_window_resolvent`` at the real N: the windowed block path where no
+    pole is hit, and the eigendecomposition path where ``_window_resolvent``
+    itself takes it."""
+    n = (coeffs.g + 1) * n_periods
+    start, stop, _ = window(n)
+    try:
+        hit = _near_pole_counts(coeffs, n_periods, [c for _, c in terms]).any()
+    except DomainError:
+        hit = True
+    W = None if hit else _windowed_block_resolvent(coeffs, terms, n_periods, start, stop)
+    return (W, n) if W is not None else _window_resolvent(coeffs, terms, n_periods, window)
+
+
+def _on_and_off(rng, g):
+    """A random GMP point with the discriminant it lies on, and the point
+    with every q_j moved by 0.3, off that discriminant's manifold."""
+    on = random_coeffs(rng, g)
+    while not lambda_positivity_test(on)[0]:
+        on = random_coeffs(rng, g)
+    d = discriminant_coeffs(on)
+    delta = RationalDiscriminant(d.nu0, d.d0, tuple(zip(d.nus, on.poles)))
+    return delta, on, GmpCoefficients(on.poles, on.p, tuple(v + 0.3 for v in on.q))
+
+
+def _both_checks(coeffs, delta, n_periods, ks=None):
+    """magic_verify, then check_shifted_inverse_structure(k) at tol 1e-8 and 0
+    for each k in ks, by default every k."""
+    ks = ks or range(1, coeffs.g + 1)
+    return [magic_verify(coeffs, delta, n_periods)] + [
+        check_shifted_inverse_structure(coeffs, k, n_periods, tol) for tol in (1e-8, 0.0) for k in ks]
+
+
+def test_checks_equal_the_block_path_at_the_real_length(monkeypatch):
+    # both checks read the floats of the N-period window from the short
+    # section, bit for bit: at a seeded N from N0 = 4(g+1) + 3 to N0 + 100
+    # for every pole, and at 300 periods, where the oracle's check costs
+    # O(n^2) per pole, for the first and the last
+
+    def sweep():
+        rng = np.random.default_rng(33)
+        out = []
+        for g in range(1, 9):
+            n0 = 4 * (g + 1) + 3
+            delta, on, off = _on_and_off(rng, g)
+            for n, ks in ((int(rng.integers(n0, n0 + 101)), None), (300, (1, g))):
+                out += [(g, n)] + _both_checks(on, delta, n, ks) + _both_checks(off, delta, n, ks)
+        return out
+
+    got = sweep()
+    monkeypatch.setattr(gmp, "_window_resolvent", _full_length_window_resolvent)
+    monkeypatch.setattr(isospectral, "_window_resolvent", _full_length_window_resolvent)
+    assert sweep() == got
+    assert {True, False} <= set(got)
+    defects = [v for v in got if type(v) is float]
+    assert min(defects) < 1e-10 and max(defects) > 1e-2
+
+
+def test_checks_at_a_billion_periods_equal_their_shortest_section():
+    # no array of either check grows with N: at 10^9 periods the parent
+    # asked for gigabytes; here every result is the one at N0
+    delta, on, off = _on_and_off(np.random.default_rng(9), 2)
+    for coeffs in (on, off):
+        assert _both_checks(coeffs, delta, 10**9) == _both_checks(coeffs, delta, 15)
+
+
+@pytest.mark.parametrize("g", [1, 2, 4, 8])
+def test_no_block_batch_outgrows_the_short_section(monkeypatch, g):
+    batches = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: batches.append(a.shape[0]) or inv(a))
+    delta, on, off = _on_and_off(np.random.default_rng(g), g)
+    for coeffs in (on, off):
+        _both_checks(coeffs, delta, 1000)
+    assert len(batches) == 2 * (2 * g + 1) and set(batches) == {4 * (g + 1) + 3}

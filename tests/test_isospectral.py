@@ -102,6 +102,37 @@ def test_torus_trace_at_g0_is_the_one_manifold_point():
     assert points[0] == project_to_manifold([], delta)
 
 
+def test_projection_rejects_a_point_with_a_nonpositive_lambda(monkeypatch):
+    # every converged point is refused as if some Lambda_k <= 0: the first
+    # start and 8 seeded perturbed ones are tried, then the refusal is raised
+    starts = []
+    gauss_newton = iso._gauss_newton
+    monkeypatch.setattr(iso, "_gauss_newton", lambda delta, pm, head, tol:
+                        starts.append(head) or gauss_newton(delta, pm, head, tol))
+    monkeypatch.setattr(iso, "lambda_positivity_test", lambda coeffs: (False, [-1.0]))
+    with pytest.raises(ConvergenceError, match=r"^converged to a point with Lambda_k <= 0$"):
+        project_to_manifold([1.2, 0.1], DELTA1)
+    assert len(starts) == 9 and np.array_equal(starts[0], [1.2, 0.1])
+    assert len({tuple(s) for s in starts}) == 9
+
+
+def test_trace_refuses_a_rank_deficient_jacobian(monkeypatch):
+    # the projection after step 0 hands back a zero Jacobian, so step 1 has
+    # no null direction to follow
+    calls = []
+    gauss_newton = iso._gauss_newton
+
+    def flat_after_first(delta, pm, head, tol):
+        head, jacobian = gauss_newton(delta, pm, head, tol)
+        calls.append(head)
+        return head, (jacobian if len(calls) == 1 else lambda: np.zeros((1, 2)))
+
+    monkeypatch.setattr(iso, "_gauss_newton", flat_after_first)
+    with pytest.raises(ConvergenceError, match="^residual Jacobian rank-deficient at step 1$"):
+        trace_torus(POINT1, DELTA1, steps=3, step_len=0.05)
+    assert len(calls) == 2
+
+
 def test_projection_forms_the_lane_product_once_per_point(monkeypatch):
     # the residual and the Jacobian at a point share one lane product (it was
     # formed twice); the Lambda_k > 0 check of the converged point takes
@@ -469,7 +500,7 @@ def test_magic_verify_is_the_same_float_at_every_section_length():
     # does the defect, bit for bit, wherever no eigenvalue lies on a pole
     rng = np.random.default_rng(28)
     compared = 0
-    for g in (1, 2, 3, 4):
+    for g in range(1, 9):
         n0 = 4 * (g + 1) + 3
         for _ in range(3):
             delta = _random_delta(rng, g)
@@ -482,7 +513,7 @@ def test_magic_verify_is_the_same_float_at_every_section_length():
                         continue
                     assert magic_verify(coeffs, delta, n) == want, (g, n)
                     compared += 1
-    assert compared >= 120
+    assert compared >= 240
 
 
 def test_structure_check_verdict_is_the_same_at_every_section_length():
@@ -523,10 +554,12 @@ def test_hit_counts_match_eigenvalue_threshold():
 
 
 
-@pytest.mark.parametrize("periods", [1000, 10000])
+@pytest.mark.parametrize("periods", [1000, 10000, 10**6, 10**9])
 def test_hit_counts_at_long_sections(periods):
     # every period of LATE_HIT puts an eigenvalue on c_2 = 0, and POINT1
-    # has one boundary state on its pole, at any length
+    # has one boundary state on its pole, at any length; past 10^9 periods
+    # LATE_HIT's band around c_2 (Lambda_2 = 0) also puts eigenvalues
+    # within the threshold, 286 of them at 10^12
     assert _near_pole_counts(LATE_HIT, periods, LATE_HIT.poles).tolist() == [0, periods]
     assert _near_pole_counts(POINT1, periods, POINT1.poles).tolist() == [1]
 

@@ -139,6 +139,26 @@ def test_lambda_k_index_range():
         lambda_k(c, 2)
 
 
+def test_lambda_k_residue_index_range():
+    c = GmpCoefficients((2.0,), (1.0, 1.0), (1.0, 0.0))
+    for k in (0, 2):
+        with pytest.raises(DomainError, match=r"^k must be in 1\.\.1$"):
+            lambda_k_residue(c, k)
+
+
+def test_resolvent_route_refuses_a_singular_block():
+    # g = 0: B is the 1x1 block p_0 q_0 = 1.5
+    with pytest.raises(DomainError, match="^B - z is singular$"):
+        transfer_from_resolvent(GmpCoefficients((), (2.0,), (0.75,)), 1.5)
+
+
+def test_resolvent_route_refuses_z_on_a_pole():
+    # at a pole c, R(c, p, g) = e_g^T (B - c)^{-1} p vanishes
+    c = GmpCoefficients((2.0,), (1.0, 1.0), (1.0, 0.0))
+    with pytest.raises(DomainError, match=r"^R\(z, p, g\) vanishes; retry at a perturbed z$"):
+        transfer_from_resolvent(c, 2.0)
+
+
 def test_d0_within_its_bound_of_the_blas_dot():
     # d0 sums with math.fsum; numpy's BLAS dot (FMA where the host has it)
     # rounds differently, within 4 eps (|q_g| + nu0 sum |p_j q_j|): worst
