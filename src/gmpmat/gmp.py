@@ -337,9 +337,9 @@ def _window_resolvent(coeffs, terms, n_periods, window):
     of coeffs, for a section A of n rows.  Where no eigenvalue of A_N lies on a
     c (``_near_pole_counts``), A has min(N, 4w + 3) periods, w = g + 1: its
     first, interior and last blocks and their neighbours (``_block_resolvent``)
-    do not depend on N, magic's middle third is interior and spans two full
-    blocks, and the check's 3w - k > 2w window rows lie 2w blocks from both
-    ends, so each result reads the floats it reads at N.  Where a c is hit, the
+    do not depend on N, and magic's middle third and the check's 3w - k > 2w
+    rows 2w blocks from both ends are interior and span two full blocks, so
+    each result reads the floats it reads at N.  Where a c is hit, the
     transfer matrix overflows, a block solve fails or W is not finite, A = A_N
     and W is one eigendecomposition's, deflated by ``_pole_weights``.
     """
