@@ -116,9 +116,9 @@ def multiplication_matrix(measure, fam, n_funcs):
 
     QR with one reorthogonalization pass orthonormalizes the first
     n_funcs family functions in L2 of the measure.  Raises on a family
-    value that overflows float64 and on rank deficiency (reporting the
-    failing index), and warns when the conditioning of the raw family
-    exceeds 1e12.
+    value or a matrix that overflows float64 and on rank deficiency
+    (reporting the failing index), and warns when the conditioning of
+    the raw family exceeds 1e12.
     """
     xs, ws = measure.support, measure.weights
     if n_funcs < 1:
@@ -126,12 +126,11 @@ def multiplication_matrix(measure, fam, n_funcs):
     if n_funcs > len(xs):
         raise DomainError("n_funcs exceeds the number of atoms")
     sw = np.sqrt(ws)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # refused, not warned about
         F = np.column_stack([sw * family_function(fam, n, xs) for n in range(n_funcs)])
-    _check_finite("a family function", F)
-    Q1, R1 = np.linalg.qr(F)
-    Q, R2 = np.linalg.qr(Q1)  # one reorthogonalization pass
-    R = R2 @ R1
+        Q1, R1 = np.linalg.qr(_check_finite("a family function", F))
+        Q, R2 = np.linalg.qr(Q1)  # one reorthogonalization pass
+        R = _check_finite("the multiplication matrix", R2 @ R1)
     diag = np.abs(np.diag(R))
     bad = np.where(diag <= 1e-13 * np.max(diag))[0]
     if bad.size:
@@ -146,8 +145,9 @@ def multiplication_matrix(measure, fam, n_funcs):
         )
     signs = np.sign(np.diag(R))
     Q = Q * signs
-    M = Q.T @ (xs[:, None] * Q)
-    return 0.5 * (M + M.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = Q.T @ (xs[:, None] * Q)
+        return _check_finite("the multiplication matrix", 0.5 * (M + M.T))
 
 
 def structure_report(M, fam, tol=1e-8):

@@ -1,6 +1,7 @@
 import argparse
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -850,6 +851,77 @@ def test_newton_overflow_writes_only_its_json_line(workdir, capfd):
     argv = ["iso", "project", "--delta", str(workdir / "delta.json"), "--init", "1e300,1"]
     assert main(argv) == 1
     _one_error_line(*capfd.readouterr(), "the Newton system overflows float64")
+
+
+@pytest.mark.parametrize("report", [[], ["--report"]], ids=["matrix", "report"])
+def test_overflowing_multiplication_matrix_writes_only_its_json_line(workdir, capfd, report):
+    # every family value is finite, but the R factor of the QR overflowed and
+    # R2 @ R1 made it NaN: the command printed a NaN matrix, or a clean
+    # report, with exit 0
+    (workdir / "edge.csv").write_text("1.7e308,1\n-1.7e308,1\n0,1\n1.6e308,1\n")
+    argv = ["ortho", "build", "--measure", str(workdir / "edge.csv"), "--family", "monomial",
+            "--n", "2"]
+    assert main(argv + report) == 1
+    _one_error_line(*capfd.readouterr(), "the multiplication matrix overflows float64")
+
+
+def _wide(rng, n):
+    """n values of both signs with magnitudes from 1e-3 to 1.7e308."""
+    mag = np.where(rng.random(n) < 0.5, 10.0 ** rng.uniform(-3, 3, n),
+                   10.0 ** rng.uniform(150, 308, n))
+    mag = np.where(rng.random(n) < 0.2, 1.7e308 * rng.uniform(0.5, 1.0, n), mag)
+    return np.where(rng.random(n) < 0.5, -mag, mag)
+
+
+def _printed_numbers(text):
+    """Every number a CSV or JSON output holds."""
+    if not text.startswith("{"):
+        return [float(cell) for line in text.splitlines() for cell in line.split(",")]
+    found = []
+
+    def walk(obj):
+        if isinstance(obj, (dict, list)):
+            for v in obj.values() if isinstance(obj, dict) else obj:
+                walk(v)
+        elif isinstance(obj, float):
+            found.append(obj)
+
+    walk(json.loads(text))
+    return found
+
+
+def test_matrix_commands_print_finite_cells_or_one_error(workdir, capfd):
+    # gmp build and ortho build print text that cli._all_finite never sees, so
+    # each must refuse an overflow itself.  Runs in ~0.2 s
+    rng = np.random.default_rng(35)
+    runs = []
+    for case in range(30):
+        g = int(rng.integers(0, 3))
+        coeffs = {"poles": sorted(rng.uniform(-3.0, 3.0, g).tolist()),
+                  "p": np.abs(_wide(rng, g + 1)).tolist(), "q": _wide(rng, g + 1).tolist()}
+        (workdir / f"c{case}.json").write_text(json.dumps(coeffs))
+        runs.append([["gmp", "build", "--coeffs", str(workdir / f"c{case}.json"),
+                      "--periods", "2"]])
+    poles = {"monomial": [], "smp": ["--poles=0"], "gmp": ["--poles=0.5,-0.7"]}
+    for case in range(60):
+        family = list(poles)[case % 3]
+        atoms = int(rng.integers(2, 6))
+        xs, ws = _wide(rng, atoms), np.abs(_wide(rng, atoms))
+        (workdir / f"m{case}.csv").write_text("".join(f"{x!r},{w!r}\n"
+                                                      for x, w in zip(xs.tolist(), ws.tolist())))
+        argv = ["ortho", "build", "--measure", str(workdir / f"m{case}.csv"), "--family", family,
+                "--n", str(int(rng.integers(1, 3))), *poles[family]]
+        runs.append([argv, argv + ["--report"]])
+    for forms in runs:
+        codes = []
+        for argv in forms:
+            codes.append(main(argv))
+            out, err = capfd.readouterr()
+            if codes[-1] == 0:
+                assert all(map(math.isfinite, _printed_numbers(out))), argv
+            else:
+                assert codes[-1] == 1 and out == "" and len(err.splitlines()) == 1, argv
+        assert len(set(codes)) == 1, forms  # the matrix and its report exit alike
 
 
 @pytest.mark.parametrize("e", [8, 10, 20, 80])

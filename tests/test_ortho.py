@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -242,3 +244,16 @@ def test_structure_report_matches_per_entry_loop(tol):
         cases.append(multiplication_matrix(mu, fam, 12))
         for M in cases:
             assert repr(structure_report(M, fam, tol)) == repr(_structure_report_loop(M, fam, tol))
+
+
+@pytest.mark.parametrize("atoms, n", [
+    (((1.7e308, 1.0), (-1.7e308, 1.0), (0.0, 1.0), (1.6e308, 1.0)), 2),
+    (((1.7e308, 1.0), (1.6e308, 1.0)), 1),
+], ids=["R factor", "symmetrized M"])
+def test_overflowing_multiplication_matrix_is_refused_without_a_warning(atoms, n):
+    # every family value is finite; R2 @ R1 was NaN (numpy warned "invalid value
+    # encountered in matmul") and M + M^T was inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="the multiplication matrix overflows float64"):
+            multiplication_matrix(DiscreteMeasure(atoms), RationalFamily("monomial"), n)
