@@ -874,20 +874,10 @@ def _wide(rng, n):
 
 
 def _printed_numbers(text):
-    """Every number a CSV or JSON output holds."""
-    if not text.startswith("{"):
-        return [float(cell) for line in text.splitlines() for cell in line.split(",")]
-    found = []
-
-    def walk(obj):
-        if isinstance(obj, (dict, list)):
-            for v in obj.values() if isinstance(obj, dict) else obj:
-                walk(v)
-        elif isinstance(obj, float):
-            found.append(obj)
-
-    walk(json.loads(text))
-    return found
+    """Every number a matrix CSV or a structure report holds."""
+    if text.startswith("{"):
+        return [violation[2] for violation in json.loads(text)["violations"]]
+    return [float(cell) for line in text.splitlines() for cell in line.split(",")]
 
 
 def test_matrix_commands_print_finite_cells_or_one_error(workdir, capfd):
