@@ -2,10 +2,10 @@
 scalar arithmetic that reproduces numpy's without executing it.
 
 A transfer matrix is an ordered product of 2x2 elementary factors, one
-per coefficient pair.  ``_factor_product`` multiplies one product in
-one order, entry by entry, so the same code serves a scalar z (plain
-Python arithmetic, no array allocation) and an ndarray of z (elementwise
-numpy arithmetic over the whole grid, looping only over the factors).  ``_sqrt`` and ``_cdiv``
+per coefficient pair.  ``_factor_product`` multiplies them out entry by
+entry, so the same code serves a scalar z (plain Python arithmetic, no
+array allocation) and an ndarray of z (elementwise numpy arithmetic over
+the whole grid, looping only over the factors).  ``_sqrt`` and ``_cdiv``
 take either too: numpy's own square root and quotient for an ndarray, and
 for a Python complex the same rounding without numpy.  ``_dot`` is the one
 sum of products behind ||p||, d0 and the forced tail q_g.
@@ -69,18 +69,19 @@ def _cdiv(a, b):
     return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
 
 
-def _factor_product(z, poles, p, q, rank_one=None):
+def _factor_product(z, poles, p, q, mirror=False, rank_one=None):
     """Entries (m11, m12, m21, m22) of an ordered product of elementary factors.
 
     Pair j of (p, q) gives the pole factor I - (1/(c_j - z)) [p_j; q_j][p_j q_j] j
     for j < len(poles), with j = [[0, -1], [1, 0]], and the infinity factor
     [[0, -p_j], [1/p_j, (z - p_j q_j)/p_j]] for the remaining pairs.
 
-    One product in one order: pair 0's factor leftmost (the mirrored
-    product is S T^T S, ``transfer.mirror_transfer``).  ``rank_one = k``
-    replaces factor k by the rank-one matrix [p_k; q_k][p_k q_k] j.  A
-    Python (or numpy) scalar z stays a scalar and needs no numpy; an
-    ndarray z gives entries of its shape.  Raises DomainError when z hits a pole of a pole factor.
+    ``mirror`` multiplies the factors in reverse order, each replaced by
+    its mirror S F^T S with S = diag(1, -1); for a pole factor that swaps
+    the roles of p and q.  ``rank_one = k`` replaces factor k by the
+    rank-one matrix [p_k; q_k][p_k q_k] j.  A Python (or numpy) scalar z
+    stays a scalar and needs no numpy; an ndarray z gives entries of its
+    shape.  Raises DomainError when z hits a pole of a pole factor.
     """
     g = len(poles)
     array = not isinstance(z, (int, float, complex))
@@ -98,6 +99,8 @@ def _factor_product(z, poles, p, q, rank_one=None):
             f11, f12, f21, f22 = 1.0 - u * pq, u * (pj * pj), -u * (qj * qj), 1.0 + u * pq
         else:
             f11, f12, f21, f22 = 0.0, -pj, 1.0 / pj, (z - pq) / pj
+        if mirror:  # S F^T S multiplies the product from the left
+            m11, m12, m21, m22, f11, f12, f21, f22 = f11, -f21, -f12, f22, m11, m12, m21, m22
         m11, m12, m21, m22 = (
             m11 * f11 + m12 * f21,
             m11 * f12 + m12 * f22,

@@ -147,7 +147,7 @@ def multiplication_matrix(measure, fam, n_funcs):
     Q = Q * signs
     with np.errstate(over="ignore", invalid="ignore"):
         M = Q.T @ (xs[:, None] * Q)
-        return _check_finite("the multiplication matrix", 0.5 * (M + M.T))
+        return _check_finite("the multiplication matrix", 0.5 * M + 0.5 * M.T)
 
 
 def structure_report(M, fam, tol=1e-8):

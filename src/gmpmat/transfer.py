@@ -124,15 +124,13 @@ def transfer_from_resolvent(coeffs, z):
 
 
 def mirror_transfer(coeffs, z):
-    """Transfer matrix of the left half-line resolvent: S T(z)^T S.
+    """Transfer matrix of the left half-line resolvent.
 
-    The reversed product of the mirrored factors S F^T S, S = diag(1, -1),
-    is S T^T S since S^2 = I, so the entries are those of ``transfer``:
-    m11, -m21, -m12, m22.  They equal the reversed product's bit for bit at
-    real z, and in value at a complex scalar z (an exact zero part may
-    change sign).  At a complex ndarray z they may differ by a few ulps:
-    numpy's complex multiply, with FMA, rounds a*b and b*a apart.  For an
-    ndarray z the result has shape (2, 2) + z.shape.
+    Product runs in reverse order with the roles of p and q swapped in
+    the pole factors; entrywise it relates to the direct transfer matrix
+    by m11 = m11^-, m22 = m22^-, m12 = -m21^-, m21 = -m12^-.
     """
-    m11, m12, m21, m22 = _factor_product(z, coeffs.poles, coeffs.p, coeffs.q)
-    return np.array([[m11, -m21], [-m12, m22]])
+    m11, m12, m21, m22 = _factor_product(
+        z, coeffs.poles, coeffs.p, coeffs.q, mirror=True
+    )
+    return np.array([[m11, m12], [m21, m22]])

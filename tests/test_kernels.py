@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gmpmat import DomainError, _kernels, transfer
-from gmpmat.transfer import discriminant_of, mirror_transfer
+from gmpmat.transfer import discriminant_of
 from conftest import factor_infinity, factor_pole, random_coeffs
 
 
@@ -24,7 +24,7 @@ def test_core_matches_factor_matrix_product():
         c = random_coeffs(rng)
         zs = _grid(rng, 16)
         grid = _kernels._factor_product(zs, c.poles, c.p, c.q)
-        mirror = mirror_transfer(c, zs)
+        mirror = _kernels._factor_product(zs, c.poles, c.p, c.q, mirror=True)
         for i, z in enumerate(zs):
             mats = _factor_matrices(c, complex(z))
             want = np.linalg.multi_dot([np.eye(2)] + mats)
@@ -36,11 +36,11 @@ def test_core_matches_factor_matrix_product():
             scale = 1.0 + np.max(np.abs(want))
             for got in (scalar, [m[i] for m in grid]):
                 assert np.max(np.abs(np.reshape(got, (2, 2)) - want)) < 1e-12 * scale
-            got_mirror = mirror[:, :, i]
+            got_mirror = np.reshape([m[i] for m in mirror], (2, 2))
             assert np.max(np.abs(got_mirror - want_mirror)) < 1e-12 * scale
 
 
-def _mirror_product_oracle(z, poles, p, q):
+def _mirror_product_oracle(z, poles, p, q, rank_one=None):
     """The mirrored product with its own 4-entry expression: each factor's
     mirror S F^T S = [[f11, -f21], [-f12, f22]] multiplies from the left."""
     array = not isinstance(z, (int, float, complex))
@@ -48,7 +48,9 @@ def _mirror_product_oracle(z, poles, p, q):
     m11, m12, m21, m22 = 1.0 + zero, zero, zero, 1.0 + zero
     for j, (pj, qj) in enumerate(zip(p, q)):
         pq = pj * qj
-        if j < len(poles):
+        if j == rank_one:
+            f11, f12, f21, f22 = pq, -pj * pj, qj * qj, -pq
+        elif j < len(poles):
             c = poles[j]
             if (z == c).any() if array else z == c:
                 raise DomainError(f"transfer matrix evaluated at pole c = {c}")
@@ -65,28 +67,23 @@ def _mirror_product_oracle(z, poles, p, q):
     return m11, m12, m21, m22
 
 
-def test_mirror_transfer_equals_explicit_mirrored_product():
-    # S T^T S of the one product computes the sums of the reversed mirrored
-    # product with the operands of each product swapped: bit for bit on real
-    # z, equal in value on a complex scalar z (an exact zero part may differ
-    # in its sign only), and within rounding on a complex array, where
-    # numpy's FMA complex multiply rounds a*b and b*a apart (worst seen:
-    # 8.2e-16 (1 + max|M|))
+@pytest.mark.parametrize("rank_one", [None, 0])
+def test_mirror_fold_equals_explicit_mirrored_product(rank_one):
+    # the mirrored factor, swapped in as the left operand of the one product
+    # expression, computes the same sums: equal in value, and bit for bit on
+    # real z (on complex z an exact zero part may differ in its sign only)
     rng = np.random.default_rng(8)
     for _ in range(200):
         c = random_coeffs(rng, g_max=8)
         xs = rng.uniform(-3.0, 3.0, 8)
         zs = _grid(rng, 8)
         for z in [float(x) for x in xs] + [complex(w) for w in zs] + [xs, zs]:
-            got = mirror_transfer(c, z)
-            w11, w12, w21, w22 = _mirror_product_oracle(z, c.poles, c.p, c.q)
-            want = np.array([[w11, w12], [w21, w22]])
-            if isinstance(z, complex):
-                assert np.array_equal(got, want)
-            elif np.iscomplexobj(z):
-                assert np.max(np.abs(got - want)) < 1e-14 * (1.0 + np.max(np.abs(want)))
-            else:
-                assert repr(got.tolist()) == repr(want.tolist())
+            got = _kernels._factor_product(z, c.poles, c.p, c.q, mirror=True, rank_one=rank_one)
+            want = _mirror_product_oracle(z, c.poles, c.p, c.q, rank_one)
+            for g_entry, w_entry in zip(got, want):
+                assert np.all(g_entry == w_entry)
+                if not np.iscomplexobj(z):
+                    assert np.asarray(g_entry).tobytes() == np.asarray(w_entry).tobytes()
 
 
 def test_core_infinity_factors_only():

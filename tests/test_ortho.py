@@ -246,14 +246,20 @@ def test_structure_report_matches_per_entry_loop(tol):
             assert repr(structure_report(M, fam, tol)) == repr(_structure_report_loop(M, fam, tol))
 
 
-@pytest.mark.parametrize("atoms, n", [
-    (((1.7e308, 1.0), (-1.7e308, 1.0), (0.0, 1.0), (1.6e308, 1.0)), 2),
-    (((1.7e308, 1.0), (1.6e308, 1.0)), 1),
-], ids=["R factor", "symmetrized M"])
-def test_overflowing_multiplication_matrix_is_refused_without_a_warning(atoms, n):
-    # every family value is finite; R2 @ R1 was NaN (numpy warned "invalid value
-    # encountered in matmul") and M + M^T was inf
+def test_overflowing_multiplication_matrix_is_refused_without_a_warning():
+    # every family value is finite, but R2 @ R1 was NaN (numpy warned "invalid
+    # value encountered in matmul") and the NaN matrix passed both rank tests
+    atoms = ((1.7e308, 1.0), (-1.7e308, 1.0), (0.0, 1.0), (1.6e308, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DomainError, match="the multiplication matrix overflows float64"):
-            multiplication_matrix(DiscreteMeasure(atoms), RationalFamily("monomial"), n)
+            multiplication_matrix(DiscreteMeasure(atoms), RationalFamily("monomial"), 2)
+
+
+def test_multiplication_matrix_near_the_float64_limit_is_finite():
+    # the one entry is the mean 1.65e308, which fits; the sum M + M^T does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        M = multiplication_matrix(DiscreteMeasure(((1.7e308, 1.0), (1.6e308, 1.0))),
+                                  RationalFamily("monomial"), 1)
+    assert M.shape == (1, 1) and abs(M[0, 0] / 1.65e308 - 1.0) < 1e-15
