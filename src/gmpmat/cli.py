@@ -12,6 +12,8 @@ at most ``_SCALAR_GRID_MAX`` points one by one in Python floats, into a
 tuple of rows that ``_all_finite`` checks and ``serialize.rows_csv``
 encodes without executing numpy, and a larger grid in one f(array) call.
 Exit codes: 0 success, 1 domain/input/usage error, 2 convergence failure.
+A warning the command raises goes to stderr after the output, as one JSON
+line; numpy's floating-point warnings are ignored.
 A grid that hits a pole is a domain error: no partial output is written.
 """
 
@@ -481,7 +483,7 @@ def main(argv=None):
         # so help and usage errors read as they always have
         parser = _parser(argv[:1]) if argv[:1] and argv[0] in _GROUPS else build_parser()
         args = parser.parse_args(_join_signed_values(argv))
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(record=True) as caught:
             warnings.filterwarnings("ignore", _FP_WARNINGS, RuntimeWarning)
             result = args.func(args)
         if not _all_finite(result):
@@ -491,6 +493,8 @@ def main(argv=None):
         elif not isinstance(result, str):
             result = serialize.rows_csv(result)
         serialize.write_text(args.out, result)
+        for w in caught:  # after the output, one JSON line each
+            _report({"warning": str(w.message)})
     except ConvergenceError as exc:
         payload = {"error": str(exc)}
         if exc.residual is not None:

@@ -71,25 +71,14 @@ class BandedOperator:
     lower: "np.ndarray"
 
     def to_dense(self):
-        """The full matrix: the lower triangle of ``row_block`` mirrored."""
-        L = self.row_block(0, self.n)
+        """The full matrix: the lower band, -0.0 stored as +0.0, mirrored."""
+        n = self.n
+        L = np.zeros((n, n))
+        flat = L.reshape(-1)
+        for d in range(min(self.half_bandwidth, n - 1) + 1):
+            flat[d * n :: n + 1] = self.lower[d, : n - d] + 0.0  # entries (i + d, i)
         L += np.tril(L, -1).T
         return L
-
-    def row_block(self, start, stop):
-        """Rows start..stop-1, columns 0..stop-1 of the dense matrix.
-
-        Only the lower band is filled (entries above the diagonal are 0),
-        with -0.0 stored as +0.0 as in ``to_dense``.
-        """
-        M = np.zeros((stop - start, stop))
-        flat = M.reshape(-1)
-        for d in range(min(self.half_bandwidth, stop - 1) + 1):
-            first = max(start, d)  # entries (i, i - d), i = first..stop-1
-            flat[(first - start) * stop + first - d :: stop + 1] = (
-                self.lower[d, first - d : stop - d] + 0.0
-            )
-        return M
 
     def eigenvalues(self):
         """All eigenvalues, from LAPACK's banded solver (scipy.linalg.eig_banded).

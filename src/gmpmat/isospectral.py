@@ -14,8 +14,8 @@ import sys
 from ._kernels import _dot, _factor_product
 from ._lazy import np
 from .errors import ConvergenceError, DomainError, count, finite
-from .gmp import (_check_finite, _check_periods, _transfer_phase, _window_resolvent, assemble,
-                  build_blocks, lambda_positivity_test, GmpCoefficients)
+from .gmp import (BandedOperator, GmpCoefficients, _check_finite, _check_periods, _transfer_phase,
+                  _window_resolvent, assemble, build_blocks, lambda_positivity_test)
 from .transfer import lambda_k
 
 
@@ -262,9 +262,10 @@ def magic_verify(coeffs, delta, n_periods=60):
     D, n = _window_resolvent(coeffs, delta.terms, n_periods,
                              lambda n: (n // 3, 2 * n // 3, slice(n // 3, 2 * n // 3)))
     lo, hi = n // 3, 2 * n // 3
-    low = assemble(coeffs, n // w).row_block(lo, hi)[:, lo:]  # the window's lower triangle
     m = hi - lo
-    D = D + delta.lambda0 * (low + np.tril(low, -1).T) + delta.c0 * np.eye(m)
+    # rows and columns lo..hi-1 are the band matrix in columns lo..hi-1 of the band storage
+    window = BandedOperator(m, w, assemble(coeffs, n // w).lower[:, lo:hi]).to_dense()
+    D = D + delta.lambda0 * window + delta.c0 * np.eye(m)
     idx = np.arange(m - w)
     D[idx, idx + w] -= 1.0
     D[idx + w, idx] -= 1.0

@@ -1,7 +1,6 @@
 """File formats: JSON with full-precision floats, CSV matrix dumps."""
 
 import json
-import math
 
 from ._lazy import np
 
@@ -241,36 +240,25 @@ def _text(cells):
 def lower_triangle_csv(M, tol=0.0):
     """CSV triples (i, j, value) over the lower triangle of a matrix.
 
-    ``M`` is a dense array, or an object with ``n`` and ``row_block(start,
-    stop)`` giving rows start..stop-1, columns 0..stop-1 as a dense array
-    (``BandedOperator``), so no n x n array is formed.  Entries with
-    |value| <= tol are left out when tol is nonzero.  Rows are encoded in
-    blocks of about _BLOCK_ROWS entries.
+    ``M`` is a dense array, or a ``BandedOperator`` written row by row from
+    its band storage, so no n x n array is formed; a band -0.0 prints "0",
+    as ``to_dense`` stores it.  The entries left of a row's band are 0 and
+    go out as one joined run; a dense row's band is the whole row.  Entries
+    with |value| <= tol are left out when tol is nonzero.
     """
-    if hasattr(M, "row_block"):
-        n, block = M.n, M.row_block
+    if hasattr(M, "lower"):
+        band, w = (M.lower + 0.0).tolist(), M.half_bandwidth  # band[d][j]: entry (j + d, j)
+        rows = [[band[i - j][j] for j in range(max(i - w, 0), i + 1)] for i in range(M.n)]
     else:
-        M = np.asarray(M)
-        n, block = M.shape[0], lambda start, stop: M[start:stop, :stop]
-    labels = _cells(np.arange(n))[:, 1:]  # the text of every index, once; no sign
-    labels[:, -1] = ord(",")
+        rows = [row[: i + 1] for i, row in enumerate(np.asarray(M, dtype=float).tolist())]
+    cols = [str(j) for j in range(len(rows))]
     parts = []
-    start = 0
-    while start < n:
-        # rows start..stop-1 hold stop(stop+1)/2 - start(start+1)/2 entries
-        total = start * (start + 1) // 2 + _BLOCK_ROWS
-        stop = min(n, max(start + 1, (math.isqrt(8 * total + 1) - 1) // 2))
-        counts = np.arange(start + 1, stop + 1)
-        i = np.repeat(np.arange(start, stop), counts)
-        j = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        vals = block(start, stop)[i - start, j]
-        if tol != 0.0:
-            keep = np.abs(vals) > tol
-            i, j, vals = i[keep], j[keep], vals[keep]
-        cells = _cells(vals)
-        cells[:, -1] = ord("\n")
-        parts.append(_text(np.concatenate([labels[i], labels[j], cells], axis=1)))
-        start = stop
+    for i, row in enumerate(rows):
+        lo = i + 1 - len(row)  # row holds columns lo..i
+        if lo and tol <= 0.0:
+            parts.append(f"{i}," + f",0\n{i},".join(cols[:lo]) + ",0\n")
+        parts.extend(f"{i},{j},{fmt(v)}\n" for j, v in enumerate(row, lo)
+                     if tol == 0.0 or abs(v) > tol)
     return "".join(parts) or "\n"
 
 

@@ -1,6 +1,8 @@
 """Shared generators for randomized suites (all seeded, deterministic), a
-pinned set whose poles hit the section's spectrum, and the elementary
-transfer factors as 2x2 matrices, the oracle of ``_kernels._factor_product``."""
+pinned set whose poles hit the section's spectrum, the elementary
+transfer factors as 2x2 matrices, the oracle of ``_kernels._factor_product``,
+and the row-block fill of a band matrix, the oracle of ``to_dense`` windows
+and of the band-walking triangle encoder."""
 
 import numpy as np
 
@@ -10,6 +12,18 @@ from gmpmat import DomainError, FiniteGapSet, GmpCoefficients
 # index 1 of each period is uncoupled with eigenvalue c_2 = 0: every period
 # puts an eigenvalue on that pole, with amplitude away from the boundary
 LATE_HIT = GmpCoefficients((5.0, 0.0), (1.0, 0.0, 1.0), (-1.0, 0.0, 0.0))
+
+
+def row_block(op, start, stop):
+    """Rows start..stop-1, columns 0..stop-1 of a BandedOperator as a dense
+    array: the lower band only, -0.0 stored as +0.0 (the fill that
+    ``BandedOperator.row_block`` was)."""
+    M = np.zeros((stop - start, stop))
+    flat = M.reshape(-1)
+    for d in range(min(op.half_bandwidth, stop - 1) + 1):
+        first = max(start, d)  # entries (i, i - d), i = first..stop-1
+        flat[(first - start) * stop + first - d :: stop + 1] = op.lower[d, first - d : stop - d] + 0.0
+    return M
 
 
 def random_gap_set(rng, g):

@@ -839,6 +839,29 @@ def test_bad_measure_names_its_file(workdir, capsys, text, message):
     _one_error_line(*capsys.readouterr(), f"{workdir / 'bad.csv'}: {message}")
 
 
+@pytest.mark.filterwarnings("default::RuntimeWarning")  # Python's own default, as in a shell
+@pytest.mark.parametrize("report", [False, True], ids=["csv", "report"])
+def test_ill_conditioned_family_warns_in_one_json_line(workdir, capfd, report):
+    # the RuntimeWarning went to stderr as Python's two lines of text (the
+    # warning and the source line); the library call still warns
+    from gmpmat.ortho import (DiscreteMeasure, RationalFamily, multiplication_matrix,
+                              structure_report)
+
+    path = workdir / "m60.csv"
+    path.write_text("".join(f"{x!r},1.0\n" for x in np.linspace(0.0, 1.0, 60).tolist()))
+    fam = RationalFamily("monomial", ())
+    with pytest.warns(RuntimeWarning, match="ill-conditioned family"):
+        M = multiplication_matrix(DiscreteMeasure.from_csv(str(path)), fam, 22)
+    serialize = cli.serialize
+    want = serialize.dumps(structure_report(M, fam)) if report else serialize.lower_triangle_csv(M)
+    argv = ["ortho", "build", "--measure", str(path), "--family", "monomial"] + ["--report"] * report
+    assert main(argv + ["--n", "22"]) == 0
+    assert capfd.readouterr() == (
+        want, '{"warning": "ill-conditioned family: condition estimate exceeds 1e12"}\n')
+    assert main(argv + ["--n", "21"]) == 0
+    assert capfd.readouterr().err == ""
+
+
 def _one_error_line(out, err, message):
     assert out == ""
     lines = err.splitlines()

@@ -20,10 +20,10 @@ from gmpmat import (
     lambda_positivity_test,
     magic_verify,
 )
-from gmpmat import cli, gmp, isospectral, serialize
+from gmpmat import cli, gmp, isospectral
 from gmpmat.gmp import _near_pole_counts, _window_resolvent
 from gmpmat.serialize import lower_triangle_csv
-from conftest import LATE_HIT, random_coeffs
+from conftest import LATE_HIT, random_coeffs, row_block
 
 
 def test_coefficient_validation():
@@ -227,16 +227,48 @@ def test_to_dense_matches_diagonal_fill_bits():
 
 
 @pytest.mark.parametrize("tol", [0.0, 0.5, -1.0, np.inf])
-def test_triangle_from_band_storage_matches_dense(monkeypatch, tol):
-    # row blocks of a few entries each, so blocks start mid-band
-    monkeypatch.setattr(serialize, "_BLOCK_ROWS", 5)
+def test_triangle_from_band_storage_matches_dense(tol):
+    # the band walk's edges: rows with and without zeros left of the band
+    # (kept as one run at tol <= 0), a band as wide as or wider than the
+    # matrix, one row, and exact zeros inside the band
     lower = np.random.default_rng(3).standard_normal((4, 11))
     lower[1, 2] = lower[0, 5] = lower[3, 0] = -0.0  # printed "0", as to_dense gives
+    lower[2, 6] = lower[0, 8] = 0.0
     g3 = GmpCoefficients((-1.5, 0.0, 1.5), (0.7, 1.1, 0.5, 0.9), (0.2, -0.4, 0.3, 0.1))
-    ops = [BandedOperator(n=11, half_bandwidth=3, lower=lower), assemble(g3, 3),
+    ops = [BandedOperator(n=11, half_bandwidth=3, lower=lower), assemble(g3, 3), assemble(g3, 1),
+           BandedOperator(n=3, half_bandwidth=3, lower=lower[:, :3]),
            BandedOperator(n=1, half_bandwidth=3, lower=lower[:, :1])]
     for op in ops:
         assert lower_triangle_csv(op, tol) == lower_triangle_csv(op.to_dense(), tol)
+
+
+def _window_by_row_block(op, lo, hi):
+    """Rows and columns lo..hi-1 of op as magic_verify read them before:
+    the row-block fill's lower triangle, mirrored."""
+    low = row_block(op, lo, hi)[:, lo:]
+    return low + np.tril(low, -1).T
+
+
+def test_window_from_band_storage_matches_row_block_fill():
+    rng = np.random.default_rng(36)
+    for g in range(9):
+        w = g + 1
+        c = random_coeffs(rng, g)
+        # the short section (at most 4w + 3 periods) and real-N fallbacks
+        for periods in [*range(1, 4 * w + 4), 60, 201]:
+            op = assemble(c, periods)
+            lo, hi = op.n // 3, 2 * op.n // 3
+            window = BandedOperator(hi - lo, w, op.lower[:, lo:hi]).to_dense()
+            assert window.tobytes() == _window_by_row_block(op, lo, hi).tobytes()
+    for _ in range(300):  # arbitrary windows of band matrices holding -0.0
+        n, hb = int(rng.integers(1, 15)), int(rng.integers(0, 6))
+        lower = rng.standard_normal((hb + 1, n))
+        lower[rng.random(lower.shape) < 0.3] = -0.0
+        op = BandedOperator(n, hb, lower)
+        lo = int(rng.integers(0, n))
+        hi = int(rng.integers(lo, n + 1))
+        window = BandedOperator(hi - lo, hb, lower[:, lo:hi]).to_dense()
+        assert window.tobytes() == _window_by_row_block(op, lo, hi).tobytes()
 
 
 def _check_shifted_oracle(coeffs, k, n_periods, tol):

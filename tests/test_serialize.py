@@ -1,10 +1,13 @@
 """The CSV encoders against the per-cell reference they replaced."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmpmat import serialize
+from gmpmat import BandedOperator, GmpCoefficients, assemble, serialize
+from conftest import random_coeffs, row_block
 
 
 def _cell(x):
@@ -68,9 +71,89 @@ def test_encoders_are_unchanged_across_row_blocks(monkeypatch):
     monkeypatch.setattr(serialize, "_BLOCK_ROWS", 4)
     rows = _with_step_column(np.random.default_rng(7), 41)
     assert serialize.rows_csv(rows) == _reference_rows(rows)
-    M = np.random.default_rng(8).normal(size=(10, 10))
-    assert serialize.lower_triangle_csv(M) == _reference_triangle(M)
-    assert serialize.lower_triangle_csv(M, 1.0) == _reference_triangle(M, 1.0)
+
+
+def _edge_bands():
+    """Band matrices at the edges of the triangle's band walk."""
+    rng = np.random.default_rng(8)
+    lower = rng.normal(size=(4, 10))
+    lower[1, 2] = lower[0, 5] = -0.0  # printed "0"
+    lower[2, 4] = lower[0, 7] = 0.0  # exact zeros inside the band
+    return [BandedOperator(10, 3, lower),
+            BandedOperator(3, 5, rng.normal(size=(6, 3))),  # band wider than the matrix
+            BandedOperator(4, 3, lower[:, :4]),  # as wide as the matrix
+            BandedOperator(1, 3, lower[:, :1]),
+            BandedOperator(5, 0, lower[:1, :5])]
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, 1.0])  # tol < 0 keeps the zero runs
+def test_triangle_band_walk_edges_match_dense(tol):
+    for op in _edge_bands():
+        dense = op.to_dense()
+        assert serialize.lower_triangle_csv(op, tol) == serialize.lower_triangle_csv(dense, tol)
+        assert serialize.lower_triangle_csv(op, tol) == _reference_triangle(dense, tol)
+
+
+def _triangle_by_row_blocks(M, tol=0.0, block_rows=1 << 14):
+    """The row-block encoder that the band walk of lower_triangle_csv
+    replaced, kept as its oracle: about block_rows entries per block,
+    gathered by index from a dense row block and sent through ``_cells``."""
+    if isinstance(M, BandedOperator):
+        n, block = M.n, lambda start, stop: row_block(M, start, stop)
+    else:
+        M = np.asarray(M)
+        n, block = M.shape[0], lambda start, stop: M[start:stop, :stop]
+    labels = serialize._cells(np.arange(n))[:, 1:]  # the text of every index, once; no sign
+    labels[:, -1] = ord(",")
+    parts = []
+    start = 0
+    while start < n:
+        # rows start..stop-1 hold stop(stop+1)/2 - start(start+1)/2 entries
+        total = start * (start + 1) // 2 + block_rows
+        stop = min(n, max(start + 1, (math.isqrt(8 * total + 1) - 1) // 2))
+        counts = np.arange(start + 1, stop + 1)
+        i = np.repeat(np.arange(start, stop), counts)
+        j = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        vals = block(start, stop)[i - start, j]
+        if tol != 0.0:
+            keep = np.abs(vals) > tol
+            i, j, vals = i[keep], j[keep], vals[keep]
+        cells = serialize._cells(vals)
+        cells[:, -1] = ord("\n")
+        parts.append(serialize._text(np.concatenate([labels[i], labels[j], cells], axis=1)))
+        start = stop
+    return "".join(parts) or "\n"
+
+
+_SWEEP_TOLS = (0.0, -1.0, 1e-12, 1e-3, 0.5, np.inf, np.nan)
+
+
+def _sweep_matrices():
+    rng = np.random.default_rng(36)
+    for g in range(6):
+        c = random_coeffs(rng, g)
+        for periods in (1, 2, 3, int(rng.integers(4, 60)), 60):
+            yield assemble(c, periods)
+        tiny = GmpCoefficients(c.poles, tuple(1e-200 * v for v in c.p), c.q)  # B underflows
+        yield assemble(tiny, 5)
+    # p_0 = -0.0 and q_0 = 0 survive sign normalization and land in the band
+    yield assemble(GmpCoefficients((1.0,), (-0.0, 1.0), (0.0, 0.2)), 4)
+    yield assemble(GmpCoefficients((1e200, -1e200), (1e-200, 0.0, 1.0), (1e200, 0.0, -0.0)), 3)
+    yield from _edge_bands()
+    lower = rng.normal(size=(3, 12))
+    lower[rng.random(lower.shape) < 0.4] = -0.0
+    yield BandedOperator(12, 2, lower)
+    for k in (1, 2, 9, 30):
+        yield rng.choice(SPECIAL, size=(k, k))
+
+
+def test_band_walk_matches_row_block_encoder():
+    for M in _sweep_matrices():
+        for tol in _SWEEP_TOLS:
+            assert serialize.lower_triangle_csv(M, tol) == _triangle_by_row_blocks(M, tol)
+    long = assemble(random_coeffs(np.random.default_rng(2000), 1), 2000)
+    for tol in (0.0, 1e-12):
+        assert serialize.lower_triangle_csv(long, tol) == _triangle_by_row_blocks(long, tol)
 
 
 # raw 64-bit patterns: every subnormal, inf and nan payload is reachable
