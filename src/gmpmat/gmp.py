@@ -71,12 +71,13 @@ class BandedOperator:
     lower: "np.ndarray"
 
     def to_dense(self):
-        """The full matrix: the lower band, -0.0 stored as +0.0, mirrored."""
+        """The full matrix: the lower band, mirrored.  The mirroring add
+        stores a band -0.0 as +0.0 on both sides."""
         n = self.n
         L = np.zeros((n, n))
         flat = L.reshape(-1)
         for d in range(min(self.half_bandwidth, n - 1) + 1):
-            flat[d * n :: n + 1] = self.lower[d, : n - d] + 0.0  # entries (i + d, i)
+            flat[d * n :: n + 1] = self.lower[d, : n - d]  # entries (i + d, i)
         L += np.tril(L, -1).T
         return L
 

@@ -22,7 +22,9 @@ def row_block(op, start, stop):
     flat = M.reshape(-1)
     for d in range(min(op.half_bandwidth, stop - 1) + 1):
         first = max(start, d)  # entries (i, i - d), i = first..stop-1
-        flat[(first - start) * stop + first - d :: stop + 1] = op.lower[d, first - d : stop - d] + 0.0
+        flat[(first - start) * stop + first - d :: stop + 1] = (
+            op.lower[d, first - d : stop - d] + 0.0
+        )
     return M
 
 

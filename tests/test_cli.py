@@ -844,6 +844,7 @@ def test_bad_measure_names_its_file(workdir, capsys, text, message):
 def test_ill_conditioned_family_warns_in_one_json_line(workdir, capfd, report):
     # the RuntimeWarning went to stderr as Python's two lines of text (the
     # warning and the source line); the library call still warns
+    from gmpmat import serialize
     from gmpmat.ortho import (DiscreteMeasure, RationalFamily, multiplication_matrix,
                               structure_report)
 
@@ -852,7 +853,6 @@ def test_ill_conditioned_family_warns_in_one_json_line(workdir, capfd, report):
     fam = RationalFamily("monomial", ())
     with pytest.warns(RuntimeWarning, match="ill-conditioned family"):
         M = multiplication_matrix(DiscreteMeasure.from_csv(str(path)), fam, 22)
-    serialize = cli.serialize
     want = serialize.dumps(structure_report(M, fam)) if report else serialize.lower_triangle_csv(M)
     argv = ["ortho", "build", "--measure", str(path), "--family", "monomial"] + ["--report"] * report
     assert main(argv + ["--n", "22"]) == 0
