@@ -268,8 +268,7 @@ def check_shifted_inverse_structure(coeffs, k, n_periods=40, tol=1e-8):
     Raises DomainError if the window holds fewer than 2(g+1) rows, which
     could miss every outermost-diagonal entry and so pass vacuously.  With
     w = g+1 that reads w (N - 4w - 2) >= k, a multiple of w against
-    1 <= k <= g < w, so it holds for every k or for none.  Both it and the
-    section size are checked before the hit count, which overflows first.
+    1 <= k <= g < w, so it holds for every k or for none.
     ``gmp check`` calls this for k = 1..g in order and evaluates every k, so
     a DomainError of a later pole is raised even after an earlier False.
     """
@@ -324,26 +323,25 @@ def _pole_weights(evals, evecs, c, num, rows):
 def _window_resolvent(coeffs, terms, n_periods, window):
     """(W, n): rows and columns start..stop-1, (start, stop, rows) = window(n),
     of the sum of lam (c - A)^{-1} over the (lam, c) in terms, every c a pole
-    of coeffs, for a section A of n rows.  Where no eigenvalue of A_N lies on a
-    c (``_near_pole_counts``), A has min(N, 4w + 3) periods, w = g + 1: its
-    first, interior and last blocks and their neighbours (``_block_resolvent``)
-    do not depend on N, and magic's middle third and the check's 3w - k > 2w
-    rows 2w blocks from both ends are interior and span two full blocks, so
-    each result reads the floats it reads at N.  Where a c is hit, the
-    transfer matrix overflows, a block solve fails or W is not finite, A = A_N
-    and W is one eigendecomposition's, deflated by ``_pole_weights``.
+    of coeffs, for the one section A of n rows, min(N, 4w + 3) periods,
+    w = g + 1, that the hit gate and both paths read.  Its first, interior
+    and last blocks and their neighbours (``_block_resolvent``) do not depend
+    on N, and magic's middle third and the check's 3w - k > 2w rows 2w blocks
+    from both ends are interior and span two full blocks, so the block path
+    reads the floats it reads at N.  Where a c is hit (``_near_pole_counts``),
+    the transfer matrix overflows, a block solve fails or W is not finite,
+    W is one eigendecomposition's of A, deflated by ``_pole_weights``.
     """
+    w = coeffs.g + 1
+    n_periods = min(n_periods, 4 * w + 3)
+    n = w * n_periods
+    start, stop, rows = window(n)
     try:
         hit = _near_pole_counts(coeffs, n_periods, [c for _, c in terms]).any()
     except DomainError:  # the transfer matrix overflows at a c of terms
         hit = True
-    w = coeffs.g + 1
-    n = w * min(n_periods, 4 * w + 3)
-    start, stop, rows = window(n)
-    W = None if hit else _block_resolvent(coeffs, terms, n // w)
+    W = None if hit else _block_resolvent(coeffs, terms, n_periods)
     if W is None or not np.isfinite(W := W[start:stop, start:stop]).all():
-        n = w * n_periods
-        start, stop, rows = window(n)
         evals, evecs = np.linalg.eigh(assemble(coeffs, n_periods).to_dense())
         weights = sum(_pole_weights(evals, evecs, c, lam, rows) for lam, c in terms)
         W = (evecs[start:stop] * weights) @ evecs[start:stop].T

@@ -247,11 +247,11 @@ def magic_verify(coeffs, delta, n_periods=60):
     """Interior defect of Delta(A_N) - (S^{g+1} + S^{-(g+1)}) on a truncation.
 
     Returns the maximum absolute entry over the middle-third row and
-    column range; small exactly at manifold points.  Where no eigenvalue
-    of the section lies on a pole it is the same float at every N from
-    4(g+1) + 3 on: every interior block of the resolvent is the same, so
-    the window is taken from a section of at most that many periods, in
-    work that does not grow with N (``_window_resolvent``).
+    column range; small exactly at manifold points.  It is the same float
+    at every N from 4(g+1) + 3 on, whether or not an eigenvalue of the
+    section lies on a pole: the window is taken from a section of at most
+    that many periods, in work that does not grow with N
+    (``_window_resolvent``).
     """
     _check_poles(coeffs, delta)
     _check_periods(coeffs, n_periods)

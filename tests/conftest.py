@@ -1,17 +1,29 @@
 """Shared generators for randomized suites (all seeded, deterministic), a
-pinned set whose poles hit the section's spectrum, the elementary
-transfer factors as 2x2 matrices, the oracle of ``_kernels._factor_product``,
-and the row-block fill of a band matrix, the oracle of ``to_dense`` windows
-and of the band-walking triangle encoder."""
+pinned set whose poles hit the section's spectrum and a generator of sets
+whose poles often do, a spy on ``np.linalg.eigh``, the elementary transfer
+factors as 2x2 matrices, the oracle of ``_kernels._factor_product``, and
+the row-block fill of a band matrix, the oracle of ``to_dense`` windows and
+of the band-walking triangle encoder."""
 
 import numpy as np
+import pytest
 
-from gmpmat import DomainError, FiniteGapSet, GmpCoefficients
+from gmpmat import DomainError, FiniteGapSet, GmpCoefficients, RationalDiscriminant
 
 
 # index 1 of each period is uncoupled with eigenvalue c_2 = 0: every period
 # puts an eigenvalue on that pole, with amplitude away from the boundary
 LATE_HIT = GmpCoefficients((5.0, 0.0), (1.0, 0.0, 1.0), (-1.0, 0.0, 0.0))
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The shapes of the matrices np.linalg.eigh decomposes, in call order."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape)
+                        or eigh(a, *args, **kw))
+    return calls
 
 
 def row_block(op, start, stop):
@@ -46,6 +58,25 @@ def random_coeffs(rng, g=None, g_max=3):
     p = rng.uniform(0.2, 1.5, g + 1)
     q = rng.uniform(-1.2, 1.2, g + 1)
     return GmpCoefficients(tuple(poles), tuple(p), tuple(q))
+
+
+def random_hit_set(rng, g):
+    """Coefficients with structural zeros, and a discriminant on their poles.
+
+    The poles lie on a 0.1 grid and each p_j (j < g) and q_j is zeroed with
+    probability 0.35: where p_j = q_j = 0, index j of every period is
+    uncoupled with eigenvalue c_j, so about half of these sets put an
+    eigenvalue of the section on a pole.
+    """
+    poles = 0.1 * rng.choice(np.arange(-30, 31), g, replace=False)
+    p = rng.uniform(0.2, 1.5, g + 1)
+    q = rng.uniform(-1.2, 1.2, g + 1)
+    p[:g][rng.random(g) < 0.35] = 0.0
+    q[rng.random(g + 1) < 0.35] = 0.0
+    coeffs = GmpCoefficients(tuple(poles), tuple(p), tuple(q))
+    delta = RationalDiscriminant(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0),
+                                 tuple(zip(rng.uniform(0.2, 2.0, g), coeffs.poles)))
+    return coeffs, delta
 
 
 def random_point(rng, box=3.0, min_imag=1e-3):

@@ -107,37 +107,29 @@ def test_gmp_check_command(workdir):
     assert got["structural_ok"] is True
 
 
-def _count_eigh(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape)
-                        or eigh(a, *args, **kw))
-    return calls
-
-
 @pytest.mark.parametrize("g", [0, 1, 2, 3, 4])
-def test_gmp_check_decomposes_only_where_a_pole_hits(workdir, monkeypatch, g):
+def test_gmp_check_decomposes_only_where_a_pole_hits(workdir, eigh_calls, g):
     # the shifted resolvents (c_k - A)^-1 come from the block structure
-    calls = _count_eigh(monkeypatch)
     rng = np.random.default_rng(g)
     coeffs = {"poles": list(np.cumsum(rng.uniform(0.5, 2.0, g))),
               "p": list(rng.uniform(0.2, 1.5, g + 1)), "q": list(rng.uniform(-1.2, 1.2, g + 1))}
     (workdir / "c.json").write_text(json.dumps(coeffs))
     got = _run(["gmp", "check", "--coeffs", str(workdir / "c.json")], workdir / "check.json")
     assert isinstance(got["structural_ok"], bool)
-    assert calls == []
+    assert eigh_calls == []
 
 
-def test_gmp_check_decomposes_once_where_one_pole_hits(workdir, monkeypatch, capsys):
+def test_gmp_check_decomposes_once_where_one_pole_hits(workdir, eigh_calls, capsys):
     # POINT1 has a boundary state on its pole, deflated; of LATE_HIT's
-    # poles (5, 0) only 0 hits, at k = 2 after k = 1 fails
-    calls = _count_eigh(monkeypatch)
+    # poles (5, 0) only 0 hits, at k = 2 after k = 1 fails.  Each
+    # decomposition is of the 4(g+1) + 3 periods of the short section, not
+    # of the 40 that --periods defaults to
     got = _run(["gmp", "check", "--coeffs", str(workdir / "pt.json")], workdir / "check.json")
-    assert got["structural_ok"] is True and calls == [(80, 80)]
+    assert got["structural_ok"] is True and eigh_calls == [(22, 22)]
     (workdir / "late.json").write_text(json.dumps(vars(LATE_HIT)))
     assert main(["gmp", "check", "--coeffs", str(workdir / "late.json")]) == 1
     assert capsys.readouterr().err == '{"error": "pole 0.0 hits the truncation spectrum"}\n'
-    assert calls == [(80, 80), (120, 120)]
+    assert eigh_calls == [(22, 22), (45, 45)]
 
 
 def test_iso_project_and_verify(workdir):
@@ -992,6 +984,25 @@ def test_out_of_memory_exits_1_with_one_json_line(workdir):
     proc = _child(["-c", MEMORY_PROBE, *argv], cwd=workdir)
     assert proc.returncode == 1
     _one_error_line(proc.stdout, proc.stderr, "out of memory")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_hit_inputs_at_a_million_periods_print_their_shortest_section(workdir, capsys,
+                                                                      monkeypatch):
+    # POINT1 and LATE_HIT put an eigenvalue on a pole; the eigendecomposition
+    # of the full section asked for 29.1 and 65.5 TiB and exited 1 with
+    # "out of memory"
+    monkeypatch.chdir(workdir)
+    (workdir / "late.json").write_text(json.dumps(vars(LATE_HIT)))
+    for cmd in (["magic", "verify", "--delta", "delta.json", "--coeffs", "pt.json"],
+                ["gmp", "check", "--coeffs", "pt.json"]):
+        assert main(cmd + ["--periods", "11"]) == 0
+        proc = _child(["-c", MEMORY_PROBE, *cmd, "--periods", "1000000"], cwd=workdir)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+    argv = ["gmp", "check", "--coeffs", "late.json", "--periods", "1000000"]
+    proc = _child(["-c", MEMORY_PROBE, *argv], cwd=workdir)
+    assert proc.returncode == 1
+    _one_error_line(proc.stdout, proc.stderr, "pole 0.0 hits the truncation spectrum")
 
 
 def _readme_cli_lines():

@@ -23,7 +23,7 @@ from gmpmat import (
 from gmpmat import cli, gmp, isospectral
 from gmpmat.gmp import _near_pole_counts, _window_resolvent
 from gmpmat.serialize import lower_triangle_csv
-from conftest import LATE_HIT, random_coeffs, row_block
+from conftest import LATE_HIT, random_coeffs, random_hit_set, row_block
 
 
 def test_coefficient_validation():
@@ -354,6 +354,7 @@ def _all_poles_oracle(coeffs, n_periods, tol):
 
 _NOT_GMP = GmpCoefficients((5.0,), (1.0, 1.0), (-1.0, 0.0))  # Lambda_1 = -3
 _PINNED = GmpCoefficients((1.0,), (1.0, 1.0), (0.0, 0.0))  # an eigenvalue on c_1
+_PINNED_DELTA = RationalDiscriminant(1.0, 0.0, ((1.0, 1.0),))  # _PINNED lies on its manifold
 
 
 @st.composite
@@ -441,10 +442,31 @@ def _windowed_block_resolvent(coeffs, terms, n_periods, start, stop):
     return W if np.isfinite(W).all() else None
 
 
+def _real_length_window_resolvent(coeffs, terms, n_periods, window):
+    """``_window_resolvent`` before its fallback ran on the short section,
+    kept as its oracle: the hit gate and the eigendecomposition path at the
+    real N, the block path on min(N, 4w + 3) periods."""
+    try:
+        hit = _near_pole_counts(coeffs, n_periods, [c for _, c in terms]).any()
+    except DomainError:
+        hit = True
+    w = coeffs.g + 1
+    n = w * min(n_periods, 4 * w + 3)
+    start, stop, rows = window(n)
+    W = None if hit else gmp._block_resolvent(coeffs, terms, n // w)
+    if W is None or not np.isfinite(W := W[start:stop, start:stop]).all():
+        n = w * n_periods
+        start, stop, rows = window(n)
+        evals, evecs = np.linalg.eigh(assemble(coeffs, n_periods).to_dense())
+        weights = sum(gmp._pole_weights(evals, evecs, c, lam, rows) for lam, c in terms)
+        W = (evecs[start:stop] * weights) @ evecs[start:stop].T
+    return W, n
+
+
 def _full_length_window_resolvent(coeffs, terms, n_periods, window):
     """``_window_resolvent`` at the real N: the windowed block path where no
-    pole is hit, and the eigendecomposition path where ``_window_resolvent``
-    itself takes it."""
+    pole is hit, and the eigendecomposition path of
+    ``_real_length_window_resolvent`` where that takes it."""
     n = (coeffs.g + 1) * n_periods
     start, stop, _ = window(n)
     try:
@@ -452,7 +474,8 @@ def _full_length_window_resolvent(coeffs, terms, n_periods, window):
     except DomainError:
         hit = True
     W = None if hit else _windowed_block_resolvent(coeffs, terms, n_periods, start, stop)
-    return (W, n) if W is not None else _window_resolvent(coeffs, terms, n_periods, window)
+    return (W, n) if W is not None else _real_length_window_resolvent(coeffs, terms, n_periods,
+                                                                      window)
 
 
 def _on_and_off(rng, g):
@@ -468,10 +491,11 @@ def _on_and_off(rng, g):
 
 def _both_checks(coeffs, delta, n_periods, ks=None):
     """magic_verify, then check_shifted_inverse_structure(k) at tol 1e-8 and 0
-    for each k in ks, by default every k."""
+    for each k in ks, by default every k; each a result or an error text."""
     ks = ks or range(1, coeffs.g + 1)
-    return [magic_verify(coeffs, delta, n_periods)] + [
-        check_shifted_inverse_structure(coeffs, k, n_periods, tol) for tol in (1e-8, 0.0) for k in ks]
+    return [_verdict(magic_verify, coeffs, delta, n_periods)] + [
+        _verdict(check_shifted_inverse_structure, coeffs, k, n_periods, tol)
+        for tol in (1e-8, 0.0) for k in ks]
 
 
 def test_checks_equal_the_block_path_at_the_real_length(monkeypatch):
@@ -499,12 +523,71 @@ def test_checks_equal_the_block_path_at_the_real_length(monkeypatch):
     assert min(defects) < 1e-10 and max(defects) > 1e-2
 
 
+def _hit_sweep(n_sets, seed):
+    """(coeffs, delta, N) for n_sets ``random_hit_set`` draws, g = 1..4, each
+    at N = N0 + 1, 40 and 90, N0 = 4(g + 1) + 3."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(n_sets):
+        g = int(rng.integers(1, 5))
+        coeffs, delta = random_hit_set(rng, g)
+        cases += [(coeffs, delta, n) for n in (4 * g + 8, 40, 90)]
+    return cases
+
+
+# The widest move of a magic_verify float from the real-length fallback's,
+# over the 9,000 cases of _hit_sweep(1500, 7) and _hit_sweep(1500, 8), was
+# 1.74e-10 (1 + d), at a defect d of 2e5; that fallback itself moved
+# 1.67e-10 (1 + d) between 15, 20, 40 and 90 periods there.  Margin 3.
+_MOVED = 5e-10
+
+
+def test_hit_sets_read_the_short_section_and_keep_their_verdicts(monkeypatch):
+    # where a pole is hit, the fallback runs on N0 periods: the hit gate
+    # there names the poles the real-length one names, every check keeps
+    # the real-length verdict or error, and every magic float or error is
+    # the real-length fallback's at N0, bit for bit
+    cases = _hit_sweep(30, 37)
+    hits = 0
+    for coeffs, _, n in cases:
+        at_n0, at_n = (_near_pole_counts(coeffs, m, coeffs.poles) > 0
+                       for m in (4 * coeffs.g + 7, n))
+        assert at_n0.tolist() == at_n.tolist(), (coeffs, n)
+        hits += at_n.any()
+
+    def run():
+        return [([_verdict(check_shifted_inverse_structure, c, k, n) for k in range(1, c.g + 1)],
+                 _verdict(magic_verify, c, d, n)) for c, d, n in cases]
+
+    got = run()
+    monkeypatch.setattr(gmp, "_window_resolvent", _real_length_window_resolvent)
+    monkeypatch.setattr(isospectral, "_window_resolvent", _real_length_window_resolvent)
+    magic_n0 = {c: _verdict(magic_verify, c, d, 4 * c.g + 7) for c, d, _ in cases}
+    moved = 0
+    for (coeffs, _, _), (checks, magic), (want, magic_n) in zip(cases, got, run()):
+        assert checks == want
+        assert repr(magic) == repr(magic_n0[coeffs])
+        if type(magic) is float:
+            assert abs(magic - magic_n) <= _MOVED * (1.0 + magic_n)
+            moved += magic != magic_n
+        else:
+            assert magic == magic_n
+    assert hits >= 50 and moved >= 15, (hits, moved)
+
+
 def test_checks_at_a_billion_periods_equal_their_shortest_section():
-    # no array of either check grows with N: at 10^9 periods the parent
-    # asked for gigabytes; here every result is the one at N0
+    # no array of either check grows with N: at 10^9 periods the block path
+    # asked for gigabytes, and the eigendecomposition of a hit input for
+    # exabytes; here every result is the one at N0
     delta, on, off = _on_and_off(np.random.default_rng(9), 2)
     for coeffs in (on, off):
         assert _both_checks(coeffs, delta, 10**9) == _both_checks(coeffs, delta, 15)
+    hit = "DomainError: pole 0.0 hits the truncation spectrum"
+    late_delta = RationalDiscriminant(1.0, 0.0, ((1.0, 5.0), (1.0, 0.0)))
+    for n in (11, 10**9, 10**12):
+        # at tol = 0 the eigendecomposition's rounding off the band fails the check
+        assert _both_checks(_PINNED, _PINNED_DELTA, n) == [3.1086244689504383e-15, True, False]
+        assert _both_checks(LATE_HIT, late_delta, max(n, 15)) == [hit, False, hit, False, hit]
 
 
 @pytest.mark.parametrize("g", [1, 2, 4, 8])

@@ -26,7 +26,7 @@ from gmpmat import (
 from gmpmat._kernels import _factor_product
 from gmpmat.gmp import _near_pole_counts, _pole_weights, assemble
 from gmpmat.transfer import discriminant_coeffs, lambda_k
-from conftest import LATE_HIT, random_coeffs
+from conftest import LATE_HIT, random_coeffs, random_hit_set
 
 
 DELTA1 = RationalDiscriminant(1.0, 0.0, ((1.0, 1.0),))
@@ -473,47 +473,49 @@ _LATE_HIT_DELTA = RationalDiscriminant(1.0, 0.0, ((1.0, 5.0), (1.0, 0.0)))
 
 
 @pytest.mark.parametrize("g", [1, 2, 4, 8])
-def test_magic_verify_decomposes_only_where_a_pole_hits(monkeypatch, g):
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+def test_magic_verify_decomposes_only_where_a_pole_hits(eigh_calls, g):
     delta, on, off = _on_and_off(g)
     for coeffs in (on, off):
         magic_verify(coeffs, delta, 60)
-    assert calls == []
+    assert eigh_calls == []
     # an eigenvalue on c_1, localized at the boundary and deflated: the
-    # value of the eigendecomposition path, bit for bit
-    assert magic_verify(POINT1, DELTA1, 60) == 5.329070518200751e-15
-    assert len(calls) == 1
+    # value of the eigendecomposition path on the 11 periods of the short
+    # section, bit for bit; the oracle's decomposition is the second call
+    assert magic_verify(POINT1, DELTA1, 60) == _magic_verify_oracle(POINT1, DELTA1, 11)
+    assert eigh_calls == [(22, 22), (22, 22)]
     with pytest.raises(DomainError, match="^pole 0.0 hits the truncation spectrum$"):
         magic_verify(LATE_HIT, _LATE_HIT_DELTA, 30)
-    assert len(calls) == 2
+    assert eigh_calls[2:] == [(45, 45)]
+
+
+def _magic_text(coeffs, delta, n_periods):
+    """repr of magic_verify's float, or the message of its DomainError."""
+    try:
+        return repr(magic_verify(coeffs, delta, n_periods))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
 
 
 def test_magic_verify_is_the_same_float_at_every_section_length():
     # the window blocks of the resolvent do not depend on N, so neither
-    # does the defect, bit for bit, wherever no eigenvalue lies on a pole
+    # does the defect, bit for bit; where an eigenvalue lies on a pole the
+    # eigendecomposition runs on the same short section, so neither does
+    # the defect or the error there
     rng = np.random.default_rng(28)
-    compared = 0
+    sets = [(POINT1, DELTA1), random_hit_set(np.random.default_rng(1), 3)]
+    assert [_near_pole_counts(c, 4 * c.g + 7, c.poles).tolist() for c, _ in sets] == [
+        [1], [1, 0, 0]]
     for g in range(1, 9):
-        n0 = 4 * (g + 1) + 3
         for _ in range(3):
             delta = _random_delta(rng, g)
             on = project_to_manifold(rng.normal(size=2 * g), delta)
-            off = GmpCoefficients(on.poles, on.p, tuple(v + 0.3 for v in on.q))
-            for coeffs in (on, off):
-                want = magic_verify(coeffs, delta, n0)
-                for n in rng.integers(n0 + 1, n0 + 81, 6).tolist():
-                    if any(_near_pole_counts(coeffs, m, coeffs.poles).any() for m in (n0, n)):
-                        continue
-                    assert magic_verify(coeffs, delta, n) == want, (g, n)
-                    compared += 1
-    assert compared >= 240
+            sets += [(on, delta), (GmpCoefficients(on.poles, on.p, tuple(v + 0.3 for v in on.q)),
+                                   delta)]
+    for coeffs, delta in sets:
+        n0 = 4 * (coeffs.g + 1) + 3
+        want = _magic_text(coeffs, delta, n0)
+        for n in rng.integers(n0 + 1, n0 + 81, 6).tolist():
+            assert _magic_text(coeffs, delta, n) == want, (coeffs.g, n)
 
 
 def test_structure_check_verdict_is_the_same_at_every_section_length():
@@ -589,7 +591,7 @@ def test_hit_counts_on_tiny_coefficients_emit_no_warning():
             spectrum_truncation(tiny, 40)
 
 
-def test_magic_verify_decomposes_where_the_transfer_matrix_overflows(monkeypatch):
+def test_magic_verify_decomposes_where_the_transfer_matrix_overflows(eigh_calls):
     # with p_g = 1e-300 the count cannot be taken, so the pole terms come
     # from the eigendecomposition path, bit for bit
     coeffs = GmpCoefficients((2.0,), (1.0, 1e-300), (1.0, 0.0))
@@ -597,12 +599,8 @@ def test_magic_verify_decomposes_where_the_transfer_matrix_overflows(monkeypatch
     with pytest.raises(DomainError, match="^the transfer matrix overflows float64"):
         _near_pole_counts(coeffs, 3, coeffs.poles)
     want = _magic_verify_oracle(coeffs, delta, 3)
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape)
-                        or eigh(a, *args, **kw))
     assert magic_verify(coeffs, delta, 3) == want
-    assert calls == [(6, 6)]
+    assert eigh_calls == [(6, 6), (6, 6)]  # the oracle's, then magic_verify's
 
 def test_projection_and_trace_make_no_scalar_transfer_product(monkeypatch):
     # residuals and Jacobians come from the lane products; only the positivity
