@@ -1,6 +1,7 @@
 """Shared generators for randomized suites (all seeded, deterministic), a
-pinned set whose poles hit the section's spectrum and a generator of sets
-whose poles often do, a spy on ``np.linalg.eigh``, the elementary transfer
+pinned set whose poles hit the section's spectrum and two generators of
+sets whose poles do, a spy on ``np.linalg.eigh``, a call that turns a
+DomainError into its message, the elementary transfer
 factors as 2x2 matrices, the oracle of ``_kernels._factor_product``, and
 the row-block fill of a band matrix, the oracle of ``to_dense`` windows and
 of the band-walking triangle encoder."""
@@ -8,7 +9,15 @@ of the band-walking triangle encoder."""
 import numpy as np
 import pytest
 
-from gmpmat import DomainError, FiniteGapSet, GmpCoefficients, RationalDiscriminant
+from gmpmat import (
+    DomainError,
+    FiniteGapSet,
+    GmpCoefficients,
+    RationalDiscriminant,
+    assemble,
+    discriminant_coeffs,
+    lambda_positivity_test,
+)
 
 
 # index 1 of each period is uncoupled with eigenvalue c_2 = 0: every period
@@ -24,6 +33,14 @@ def eigh_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape)
                         or eigh(a, *args, **kw))
     return calls
+
+
+def verdict(fn, *args):
+    """fn(*args), or the message of the DomainError it raises."""
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
 
 
 def row_block(op, start, stop):
@@ -77,6 +94,44 @@ def random_hit_set(rng, g):
     delta = RationalDiscriminant(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0),
                                  tuple(zip(rng.uniform(0.2, 2.0, g), coeffs.poles)))
     return coeffs, delta
+
+
+def random_pinned_set(rng, g):
+    """A GMP point with an eigenvalue of its sections on a pole, and the
+    discriminant it lies on.
+
+    One q_j of a ``random_coeffs`` draw is tuned, by bisection on the
+    eigenvalue of the 3-period section nearest a pole c_k, until that
+    eigenvalue lies on c_k.  No p_j or q_j is zeroed, but the mode is still
+    confined to one period: the first or the last, or it lies in every
+    period, as the modes of ``random_hit_set`` do.
+    """
+    while True:
+        start = random_coeffs(rng, g)
+        c, j = start.poles[int(rng.integers(g))], int(rng.integers(g + 1))
+        q = np.array(start.q)
+
+        def offset(x):
+            q[j] = x
+            section = assemble(GmpCoefficients(start.poles, start.p, tuple(q)), 3)
+            ev = np.linalg.eigvalsh(section.to_dense()) - c
+            return ev[np.argmin(np.abs(ev))]
+
+        xs = np.linspace(-3.0, 3.0, 61)
+        fs = [offset(x) for x in xs]
+        brackets = [(a, b, fa) for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:])
+                    if fa * fb < 0 and max(abs(fa), abs(fb)) < 0.5]
+        if not brackets:
+            continue
+        lo, hi, f_lo = brackets[0]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if (offset(mid) < 0) == (f_lo < 0) else (lo, mid)
+        if abs(offset(lo)) < 1e-13:
+            coeffs = GmpCoefficients(start.poles, start.p, tuple(q))
+            if lambda_positivity_test(coeffs)[0]:
+                d = discriminant_coeffs(coeffs)
+                return coeffs, RationalDiscriminant(d.nu0, d.d0, tuple(zip(d.nus, coeffs.poles)))
 
 
 def random_point(rng, box=3.0, min_imag=1e-3):

@@ -23,7 +23,14 @@ from gmpmat import (
 from gmpmat import cli, gmp, isospectral
 from gmpmat.gmp import _near_pole_counts, _window_resolvent
 from gmpmat.serialize import lower_triangle_csv
-from conftest import LATE_HIT, random_coeffs, random_hit_set, row_block
+from conftest import (
+    LATE_HIT,
+    random_coeffs,
+    random_hit_set,
+    random_pinned_set,
+    row_block,
+    verdict,
+)
 
 
 def test_coefficient_validation():
@@ -323,17 +330,9 @@ def _check_shifted_oracle(coeffs, k, n_periods, tol):
     return True
 
 
-def _verdict(fn, *args):
-    """fn(*args), or the message of the DomainError it raises."""
-    try:
-        return fn(*args)
-    except DomainError as exc:
-        return f"DomainError: {exc}"
-
-
 def _gmp_check(coeffs, n_periods, tol):
     """``gmp check``'s structural_ok, run in process, or the message of its
-    JSON error line as ``_verdict`` gives it."""
+    JSON error line as ``verdict`` gives it."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "coeffs.json")
         with open(path, "w") as fh:
@@ -376,11 +375,11 @@ def coeffs_and_k(draw):
 @example(case=(LATE_HIT, 1), n_periods=30, tol=1e-8)  # False for k = 1, then a pole hit
 def test_structure_check_matches_per_entry_loop(case, n_periods, tol):
     coeffs, k = case
-    got = _verdict(check_shifted_inverse_structure, coeffs, k, n_periods, tol)
-    assert got == _verdict(_check_shifted_oracle, coeffs, k, n_periods, tol)
+    got = verdict(check_shifted_inverse_structure, coeffs, k, n_periods, tol)
+    assert got == verdict(_check_shifted_oracle, coeffs, k, n_periods, tol)
     # gmp check over all poles: the per-k verdicts in order, and the first
     # DomainError of any k, even after a False
-    assert _gmp_check(coeffs, n_periods, tol) == _verdict(_all_poles_oracle, coeffs, n_periods, tol)
+    assert _gmp_check(coeffs, n_periods, tol) == verdict(_all_poles_oracle, coeffs, n_periods, tol)
 
 
 @pytest.mark.parametrize("g, n_periods", [(4, 40), (8, 40), (2, 200)])
@@ -391,7 +390,7 @@ def test_structure_check_matches_per_entry_loop_beyond_hypothesis(g, n_periods):
     for tol in (0.0, 1e-10, 1e-8, 1e-4):
         coeffs = random_coeffs(rng, g=g)
         got = _gmp_check(coeffs, n_periods, tol)
-        assert got == _verdict(_all_poles_oracle, coeffs, n_periods, tol)
+        assert got == verdict(_all_poles_oracle, coeffs, n_periods, tol)
         verdicts.append(got)
     assert set(verdicts) == {True, False}
 
@@ -489,12 +488,13 @@ def _on_and_off(rng, g):
     return delta, on, GmpCoefficients(on.poles, on.p, tuple(v + 0.3 for v in on.q))
 
 
-def _both_checks(coeffs, delta, n_periods, ks=None):
+def _both_checks(coeffs, delta, n_periods, ks=None, call=lambda fn, *args: fn(*args)):
     """magic_verify, then check_shifted_inverse_structure(k) at tol 1e-8 and 0
-    for each k in ks, by default every k; each a result or an error text."""
+    for each k in ks, by default every k; each through call, which by
+    default lets a DomainError raise."""
     ks = ks or range(1, coeffs.g + 1)
-    return [_verdict(magic_verify, coeffs, delta, n_periods)] + [
-        _verdict(check_shifted_inverse_structure, coeffs, k, n_periods, tol)
+    return [call(magic_verify, coeffs, delta, n_periods)] + [
+        call(check_shifted_inverse_structure, coeffs, k, n_periods, tol)
         for tol in (1e-8, 0.0) for k in ks]
 
 
@@ -524,21 +524,25 @@ def test_checks_equal_the_block_path_at_the_real_length(monkeypatch):
 
 
 def _hit_sweep(n_sets, seed):
-    """(coeffs, delta, N) for n_sets ``random_hit_set`` draws, g = 1..4, each
-    at N = N0 + 1, 40 and 90, N0 = 4(g + 1) + 3."""
+    """(coeffs, delta, N) for n_sets draws, g = 1..4, every third one a
+    ``random_pinned_set`` and the others ``random_hit_set``, each at
+    N = N0 + 1, 40 and 90, N0 = 4(g + 1) + 3."""
     rng = np.random.default_rng(seed)
     cases = []
-    for _ in range(n_sets):
+    for i in range(n_sets):
         g = int(rng.integers(1, 5))
-        coeffs, delta = random_hit_set(rng, g)
+        coeffs, delta = (random_pinned_set if i % 3 == 2 else random_hit_set)(rng, g)
         cases += [(coeffs, delta, n) for n in (4 * g + 8, 40, 90)]
     return cases
 
 
-# The widest move of a magic_verify float from the real-length fallback's,
-# over the 9,000 cases of _hit_sweep(1500, 7) and _hit_sweep(1500, 8), was
-# 1.74e-10 (1 + d), at a defect d of 2e5; that fallback itself moved
-# 1.67e-10 (1 + d) between 15, 20, 40 and 90 periods there.  Margin 3.
+# The widest move of a magic_verify float from the real-length fallback's
+# was 1.74e-10 (1 + d), at a defect d of 2e5, over 9,000 cases of
+# random_hit_set draws alone (g = 1..4, seeds 7 and 8, 1,500 sets each, at
+# the three N of _hit_sweep); that fallback itself moved 1.67e-10 (1 + d)
+# between 15, 20, 40 and 90 periods there.  Over
+# the 9,000 cases of _hit_sweep(1500, 7) and _hit_sweep(1500, 8), 3,000 of
+# them pinned, it was 2.05e-11 (1 + d).  Margin 3 on the widest.
 _MOVED = 5e-10
 
 
@@ -547,7 +551,7 @@ def test_hit_sets_read_the_short_section_and_keep_their_verdicts(monkeypatch):
     # there names the poles the real-length one names, every check keeps
     # the real-length verdict or error, and every magic float or error is
     # the real-length fallback's at N0, bit for bit
-    cases = _hit_sweep(30, 37)
+    cases = _hit_sweep(36, 37)
     hits = 0
     for coeffs, _, n in cases:
         at_n0, at_n = (_near_pole_counts(coeffs, m, coeffs.poles) > 0
@@ -556,13 +560,13 @@ def test_hit_sets_read_the_short_section_and_keep_their_verdicts(monkeypatch):
         hits += at_n.any()
 
     def run():
-        return [([_verdict(check_shifted_inverse_structure, c, k, n) for k in range(1, c.g + 1)],
-                 _verdict(magic_verify, c, d, n)) for c, d, n in cases]
+        return [([verdict(check_shifted_inverse_structure, c, k, n) for k in range(1, c.g + 1)],
+                 verdict(magic_verify, c, d, n)) for c, d, n in cases]
 
     got = run()
     monkeypatch.setattr(gmp, "_window_resolvent", _real_length_window_resolvent)
     monkeypatch.setattr(isospectral, "_window_resolvent", _real_length_window_resolvent)
-    magic_n0 = {c: _verdict(magic_verify, c, d, 4 * c.g + 7) for c, d, _ in cases}
+    magic_n0 = {c: verdict(magic_verify, c, d, 4 * c.g + 7) for c, d, _ in cases}
     moved = 0
     for (coeffs, _, _), (checks, magic), (want, magic_n) in zip(cases, got, run()):
         assert checks == want
@@ -587,7 +591,8 @@ def test_checks_at_a_billion_periods_equal_their_shortest_section():
     for n in (11, 10**9, 10**12):
         # at tol = 0 the eigendecomposition's rounding off the band fails the check
         assert _both_checks(_PINNED, _PINNED_DELTA, n) == [3.1086244689504383e-15, True, False]
-        assert _both_checks(LATE_HIT, late_delta, max(n, 15)) == [hit, False, hit, False, hit]
+        assert _both_checks(LATE_HIT, late_delta, max(n, 15), call=verdict) == [
+            hit, False, hit, False, hit]
 
 
 @pytest.mark.parametrize("g", [1, 2, 4, 8])
