@@ -163,9 +163,8 @@ def _cmd_gmp_check(args):
 
     coeffs = _load(GmpCoefficients, args.coeffs)
     is_gmp, lambdas = lambda_positivity_test(coeffs)
-    structural = True
-    for k in range(1, coeffs.g + 1):
-        structural &= check_shifted_inverse_structure(coeffs, k, args.periods, args.tol)
+    structural = all([check_shifted_inverse_structure(coeffs, k, tol=args.tol)
+                      for k in range(1, coeffs.g + 1)])  # every k, even after a False
     return {"is_gmp": is_gmp, "lambdas": lambdas, "structural_ok": structural}
 
 
@@ -393,9 +392,6 @@ def _gmp(sub):
     p.add_argument("--periods", type=int, default=60)
     p.add_argument("--tol", type=_tol, default=0.0)
     p = _command(sub, "check", _cmd_gmp_check, "--coeffs")
-    p.add_argument("--periods", type=int, default=40, help="periods of the finite section; "
-                   "the structural check exits 1 unless at least 2(g+1) rows lie "
-                   "2(g+1)^2 or more rows from both ends")
     p.add_argument("--tol", type=_tol, default=1e-8)
 
 

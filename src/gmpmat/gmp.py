@@ -255,7 +255,7 @@ def lambda_positivity_test(coeffs):
     return all(v > 0 for v in lambdas), lambdas
 
 
-def check_shifted_inverse_structure(coeffs, k, n_periods=40, tol=1e-8):
+def check_shifted_inverse_structure(coeffs, k, n_periods=None, tol=1e-8):
     """Numerical check that S^{-k} (c_k - A)^{-1} S^k is again of class A.
 
     Forms the resolvent at c_k of the finite section (``_window_resolvent``),
@@ -265,10 +265,11 @@ def check_shifted_inverse_structure(coeffs, k, n_periods=40, tol=1e-8):
     diagonal zero except at the p_g positions (row index g modulo g+1),
     which must be positive.
 
-    Raises DomainError if the window holds fewer than 2(g+1) rows, which
-    could miss every outermost-diagonal entry and so pass vacuously.  With
-    w = g+1 that reads w (N - 4w - 2) >= k, a multiple of w against
-    1 <= k <= g < w, so it holds for every k or for none.
+    n_periods=None reads N0 = 4(g+1) + 3 periods, whose verdict every N >= N0
+    gives.  An explicit N raises DomainError if the window holds fewer than
+    2(g+1) rows, which could miss every outermost-diagonal entry and so pass
+    vacuously: w (N - 4w - 2) >= k with w = g+1, a multiple of w against
+    1 <= k <= g < w, holds for every k (N >= N0) or for none.
     ``gmp check`` calls this for k = 1..g in order and evaluates every k, so
     a DomainError of a later pole is raised even after an earlier False.
     """
@@ -277,10 +278,11 @@ def check_shifted_inverse_structure(coeffs, k, n_periods=40, tol=1e-8):
     g = coeffs.g
     w = g + 1
     margin = 2 * w * w
-    rows = w * n_periods - k - 2 * margin
-    if rows < 2 * w:
-        raise DomainError(f"window of {max(rows, 0)} rows, need {2 * w}: raise n_periods")
-    _check_periods(coeffs, n_periods)
+    if n_periods is not None:
+        rows = w * n_periods - k - 2 * margin
+        if rows < 2 * w:
+            raise DomainError(f"window of {max(rows, 0)} rows, need {2 * w}: raise n_periods")
+        _check_periods(coeffs, n_periods)
     # rows and columns k..n-1: the index shift by k
     R, _ = _window_resolvent(coeffs, ((1.0, coeffs.poles[k - 1]),), n_periods,
                              lambda n: (k, n, slice(margin, n - margin)))
@@ -323,17 +325,19 @@ def _pole_weights(evals, evecs, c, num, rows):
 def _window_resolvent(coeffs, terms, n_periods, window):
     """(W, n): rows and columns start..stop-1, (start, stop, rows) = window(n),
     of the sum of lam (c - A)^{-1} over the (lam, c) in terms, every c a pole
-    of coeffs, for the one section A of n rows, min(N, 4w + 3) periods,
-    w = g + 1, that the hit gate and both paths read.  Its first, interior
-    and last blocks and their neighbours (``_block_resolvent``) do not depend
-    on N, and magic's middle third and the check's 3w - k > 2w rows 2w blocks
-    from both ends are interior and span two full blocks, so the block path
-    reads the floats it reads at N.  Where a c is hit (``_near_pole_counts``),
-    the transfer matrix overflows, a block solve fails or W is not finite,
-    W is one eigendecomposition's of A, deflated by ``_pole_weights``.
+    of coeffs, for the one section A of n rows, min(N, 4w + 3) periods (4w + 3
+    if N is None), w = g + 1, that the hit gate and both paths read.  Its
+    first, interior and last blocks and their neighbours (``_block_resolvent``)
+    do not depend on N, and magic's middle third and the check's 3w - k > 2w
+    rows 2w blocks from both ends are interior and span two full blocks, so
+    the block path reads the floats it reads at N.  Where a c is hit
+    (``_near_pole_counts``), the transfer matrix overflows, a block solve
+    fails or W is not finite, W is one eigendecomposition's of A, deflated by
+    ``_pole_weights``.
     """
     w = coeffs.g + 1
-    n_periods = min(n_periods, 4 * w + 3)
+    n0 = 4 * w + 3
+    n_periods = n0 if n_periods is None else min(n_periods, n0)
     n = w * n_periods
     start, stop, rows = window(n)
     try:

@@ -330,17 +330,18 @@ def _check_shifted_oracle(coeffs, k, n_periods, tol):
     return True
 
 
-def _gmp_check(coeffs, n_periods, tol):
+def _gmp_check(coeffs, tol):
     """``gmp check``'s structural_ok, run in process, or the message of its
-    JSON error line as ``verdict`` gives it."""
+    JSON error line as ``verdict`` gives it.  The command reads 4(g+1) + 3
+    periods, so against an oracle at N >= 4(g+1) + 3 this also checks that
+    the verdict does not depend on N."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "coeffs.json")
         with open(path, "w") as fh:
             json.dump(vars(coeffs), fh)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(["gmp", "check", "--coeffs", path, "--periods", str(n_periods),
-                             "--tol", repr(tol)])
+            code = cli.main(["gmp", "check", "--coeffs", path, "--tol", repr(tol)])
     if code == 0:
         return json.loads(out.getvalue())["structural_ok"]
     assert code == 1 and out.getvalue() == ""
@@ -367,7 +368,7 @@ def coeffs_and_k(draw):
 @settings(deadline=None, max_examples=60)
 @given(
     case=coeffs_and_k(),
-    n_periods=st.integers(20, 40),  # a window of at least one block for g <= 3
+    n_periods=st.integers(20, 40),  # >= 4(g+1) + 3 for g <= 3: a window of a block
     tol=st.sampled_from([0.0, 1e-10, 1e-8, 1e-4]),
 )
 @example(case=(_NOT_GMP, 1), n_periods=30, tol=1e-8)  # False
@@ -379,7 +380,7 @@ def test_structure_check_matches_per_entry_loop(case, n_periods, tol):
     assert got == verdict(_check_shifted_oracle, coeffs, k, n_periods, tol)
     # gmp check over all poles: the per-k verdicts in order, and the first
     # DomainError of any k, even after a False
-    assert _gmp_check(coeffs, n_periods, tol) == verdict(_all_poles_oracle, coeffs, n_periods, tol)
+    assert _gmp_check(coeffs, tol) == verdict(_all_poles_oracle, coeffs, n_periods, tol)
 
 
 @pytest.mark.parametrize("g, n_periods", [(4, 40), (8, 40), (2, 200)])
@@ -389,7 +390,7 @@ def test_structure_check_matches_per_entry_loop_beyond_hypothesis(g, n_periods):
     verdicts = []
     for tol in (0.0, 1e-10, 1e-8, 1e-4):
         coeffs = random_coeffs(rng, g=g)
-        got = _gmp_check(coeffs, n_periods, tol)
+        got = _gmp_check(coeffs, tol)
         assert got == verdict(_all_poles_oracle, coeffs, n_periods, tol)
         verdicts.append(got)
     assert set(verdicts) == {True, False}

@@ -516,9 +516,10 @@ def test_magic_verify_is_the_same_float_at_every_section_length():
 def test_structure_check_verdict_is_the_same_at_every_section_length():
     # the shortest section the check accepts, N0 = 4(g+1) + 3, already
     # gives the verdict of every longer one, and it is the verdict of the
-    # Lambda_k positivity test
+    # Lambda_k positivity test.  With n_periods omitted the check reads N0;
+    # up to g = 8 that is also the verdict at 40, gmp check's old default
     rng = np.random.default_rng(28)
-    for g in range(1, 9):
+    for g in [*range(1, 9), 9, 13, 16]:
         n0 = 4 * (g + 1) + 3
         for _ in range(10):
             coeffs = random_coeffs(rng, g)
@@ -526,6 +527,10 @@ def test_structure_check_verdict_is_the_same_at_every_section_length():
             want = [check_shifted_inverse_structure(coeffs, k, n0) for k in range(1, g + 1)]
             got = [check_shifted_inverse_structure(coeffs, k, n) for k in range(1, g + 1)]
             assert got == want, (g, n)
+            assert [check_shifted_inverse_structure(coeffs, k) for k in range(1, g + 1)] == want
+            if g <= 8:
+                assert [check_shifted_inverse_structure(coeffs, k, 40)
+                        for k in range(1, g + 1)] == want, g
             assert lambda_positivity_test(coeffs)[0] == all(want), g
 
 
