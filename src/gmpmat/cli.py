@@ -5,7 +5,7 @@ I/O: JSON for structured data, CSV for matrices, traces and grids.
 Each command imports the library modules it runs when it runs, so a
 point evaluation loads neither numpy nor the modules it does not use.
 Each command returns its result and ``main`` writes it: a str as it is,
-a dict or list as JSON (a dataclass result is returned as ``vars``: its
+a dict or list as JSON (a record result is returned as ``vars``: its
 fields in declaration order), a 2-D ndarray as CSV rows.  ``_grid`` evaluates
 every --grid but resolvent eval's with one evaluator, f(float) or f(array):
 at most ``_SCALAR_GRID_MAX`` points one by one in Python floats, into a
@@ -152,9 +152,11 @@ def _cmd_ahlfors_eval(args):
 
 
 def _cmd_gmp_build(args):
-    from .gmp import GmpCoefficients, assemble
+    from .gmp import BandedOperator, GmpCoefficients, _band
 
-    op = assemble(_load(GmpCoefficients, args.coeffs), args.periods)
+    coeffs = _load(GmpCoefficients, args.coeffs)
+    w = coeffs.g + 1  # the band of assemble, not wrapped in an array: numpy is not executed
+    op = BandedOperator(w * args.periods, w, _band(coeffs, args.periods))
     return serialize.lower_triangle_csv(op, tol=args.tol)
 
 

@@ -13,15 +13,13 @@ unimodular-bounded function by Joukowski inversion.
 """
 
 import math
-from dataclasses import dataclass
 
 from ._kernels import _sqrt
 from ._lazy import np
-from .errors import DomainError, finite, number, numbers, sequence
+from .errors import DomainError, _Record, finite, number, numbers, sequence
 
 
-@dataclass(frozen=True)
-class FiniteGapSet:
+class FiniteGapSet(_Record):
     """Union of g+1 closed intervals: [b0, a0] minus g open gaps.
 
     Gaps are ordered, pairwise disjoint and strictly inside (b0, a0).
@@ -66,8 +64,7 @@ class FiniteGapSet:
         return cls(number("b0", d["b0"]), number("a0", d["a0"]), gaps)
 
 
-@dataclass(frozen=True)
-class RationalDiscriminant:
+class RationalDiscriminant(_Record):
     """lambda0*z + c0 + sum_k lambda_k / (c_k - z) with all lambda_k > 0."""
 
     lambda0: float

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the rules for input values."""
+"""Exception types shared across the package, the rules for input values,
+and the base of the package's frozen records."""
 
 import math
 
@@ -64,3 +65,46 @@ def number(field, value):
 def numbers(field, value):
     """``sequence(field, value)`` whose entries are JSON numbers."""
     return tuple(number(field, v) for v in sequence(field, value))
+
+
+class _Record:
+    """Base of a frozen record whose fields are the names its class body
+    annotates, in order, with the defaults it assigns.
+
+    ``__init__`` takes the fields as a function of those parameters would,
+    stores them and calls ``__post_init__`` where the class defines one,
+    which may replace a field with ``object.__setattr__``.  ``vars`` returns
+    the fields in order.  ==, hash and repr read them as a frozen dataclass
+    does, and assigning or deleting an attribute raises AttributeError.
+    The ``dataclasses`` module, with the ``inspect`` it imports, is not
+    loaded.
+    """
+
+    def __init_subclass__(cls):
+        names = tuple(cls.__annotations__)
+        params = ", ".join(f"{n}=cls.{n}" if n in cls.__dict__ else n for n in names)
+        body = "".join(f"\n    fields[{n!r}] = {n}" for n in names)
+        post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        scope = {}
+        exec(f"def __init__(self, {params}):\n    fields = self.__dict__{body}{post}",
+             {"cls": cls}, scope)
+        scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = scope["__init__"]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(vars(self).values()) == tuple(vars(other).values())
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))

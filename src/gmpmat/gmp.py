@@ -9,16 +9,15 @@ one-block-periodic case is generated by a single coefficient pair
 (p, q) in R^{g+1} together with the ordered pole list C.
 """
 
+import math
 import sys
-from dataclasses import dataclass
 
 from ._kernels import _factor_product
 from ._lazy import np
-from .errors import DomainError, count, finite, numbers
+from .errors import DomainError, _Record, count, finite, numbers
 
 
-@dataclass(frozen=True)
-class GmpCoefficients:
+class GmpCoefficients(_Record):
     """Generating data of a one-block-periodic class-A operator.
 
     ``poles`` holds the g distinct reals c_1..c_g; ``p`` and ``q`` are the
@@ -59,11 +58,12 @@ class GmpCoefficients:
                    numbers("q", d["q"]))
 
 
-@dataclass(frozen=True)
-class BandedOperator:
+class BandedOperator(_Record):
     """Real symmetric banded matrix in LAPACK lower-band storage.
 
     ``lower[d, i]`` holds entry (i+d, i) for 0 <= d <= half_bandwidth.
+    ``gmp build`` hands ``serialize.lower_triangle_csv`` the rows of
+    ``_band`` as they are, not wrapped in an array.
     """
 
     n: int
@@ -97,20 +97,36 @@ class BandedOperator:
 def build_blocks(coeffs):
     """The (g+1) x (g+1) blocks (A, B) of the periodic operator; DomainError
     if an entry of B overflows float64."""
-    p = np.asarray(coeffs.p)
-    q = np.asarray(coeffs.q)
-    g = coeffs.g
-    A = np.zeros((g + 1, g + 1))
-    A[g, :] = p
-    with np.errstate(over="ignore"):
-        B = np.triu(np.outer(q, p), 1) + np.tril(np.outer(p, q))
-        B += np.diag(list(coeffs.poles) + [0.0])
-    return A, _check_finite("the block B", B)
+    S = np.array(_stacked_blocks(coeffs))
+    w = coeffs.g + 1
+    return S[w:].T, S[:w]
+
+
+def _stacked_blocks(coeffs):
+    """The 2(g+1) rows of [B; A^T] as lists of Python floats, numpy not
+    executed; DomainError if an entry of B overflows float64.
+
+    Each entry of B is rounded as the sum np.triu(q p^T, 1) + np.tril(p q^T)
+    + diag(c_1..c_g, 0) rounds it: an off-diagonal product plus 0.0 (a -0.0
+    becomes +0.0) and (p_i q_i + 0.0) + c_i on the diagonal.  Row i of A^T
+    is p_i e_g^T.
+    """
+    p, q, g = coeffs.p, coeffs.q, coeffs.g
+    B = [[(p[i] * q[j] if j <= i else q[i] * p[j]) + 0.0 for j in range(g + 1)]
+         for i in range(g + 1)]
+    for i, c in enumerate(coeffs.poles + (0.0,)):
+        B[i][i] += c
+    return _check_finite("the block B", B) + [[0.0] * g + [v] for v in p]
 
 
 def _check_finite(what, a):
-    """a, or DomainError if an entry overflowed to inf or became NaN."""
-    if not np.isfinite(a).all():
+    """a, or DomainError if an entry overflowed to inf or became NaN.  A list
+    of rows of Python floats is tested without executing numpy."""
+    if isinstance(a, list):
+        ok = all(math.isfinite(v) for row in a for v in row)
+    else:
+        ok = np.isfinite(a).all()
+    if not ok:
         raise DomainError(f"{what} overflows float64: the input is out of range")
     return a
 
@@ -122,19 +138,30 @@ def _check_periods(coeffs, n_periods):
     count("n_periods", n_periods, 1, sys.maxsize // (8 * (w + 1) * w), "section")
 
 
-def assemble(coeffs, n_periods):
-    """Finite section with n_periods blocks and open (zero) boundary."""
+def _band(coeffs, n_periods):
+    """The band storage of ``assemble``, numpy not executed: g+2 rows, each
+    an ``array.array`` of float64.
+
+    Entry (j + d, j) of row d, r = j mod w, is entry (r + d, r) of the
+    stacked blocks [B; A^T], and 0.0 past the last row.
+    """
+    from array import array  # deferred: an extension module the other commands skip
+
     _check_periods(coeffs, n_periods)
+    S = _stacked_blocks(coeffs)
     w = coeffs.g + 1
     n = w * n_periods
-    A, B = build_blocks(coeffs)
-    # one period of band row d: entry (j + d, j) at r = j mod w is entry
-    # (r + d, r) of the stacked blocks [B; A^T]
-    r = np.arange(w)
-    lower = np.tile(np.vstack([B, A.T])[r + np.arange(w + 1)[:, None], r], n_periods)
-    for d in range(1, w + 1):
-        lower[d, n - d :] = 0.0  # past the last row
-    return BandedOperator(n=n, half_bandwidth=w, lower=lower)
+    band = [array("d", [S[r + d][r] for r in range(w)]) * n_periods for d in range(w + 1)]
+    for d, row in enumerate(band):
+        row[n - d :] = array("d", [0.0] * d)
+    return band
+
+
+def assemble(coeffs, n_periods):
+    """Finite section with n_periods blocks and open (zero) boundary."""
+    w = coeffs.g + 1
+    return BandedOperator(n=w * n_periods, half_bandwidth=w,
+                          lower=np.array(_band(coeffs, n_periods)))
 
 
 def _transfer_phase(coeffs, eig_b, n_periods, x):

@@ -10,18 +10,16 @@ poles: (), (0) and C.
 """
 
 import warnings
-from dataclasses import dataclass
 
 from ._lazy import np
-from .errors import DomainError, finite
+from .errors import DomainError, _Record, finite
 from .gmp import _check_finite, _class_a_violations
 
 # kind -> the pattern name of structure_report
 _PATTERNS = {"monomial": "jacobi", "smp": "smp", "gmp": "class-A"}
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
+class DiscreteMeasure(_Record):
     """Finite positive measure: tuple of (support point, weight) atoms."""
 
     atoms: tuple
@@ -60,8 +58,7 @@ class DiscreteMeasure:
             raise DomainError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class RationalFamily:
+class RationalFamily(_Record):
     """Basis family: the GMP family of ``poles``.
 
     ``kind`` "monomial" is the family with no poles and "smp" the Laurent

@@ -9,16 +9,14 @@ positive imaginary part on the upper half plane and x = 1/r_- the other.
 """
 
 import math
-from dataclasses import dataclass
 
 from ._kernels import _cdiv, _dot, _factor_product, _sqrt
 from ._lazy import np
-from .errors import DomainError, finite
+from .errors import DomainError, _Record, finite
 from .gmp import assemble
 
 
-@dataclass(frozen=True)
-class ResolventValue:
+class ResolventValue(_Record):
     """Roots of the transfer quadratic at a point z, or over an array of z.
 
     r_plus holds a0^2 * r_+(z), r_minus_inv holds 1/r_-(z); a0 = ||p||.

@@ -241,14 +241,17 @@ def lower_triangle_csv(M, tol=0.0):
     """CSV triples (i, j, value) over the lower triangle of a matrix.
 
     ``M`` is a dense array, or a ``BandedOperator`` written row by row from
-    its band storage, so no n x n array is formed; a band -0.0 prints "0",
-    as ``to_dense`` stores it.  The entries left of a row's band are 0 and
-    go out as one joined run; a dense row's band is the whole row.  Entries
+    its band storage (an array, or a list of rows as ``gmp._band`` returns
+    them), so no n x n array is formed; a band -0.0 prints "0", as
+    ``to_dense`` stores it.  The entries left of a row's band are 0 and go
+    out as one joined run; a dense row's band is the whole row.  Entries
     with |value| <= tol are left out when tol is nonzero.
     """
     if hasattr(M, "lower"):
-        band, w = (M.lower + 0.0).tolist(), M.half_bandwidth  # band[d][j]: entry (j + d, j)
-        rows = [[band[i - j][j] for j in range(max(i - w, 0), i + 1)] for i in range(M.n)]
+        band, w = M.lower, M.half_bandwidth  # band[d][j]: entry (j + d, j)
+        if not isinstance(band, list):
+            band = band.tolist()
+        rows = [[band[i - j][j] + 0.0 for j in range(max(i - w, 0), i + 1)] for i in range(M.n)]
     else:
         rows = [row[: i + 1] for i, row in enumerate(np.asarray(M, dtype=float).tolist())]
     cols = [str(j) for j in range(len(rows))]

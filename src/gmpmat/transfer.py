@@ -7,16 +7,13 @@ factor product and a resolvent-based construction from the single
 diagonal block, which must agree identically.
 """
 
-from dataclasses import dataclass
-
 from ._kernels import _dot, _factor_product, discriminant_grid
 from ._lazy import np
-from .errors import DomainError
+from .errors import DomainError, _Record
 from .gmp import build_blocks
 
 
-@dataclass(frozen=True)
-class DiscriminantCoefficients:
+class DiscriminantCoefficients(_Record):
     """Partial-fraction data of the trace: nu0*z + d0 + sum nus_k/(c_k - z)."""
 
     nu0: float

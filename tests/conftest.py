@@ -2,9 +2,10 @@
 pinned set whose poles hit the section's spectrum and two generators of
 sets whose poles do, a spy on ``np.linalg.eigh``, a call that turns a
 DomainError into its message, the elementary transfer
-factors as 2x2 matrices, the oracle of ``_kernels._factor_product``, and
-the row-block fill of a band matrix, the oracle of ``to_dense`` windows and
-of the band-walking triangle encoder."""
+factors as 2x2 matrices, the oracle of ``_kernels._factor_product``, the
+row-block fill of a band matrix, the oracle of ``to_dense`` windows and
+of the band-walking triangle encoder, and the numpy blocks and band gather
+that ``gmp._stacked_blocks`` and ``gmp._band`` replaced, their oracles."""
 
 import numpy as np
 import pytest
@@ -55,6 +56,34 @@ def row_block(op, start, stop):
             op.lower[d, first - d : stop - d] + 0.0
         )
     return M
+
+
+def numpy_blocks(coeffs):
+    """(A, B) as ``build_blocks`` formed them with numpy: B is the sum of
+    np.triu(q p^T, 1), np.tril(p q^T) and diag(c_1..c_g, 0)."""
+    p = np.asarray(coeffs.p)
+    q = np.asarray(coeffs.q)
+    g = coeffs.g
+    A = np.zeros((g + 1, g + 1))
+    A[g, :] = p
+    with np.errstate(over="ignore"):
+        B = np.triu(np.outer(q, p), 1) + np.tril(np.outer(p, q))
+        B += np.diag(list(coeffs.poles) + [0.0])
+    return A, B
+
+
+def numpy_band(coeffs, n_periods):
+    """The band storage of ``assemble`` as it was gathered with numpy: one
+    period of row d from the stacked blocks [B; A^T], tiled, then zeros
+    past the last row."""
+    w = coeffs.g + 1
+    n = w * n_periods
+    A, B = numpy_blocks(coeffs)
+    r = np.arange(w)
+    lower = np.tile(np.vstack([B, A.T])[r + np.arange(w + 1)[:, None], r], n_periods)
+    for d in range(1, w + 1):
+        lower[d, n - d :] = 0.0
+    return lower
 
 
 def random_gap_set(rng, g):

@@ -605,6 +605,9 @@ def _fresh(code, *args, cwd=None):
     return json.loads(proc.stdout)
 
 
+# The error of every command that builds the block B, where B overflows
+B_OVERFLOW = "the block B overflows float64: the input is out of range"
+
 # Inputs that are NaN, infinite or overflow float64.  Before they were refused these
 # gave a traceback, a LAPACK message on stderr, a hang, or exit 0 with garbage.
 NON_FINITE = {
@@ -616,12 +619,14 @@ NON_FINITE = {
     "spectrum of NaN": (["spectrum", "eig", "--coeffs", "nan_coeffs.json", "--periods", "3"],
                         "p must be finite"),
     "spectrum overflow": (["spectrum", "eig", "--coeffs", "huge.json", "--periods", "3"],
-                          "overflows float64"),
+                          B_OVERFLOW),
     "spectrum underflow": (["spectrum", "eig", "--coeffs", "tiny.json", "--periods", "3"],
                            "overflows float64"),
-    "section overflow": (["gmp", "build", "--coeffs", "huge.json", "--periods", "3"],
-                         "overflows float64"),
-    "check overflow": (["gmp", "check", "--coeffs", "huge.json"], "overflows float64"),
+    "section overflow": (["gmp", "build", "--coeffs", "huge.json", "--periods", "3"], B_OVERFLOW),
+    "check overflow": (["gmp", "check", "--coeffs", "huge.json"], B_OVERFLOW),
+    "spectrum inf - inf": (["spectrum", "eig", "--coeffs", "cancel.json"], B_OVERFLOW),
+    "section inf - inf": (["gmp", "build", "--coeffs", "cancel.json"], B_OVERFLOW),
+    "check inf - inf": (["gmp", "check", "--coeffs", "cancel.json"], B_OVERFLOW),
     "transfer z overflow": (["transfer", "eval", "--coeffs", "huge.json", "--z", "0.5"],
                             "overflows float64"),
     "transfer grid overflow": (["transfer", "eval", "--coeffs", "huge.json", "--grid=-1:1:3"],
@@ -989,6 +994,15 @@ def test_out_of_memory_exits_1_with_one_json_line(workdir):
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_section_beyond_memory_exits_1_with_one_json_line(workdir):
+    # the band of 10^9 periods at g = 1 takes 48 GB, far above the probe's limit
+    argv = ["gmp", "build", "--coeffs", "good.json", "--periods", "1000000000"]
+    proc = _child(["-c", MEMORY_PROBE, *argv], cwd=workdir)
+    assert proc.returncode == 1
+    _one_error_line(proc.stdout, proc.stderr, "out of memory")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
 def test_hit_inputs_at_a_million_periods_print_their_shortest_section(workdir, capsys,
                                                                       monkeypatch):
     # POINT1 puts an eigenvalue on a pole; the eigendecomposition of the full
@@ -1080,6 +1094,12 @@ POINT_LINES = [
     "gmpmat iso verify --delta d1.json --coeffs pt.json",
 ]
 
+# README's gmp build lines: the band is filled and written without numpy
+BUILD_LINES = [
+    "gmpmat gmp build --coeffs coeffs.json --periods 4",
+    "gmpmat gmp build --coeffs coeffs.json --tol 0.5",
+]
+
 # grids of at most cli._SCALAR_GRID_MAX points run without numpy too
 GRID_LINES = [
     "gmpmat delta eval --delta delta.json --grid=-3.1:3.3:{}",
@@ -1117,6 +1137,8 @@ def test_point_commands_leave_numpy_unexecuted(workdir):
         "gmpmat jacobi transfer --a 1,2 --b 0,0 --z 0.3",  # after transfer_z: loads isospectral
         *POINT_LINES[4:],
         *(line.format(200) for line in GRID_LINES),
+        *BUILD_LINES,
+        "gmpmat gmp build --coeffs coeffs.json --periods 500",
         "gmpmat --help",
         "gmpmat transfer eval --coeffs coeffs.json",  # usage error: no --z or --grid
         "gmpmat delta eval --delta missing.json --z 0.5",
@@ -1126,6 +1148,35 @@ def test_point_commands_leave_numpy_unexecuted(workdir):
     codes = {line: got[:2] for line, got in seen.items()}
     assert codes == {line: [1 if i >= len(lines) - 2 else 0, False] for i, line in enumerate(lines)}
     assert not {"gmpmat.isospectral", "gmpmat.ortho", "gmpmat.resolvent"} & set(seen[transfer_z][2])
+
+
+# Runs each line in order in one interpreter ("echo TEXT > FILE" writes FILE)
+# and records the exit codes, whether numpy has been executed by then, and
+# which of dataclasses and inspect, with their ~7 ms of start-up, are loaded.
+STDLIB_PROBE = """
+import contextlib, io, json, shlex, sys
+import gmpmat.cli
+codes = []
+for line in json.loads(sys.argv[1]):
+    argv = shlex.split(line)
+    if argv[0] == "echo":
+        with open(argv[3], "w") as f:
+            f.write(argv[1])
+        continue
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(gmpmat.cli.main(argv[1:]))
+print(json.dumps([codes, "numpy._core" in sys.modules,
+                  sorted({"dataclasses", "inspect"} & set(sys.modules))]))
+"""
+
+
+def test_numpy_free_readme_lines_leave_dataclasses_and_inspect_unloaded(workdir):
+    # every command imported dataclasses for its records, and dataclasses inspect
+    readme = _readme_cli_lines()
+    free = [line for line in readme if line in POINT_LINES + BUILD_LINES]
+    assert sorted(free) == sorted(POINT_LINES + BUILD_LINES)
+    lines = [line for line in readme if line.startswith("echo ")] + free
+    assert _fresh(STDLIB_PROBE, json.dumps(lines), cwd=workdir) == [[0] * len(free), False, []]
 
 
 @pytest.mark.parametrize("line", GRID_LINES)

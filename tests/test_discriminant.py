@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -387,7 +386,7 @@ def _shrink_to_pole(delta, c, side):
 
 def _floats(obj):
     """Fields of a FiniteGapSet or RationalDiscriminant as one flat array."""
-    first, second, pairs = dataclasses.astuple(obj)
+    first, second, pairs = vars(obj).values()
     return np.concatenate([[first, second], np.ravel(pairs)])
 
 

@@ -25,6 +25,8 @@ from gmpmat.gmp import _near_pole_counts, _window_resolvent
 from gmpmat.serialize import lower_triangle_csv
 from conftest import (
     LATE_HIT,
+    numpy_band,
+    numpy_blocks,
     random_coeffs,
     random_hit_set,
     random_pinned_set,
@@ -182,6 +184,51 @@ def test_assemble_matches_slot_loop(g):
             got, want = assemble(c, n_periods).lower, _assemble_loop(c, n_periods)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _band_fill_sample():
+    """Seeded coefficient sets at g = 0..6: a ``random_coeffs`` draw (negative
+    q_j and poles), the same with q = 0 in signed zeros, with p_0 = -0.0 and
+    c_1 = -0.0, and with subnormal p_j, whose products round to 0 or stay
+    subnormal."""
+    sets = []
+    for g in range(7):
+        c = random_coeffs(np.random.default_rng([40, g]), g=g)
+        sets += [c, GmpCoefficients(c.poles, c.p, ((-0.0, 0.0) * (g + 1))[: g + 1]),
+                 GmpCoefficients(c.poles, tuple(v * 1e-310 for v in c.p[:g]) + (5e-324,), c.q)]
+        if g:
+            sets.append(GmpCoefficients((-0.0,) + c.poles[1:], (-0.0,) + c.p[1:],
+                                        (abs(c.q[0]),) + c.q[1:]))
+    return sets
+
+
+def test_band_fill_equals_the_numpy_blocks_and_gather_bit_for_bit():
+    # the plain-Python B and band fill against the numpy sums and np.tile
+    # gather they replaced: == and sign bits, past-the-end zeros included
+    sample = _band_fill_sample()
+    assert any(np.signbit(numpy_band(c, 2)).any() for c in sample)
+    assert any((np.abs(numpy_blocks(c)[1]) < 2.0**-1022).any() for c in sample)
+    for c in sample:
+        for got, want in zip(build_blocks(c), numpy_blocks(c)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for n_periods in range(1, 41):
+            got, want = assemble(c, n_periods).lower, numpy_band(c, n_periods)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.5])
+def test_gmp_build_bytes_equal_the_numpy_band_walk(tmp_path, tol):
+    for k, c in enumerate(_band_fill_sample()):
+        path, out = tmp_path / f"c{k}.json", tmp_path / "section.csv"
+        path.write_text(json.dumps(vars(c)))
+        w = c.g + 1
+        for n_periods in (1, 2, 40):
+            argv = ["gmp", "build", "--coeffs", str(path), "--periods", str(n_periods),
+                    "--tol", repr(tol), "--out", str(out)]
+            assert cli.main(argv) == 0
+            want = BandedOperator(w * n_periods, w, numpy_band(c, n_periods))
+            assert out.read_text() == lower_triangle_csv(want, tol)
 
 
 def _dense_by_diag_sums(op):
